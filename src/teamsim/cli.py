@@ -18,13 +18,22 @@ import numpy as np
 from . import __version__
 from .agents import ChoiceModelParams
 from .core import SKILL_NAMES, population_lookup
-from .experiment import ExperimentConfig, choice_audit, load_exposure_rows, run_experiment
+from .experiment import (
+    ANOVA_COLUMNS,
+    PAIRWISE_COLUMNS,
+    ExperimentConfig,
+    choice_audit,
+    load_exposure_rows,
+    metric_groups,
+    run_experiment,
+    stats_tables,
+    write_csv,
+)
 from .optimizer import GaConfig, brute_force_partition, ga_partition, objectives, random_partition
 from .population import load_population, save_population, synth_population
 from .protocol import AssemblyError, read_log, replay
 from .recommender import Criterion, Query, rank_candidates
 from .session import CONDITIONS
-from .stats import anova_f, pairwise_diffs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,7 +77,6 @@ def _cmd_assign(args) -> int:
             generations=args.generations,
             population_size=args.ga_population,
             swap_attempts=args.swap_attempts,
-            restarts=args.restarts,
             rng_seed=args.seed,
         )
         _, partition = ga_partition(population, config, team_size=args.team_size)
@@ -164,50 +172,22 @@ def _cmd_analyze(args) -> int:
         return _fail("input", "empty team metrics table", EXIT_INPUT)
     metrics = [m for m in rows[0] if m not in ("condition", "session", "team", "size")]
     conditions = sorted({r["condition"] for r in rows})
-    anova_rows = []
-    pairwise_rows = []
-    for metric in metrics:
-        groups = {
-            c: [float(r[metric]) for r in rows if r["condition"] == c] for c in conditions
-        }
-        if len(conditions) < 2:
-            continue
-        result = anova_f(groups, seed=args.seed)
-        anova_rows.append({"metric": metric, "f_stat": result.f_stat, "p_value": result.p_value})
-        print(f"{metric}: F={result.f_stat:.4f} p={result.p_value:.4f}")
-        for diff in pairwise_diffs(groups, seed=args.seed):
-            pairwise_rows.append(
-                {
-                    "metric": metric,
-                    "group_a": diff.group_a,
-                    "group_b": diff.group_b,
-                    "delta": diff.delta,
-                    "p_value": diff.p_value,
-                    "p_adjusted": diff.p_adjusted,
-                }
-            )
-            print(
-                f"  {diff.group_a} vs {diff.group_b}: delta={diff.delta:+.4f} "
-                f"p={diff.p_value:.4f} p_adj={diff.p_adjusted:.4f}"
-            )
+    anova_rows, pairwise_rows = stats_tables(metric_groups(rows, conditions, metrics), args.seed)
+    for row in anova_rows:
+        print(f"{row['metric']}: F={row['f_stat']:.4f} p={row['p_value']:.4f}")
+        for diff in pairwise_rows:
+            if diff["metric"] == row["metric"]:
+                print(
+                    f"  {diff['group_a']} vs {diff['group_b']}: delta={diff['delta']:+.4f} "
+                    f"p={diff['p_value']:.4f} p_adj={diff['p_adjusted']:.4f}"
+                )
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_table(out / "anova.csv", anova_rows, ["metric", "f_stat", "p_value"])
-        _write_table(
-            out / "pairwise.csv",
-            pairwise_rows,
-            ["metric", "group_a", "group_b", "delta", "p_value", "p_adjusted"],
-        )
+        write_csv(out / "anova.csv", anova_rows, ANOVA_COLUMNS)
+        write_csv(out / "pairwise.csv", pairwise_rows, PAIRWISE_COLUMNS)
         print(f"tables written to {out}")
     return EXIT_OK
-
-
-def _write_table(path, rows, columns) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(row[c]) for c in columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _cmd_audit(args) -> int:
@@ -265,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generations", type=int, default=20)
     p.add_argument("--ga-population", type=int, default=50)
     p.add_argument("--swap-attempts", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=1)
     p.set_defaults(func=_cmd_assign)
 
     p = sub.add_parser("recommend", help="rank teammate candidates for a query")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -29,6 +30,10 @@ TEAM_SIZE = 4
 
 _GENDER_INDEX = {g: i for i, g in enumerate(GENDERS)}
 _RACE_INDEX = {r: i for i, r in enumerate(RACES)}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -50,12 +55,12 @@ class Participant:
             raise ValueError(f"unknown gender {self.gender!r}")
         if self.race not in _RACE_INDEX:
             raise ValueError(f"unknown race {self.race!r}")
-        if self.age < 18:
-            raise ValueError(f"age must be >= 18, got {self.age}")
+        if not _is_int(self.age) or self.age < 18:
+            raise ValueError(f"age must be an integer >= 18, got {self.age!r}")
         if len(self.skills) != NUM_SKILLS:
             raise ValueError(f"expected {NUM_SKILLS} skills, got {len(self.skills)}")
-        if any(not 1 <= s <= 5 for s in self.skills):
-            raise ValueError(f"skill levels must be in 1..5, got {self.skills}")
+        if any(not _is_int(s) or not 1 <= s <= 5 for s in self.skills):
+            raise ValueError(f"skill levels must be integers in 1..5, got {self.skills}")
 
     def to_dict(self) -> dict:
         return {
@@ -76,8 +81,8 @@ class Participant:
             race=d["race"],
             hispanic=bool(d["hispanic"]),
             international=bool(d["international"]),
-            age=int(d["age"]),
-            skills=tuple(int(s) for s in d["skills"]),
+            age=d["age"],
+            skills=tuple(d["skills"]),
         )
 
 
@@ -215,10 +220,7 @@ def blau(categories: Sequence) -> float:
     n = len(categories)
     if n == 0:
         raise ValueError("empty group")
-    counts: dict = {}
-    for c in categories:
-        counts[c] = counts.get(c, 0) + 1
-    return 1.0 - sum((c / n) ** 2 for c in counts.values())
+    return _blau_from_codes(categories, n)
 
 
 def normalized_blau(categories: Sequence, k: int) -> float:
@@ -233,11 +235,9 @@ def coefficient_of_variation(values: Sequence[float]) -> float:
     n = len(values)
     if n == 0:
         raise ValueError("empty group")
-    mean = sum(values) / n
-    if mean == 0:
+    if sum(values) == 0:
         raise ValueError("undefined CV: mean is zero")
-    var = sum((x - mean) ** 2 for x in values) / n
-    return math.sqrt(var) / mean
+    return _cv_from_values(values, n)
 
 
 def normalize_cv(cv: float) -> float:
@@ -274,23 +274,24 @@ def _cv_from_values(values: Sequence[float], n: int) -> float:
 
 
 def _row_components(rows: Sequence[tuple], schema: AttributeSchema) -> tuple:
-    """(gender_b, race_b, eth_b, intl_b, age_cv, skill_cvs) for coded rows."""
+    """(gender_b, race_b, eth_b, intl_b, age_cv, skill_cvs, surface, deep) for coded rows."""
     n = len(rows)
-    gender_b = _blau_from_codes([r[0] for r in rows], n) / (1.0 - 1.0 / schema.gender_k)
-    race_b = _blau_from_codes([r[1] for r in rows], n) / (1.0 - 1.0 / schema.race_k)
-    eth_b = _blau_from_codes([r[2] for r in rows], n) / (1.0 - 1.0 / schema.ethnicity_k)
-    intl_b = _blau_from_codes([r[3] for r in rows], n) / (1.0 - 1.0 / schema.international_k)
-    age_cv = _cv_from_values([r[4] for r in rows], n)
-    skill_cvs = tuple(_cv_from_values([r[5 + k] for r in rows], n) for k in range(NUM_SKILLS))
-    return gender_b, race_b, eth_b, intl_b, age_cv, skill_cvs
+    gender, race, eth, intl, age, *skills = zip(*rows)
+    gender_b = _blau_from_codes(gender, n) / (1.0 - 1.0 / schema.gender_k)
+    race_b = _blau_from_codes(race, n) / (1.0 - 1.0 / schema.race_k)
+    eth_b = _blau_from_codes(eth, n) / (1.0 - 1.0 / schema.ethnicity_k)
+    intl_b = _blau_from_codes(intl, n) / (1.0 - 1.0 / schema.international_k)
+    age_cv = _cv_from_values(age, n)
+    skill_cvs = tuple(_cv_from_values(values, n) for values in skills)
+    surface = gender_b + race_b + eth_b + intl_b + normalize_cv(age_cv)
+    deep = sum(normalize_cv(cv) for cv in skill_cvs) / NUM_SKILLS
+    return gender_b, race_b, eth_b, intl_b, age_cv, skill_cvs, surface, deep
 
 
 def profile_for_rows(rows: Sequence[tuple], schema: AttributeSchema = DEFAULT_SCHEMA) -> DiversityProfile:
     if not rows:
         raise ValueError("empty group")
-    gender_b, race_b, eth_b, intl_b, age_cv, skill_cvs = _row_components(rows, schema)
-    surface = gender_b + race_b + eth_b + intl_b + normalize_cv(age_cv)
-    deep = sum(normalize_cv(cv) for cv in skill_cvs) / NUM_SKILLS
+    gender_b, race_b, eth_b, intl_b, age_cv, skill_cvs, surface, deep = _row_components(rows, schema)
     return DiversityProfile(
         gender_blau=gender_b,
         race_blau=race_b,
@@ -318,11 +319,7 @@ def surface_deep_rows(
     Hot path for the genetic optimizer: rows is the precomputed population
     attribute table and idxs selects one team.
     """
-    team = [rows[i] for i in idxs]
-    gender_b, race_b, eth_b, intl_b, age_cv, skill_cvs = _row_components(team, schema)
-    surface = gender_b + race_b + eth_b + intl_b + age_cv / (age_cv + 1.0)
-    deep = sum(cv / (cv + 1.0) for cv in skill_cvs) / NUM_SKILLS
-    return surface, deep
+    return _row_components([rows[i] for i in idxs], schema)[6:]
 
 
 def team_diversity_profile(

@@ -15,7 +15,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -47,6 +47,9 @@ REPORT_METRICS = (
     "ethnicity_blau",
     "international_blau",
 )
+
+ANOVA_COLUMNS = ("metric", "f_stat", "p_value")
+PAIRWISE_COLUMNS = ("metric", "group_a", "group_b", "delta", "p_value", "p_adjusted")
 
 AUDIT_COLUMNS = ("intercept", "rank", "same_gender", "diversity", "treatment", "interaction")
 MIN_EXPOSURES_PER_COEFFICIENT = 50
@@ -97,7 +100,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Config from JSON data; unknown keys, top-level or nested, are refused."""
         kwargs = dict(d)
+        _reject_unknown_keys(cls, kwargs)
         if "conditions" in kwargs:
             kwargs["conditions"] = tuple(kwargs["conditions"])
         for key, sub in (
@@ -109,6 +114,7 @@ class ExperimentConfig:
         ):
             if key in kwargs and isinstance(kwargs[key], dict):
                 sub_kwargs = dict(kwargs[key])
+                _reject_unknown_keys(sub, sub_kwargs, f"{key}.")
                 for name, value in sub_kwargs.items():
                     if isinstance(value, list):
                         sub_kwargs[name] = tuple(value)
@@ -119,6 +125,13 @@ class ExperimentConfig:
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _reject_unknown_keys(cls, data: Mapping, prefix: str = "") -> None:
+    known = {f.name for f in dataclasses.fields(cls)}
+    unknown = [prefix + key for key in sorted(data) if key not in known]
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
 
 
 def _session_spec(config: ExperimentConfig) -> list[tuple[str, int]]:
@@ -217,11 +230,43 @@ def _summary_rows(team_rows: Sequence[dict], conditions: Sequence[str]) -> list[
     return rows
 
 
-def _metric_groups(team_rows: Sequence[dict], conditions: Sequence[str], metric: str) -> dict:
+def metric_groups(
+    team_rows: Sequence[dict], conditions: Sequence[str], metrics: Sequence[str]
+) -> dict[str, dict[str, list[float]]]:
+    """metric -> condition -> that condition's team values, as floats."""
     return {
-        condition: [r[metric] for r in team_rows if r["condition"] == condition]
-        for condition in conditions
+        metric: {
+            condition: [float(r[metric]) for r in team_rows if r["condition"] == condition]
+            for condition in conditions
+        }
+        for metric in metrics
     }
+
+
+def stats_tables(
+    groups_by_metric: Mapping[str, Mapping[str, Sequence[float]]], seed: int
+) -> tuple[list[dict], list[dict]]:
+    """(anova rows, pairwise rows) over metrics; metrics with fewer than two
+    groups are skipped."""
+    anova_rows: list[dict] = []
+    pairwise_rows: list[dict] = []
+    for metric, groups in groups_by_metric.items():
+        if len(groups) < 2:
+            continue
+        result = anova_f(groups, seed=seed)
+        anova_rows.append({"metric": metric, "f_stat": result.f_stat, "p_value": result.p_value})
+        for diff in pairwise_diffs(groups, seed=seed):
+            pairwise_rows.append(
+                {
+                    "metric": metric,
+                    "group_a": diff.group_a,
+                    "group_b": diff.group_b,
+                    "delta": diff.delta,
+                    "p_value": diff.p_value,
+                    "p_adjusted": diff.p_adjusted,
+                }
+            )
+    return anova_rows, pairwise_rows
 
 
 def _balance_tables(sessions: Sequence[SessionResult], conditions: Sequence[str]) -> list[dict]:
@@ -281,26 +326,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     team_rows = _team_rows(sessions)
     summary_rows = _summary_rows(team_rows, config.conditions)
-    anova_rows: list[dict] = []
-    pairwise_rows: list[dict] = []
-    if len(config.conditions) >= 2:
-        for metric in REPORT_METRICS:
-            groups = _metric_groups(team_rows, config.conditions, metric)
-            result = anova_f(groups, seed=config.seed)
-            anova_rows.append(
-                {"metric": metric, "f_stat": result.f_stat, "p_value": result.p_value}
-            )
-            for diff in pairwise_diffs(groups, seed=config.seed):
-                pairwise_rows.append(
-                    {
-                        "metric": metric,
-                        "group_a": diff.group_a,
-                        "group_b": diff.group_b,
-                        "delta": diff.delta,
-                        "p_value": diff.p_value,
-                        "p_adjusted": diff.p_adjusted,
-                    }
-                )
+    anova_rows, pairwise_rows = stats_tables(
+        metric_groups(team_rows, config.conditions, REPORT_METRICS), config.seed
+    )
     balance_rows = _balance_tables(sessions, config.conditions)
 
     exposure_rows = []
@@ -336,7 +364,7 @@ def resolve_output_dir(config: ExperimentConfig) -> Path | None:
     return None
 
 
-def _write_csv(path: Path, rows: Sequence[dict], columns: Sequence[str]) -> None:
+def write_csv(path: Path, rows: Sequence[dict], columns: Sequence[str]) -> None:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(str(row[c]) for c in columns))
@@ -350,28 +378,24 @@ def write_report(report: ExperimentReport, out_dir: Path) -> None:
     (out_dir / "populations").mkdir(exist_ok=True)
     (out_dir / "partitions").mkdir(exist_ok=True)
 
-    _write_csv(
+    write_csv(
         out_dir / "team_metrics.csv",
         report.team_rows,
         ["condition", "session", "team", "size", *REPORT_METRICS, "age_cv"],
     )
-    _write_csv(
+    write_csv(
         out_dir / "condition_summary.csv",
         report.summary_rows,
         ["condition", "metric", "n_teams", "mean", "sd"],
     )
     if report.anova_rows:
-        _write_csv(out_dir / "anova.csv", report.anova_rows, ["metric", "f_stat", "p_value"])
+        write_csv(out_dir / "anova.csv", report.anova_rows, ANOVA_COLUMNS)
     if report.pairwise_rows:
-        _write_csv(
-            out_dir / "pairwise.csv",
-            report.pairwise_rows,
-            ["metric", "group_a", "group_b", "delta", "p_value", "p_adjusted"],
-        )
+        write_csv(out_dir / "pairwise.csv", report.pairwise_rows, PAIRWISE_COLUMNS)
     if report.balance_rows:
-        _write_csv(out_dir / "balance.csv", report.balance_rows, ["attribute", "chi2", "df", "p_value"])
+        write_csv(out_dir / "balance.csv", report.balance_rows, ["attribute", "chi2", "df", "p_value"])
     if report.exposure_rows:
-        _write_csv(
+        write_csv(
             out_dir / "exposures.csv",
             report.exposure_rows,
             [
@@ -579,7 +603,7 @@ def regenerate_team_rows(run_dir) -> list[dict]:
     schema_dict = dict(config_dict["schema"])
     schema = AttributeSchema(**schema_dict)
 
-    rows = []
+    sessions = []
     for record in manifest_sessions:
         stem = f"{record['condition']}_{record['index']:03d}"
         population = load_population(run_dir / "populations" / f"{stem}.jsonl")
@@ -594,22 +618,13 @@ def regenerate_team_rows(run_dir) -> list[dict]:
             data = json.loads((run_dir / "partitions" / f"{stem}.json").read_text())
             partition = Partition.build(data["teams"], data["solos"])
         partition.validate(lookup)
-        for team in partition.teams:
-            profile = team_diversity_profile(team, lookup, schema)
-            rows.append(
-                {
-                    "condition": record["condition"],
-                    "session": record["index"],
-                    "team": "+".join(team.sorted_ids()),
-                    "size": len(team),
-                    "surface_score": profile.surface_score,
-                    "deep_score": profile.deep_score,
-                    "total_score": profile.total_score,
-                    "gender_blau": profile.gender_blau,
-                    "race_blau": profile.race_blau,
-                    "ethnicity_blau": profile.ethnicity_blau,
-                    "international_blau": profile.international_blau,
-                    "age_cv": profile.age_cv,
-                }
+        sessions.append(
+            SessionResult(
+                condition=record["condition"],
+                session_index=record["index"],
+                population=population,
+                partition=partition,
+                profiles=[team_diversity_profile(t, lookup, schema) for t in partition.teams],
             )
-    return rows
+        )
+    return _team_rows(sessions)

@@ -23,10 +23,10 @@ from .core import (
     AttributeSchema,
     Participant,
     Partition,
-    attribute_row,
     attribute_rows,
     population_lookup,
     surface_deep_rows,
+    team_diversity_profile,
 )
 
 
@@ -38,18 +38,16 @@ class GaConfig:
     population_size: candidate partitions kept per generation.
     swap_attempts: member-swap mutations tried per candidate per
         generation; None means one per participant.
-    restarts: independent searches merged into one archive.
     """
 
     generations: int = 20
     population_size: int = 50
     swap_attempts: int | None = None
-    restarts: int = 1
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.generations < 1 or self.population_size < 1 or self.restarts < 1:
-            raise ValueError("generations, population_size and restarts must be >= 1")
+        if self.generations < 1 or self.population_size < 1:
+            raise ValueError("generations and population_size must be >= 1")
         if self.swap_attempts is not None and self.swap_attempts < 1:
             raise ValueError("swap_attempts must be >= 1")
 
@@ -72,33 +70,37 @@ def _dominates(a_surface: float, a_deep: float, b_surface: float, b_deep: float)
 
 @dataclass
 class ParetoArchive:
-    """Non-dominated set of (partition, surface, deep) entries."""
+    """Non-dominated set of (partition, surface, deep) entries, one per point.
+
+    The first partition seen at an objective point represents it, so flat
+    fitness landscapes (for example clone populations, where every swap
+    ties) cannot flood the front with equal-objective duplicates.
+    """
 
     entries: list[ArchiveEntry] = field(default_factory=list)
 
-    def insert(self, entry: ArchiveEntry) -> bool:
-        """Insert unless dominated; evicts entries the newcomer dominates."""
+    def admits(self, surface: float, deep: float) -> bool:
+        """True unless an entry's point is >= on both objectives (it dominates
+        the point or is the same point)."""
         for e in self.entries:
-            if _dominates(e.surface, e.deep, entry.surface, entry.deep):
+            if e.surface >= surface and e.deep >= deep:
                 return False
-            if (
-                e.surface == entry.surface
-                and e.deep == entry.deep
-                and e.partition.canonical() == entry.partition.canonical()
-            ):
-                return False
-        self.entries = [
-            e for e in self.entries if not _dominates(entry.surface, entry.deep, e.surface, e.deep)
-        ]
+        return True
+
+    def insert(self, entry: ArchiveEntry) -> bool:
+        """Insert if admitted; evicts entries the newcomer dominates."""
+        surface, deep = entry.surface, entry.deep
+        if not self.admits(surface, deep):
+            return False
+        self.entries = [e for e in self.entries if not (surface >= e.surface and deep >= e.deep)]
         self.entries.append(entry)
         return True
 
     def check_invariant(self) -> None:
-        for a, b in itertools.combinations(self.entries, 2):
-            if _dominates(a.surface, a.deep, b.surface, b.deep) or _dominates(
-                b.surface, b.deep, a.surface, a.deep
-            ):
-                raise AssertionError("archive contains a dominated entry")
+        for i, e in enumerate(self.entries):
+            others = ParetoArchive(self.entries[:i] + self.entries[i + 1 :])
+            if not others.admits(e.surface, e.deep):
+                raise AssertionError("archive contains a dominated or repeated point")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -129,16 +131,14 @@ def objectives(
     """Mean (surface, deep) diversity over teams; solos are excluded."""
     if not partition.teams:
         raise ValueError("partition has no teams")
-    rows_by_id = {pid: attribute_row(p) for pid, p in lookup.items()}
-    surface_total = 0.0
-    deep_total = 0.0
-    for team in partition.teams:
-        rows = [rows_by_id[mid] for mid in team.sorted_ids()]
-        s, d = surface_deep_rows(rows, range(len(rows)), schema)
-        surface_total += s
-        deep_total += d
-    n = len(partition.teams)
-    return surface_total / n, deep_total / n
+    profiles = [team_diversity_profile(team, lookup, schema) for team in partition.teams]
+    return _mean_scores([(p.surface_score, p.deep_score) for p in profiles])
+
+
+def _mean_scores(scores: Sequence[tuple[float, float]]) -> tuple[float, float]:
+    """Mean (surface, deep) over per-team scores: a partition's objectives."""
+    n = len(scores)
+    return sum(s for s, _ in scores) / n, sum(d for _, d in scores) / n
 
 
 def elbow_select(archive: ParetoArchive) -> Partition:
@@ -192,42 +192,7 @@ class _Candidate:
         self.teams = teams
         self.solos = solos
         self.scores = [surface_deep_rows(rows, t, schema) for t in teams]
-        n = len(teams)
-        self.surface = sum(s for s, _ in self.scores) / n
-        self.deep = sum(d for _, d in self.scores) / n
-
-
-def _canonical_teams(teams: Sequence[tuple[int, ...]]) -> tuple:
-    return tuple(sorted(tuple(sorted(t)) for t in teams))
-
-
-class _IndexFront:
-    """Non-dominated front over index-coded candidates (cheap GA-internal form).
-
-    Keyed by exact objective pair: the first partition seen at a given
-    (surface, deep) point represents it, so flat fitness landscapes (for
-    example clone populations, where every swap ties) cannot flood the
-    front with equal-objective duplicates.
-    """
-
-    __slots__ = ("items",)
-
-    def __init__(self) -> None:
-        self.items: dict[tuple[float, float], tuple[tuple, tuple[int, ...]]] = {}
-
-    def insert(self, teams: Sequence[tuple[int, ...]], solos: tuple[int, ...], surface: float, deep: float) -> None:
-        key = (surface, deep)
-        if key in self.items:
-            return
-        for s, d in self.items:
-            if _dominates(s, d, surface, deep):
-                return
-        self.items = {
-            (s, d): payload
-            for (s, d), payload in self.items.items()
-            if not _dominates(surface, deep, s, d)
-        }
-        self.items[key] = (_canonical_teams(teams), solos)
+        self.surface, self.deep = _mean_scores(self.scores)
 
 
 def _materialize(teams: Sequence[tuple[int, ...]], solos: Sequence[int], ids: list[str]) -> Partition:
@@ -260,50 +225,52 @@ def ga_partition(
     n_teams = n // team_size
     swap_attempts = config.swap_attempts if config.swap_attempts is not None else n
 
-    front = _IndexFront()
-    seed_seq = np.random.SeedSequence(config.rng_seed)
-    for child in seed_seq.spawn(config.restarts):
-        rng = np.random.default_rng(child)
-        candidates: list[_Candidate] = []
-        for _ in range(config.population_size):
-            order = list(rng.permutation(n))
-            teams = [tuple(order[i * team_size : (i + 1) * team_size]) for i in range(n_teams)]
-            solos = tuple(order[n_teams * team_size :])
-            cand = _Candidate(teams, solos, rows, schema)
-            candidates.append(cand)
-            front.insert(cand.teams, cand.solos, cand.surface, cand.deep)
-
-        for _ in range(config.generations):
-            for cand in candidates:
-                for _ in range(swap_attempts):
-                    ti, tj = rng.choice(n_teams, size=2, replace=False)
-                    mi = int(rng.integers(team_size))
-                    mj = int(rng.integers(team_size))
-                    team_i = list(cand.teams[ti])
-                    team_j = list(cand.teams[tj])
-                    team_i[mi], team_j[mj] = team_j[mj], team_i[mi]
-                    new_i = tuple(team_i)
-                    new_j = tuple(team_j)
-                    score_i = surface_deep_rows(rows, new_i, schema)
-                    score_j = surface_deep_rows(rows, new_j, schema)
-                    new_scores = list(cand.scores)
-                    new_scores[ti] = score_i
-                    new_scores[tj] = score_j
-                    new_surface = sum(s for s, _ in new_scores) / n_teams
-                    new_deep = sum(d for _, d in new_scores) / n_teams
-                    if _dominates(cand.surface, cand.deep, new_surface, new_deep):
-                        continue
-                    cand.teams[ti] = new_i
-                    cand.teams[tj] = new_j
-                    cand.scores[ti] = score_i
-                    cand.scores[tj] = score_j
-                    cand.surface = new_surface
-                    cand.deep = new_deep
-                    front.insert(cand.teams, cand.solos, new_surface, new_deep)
-
     archive = ParetoArchive()
-    for (surface, deep), (teams, solos) in sorted(front.items.items()):
-        archive.insert(ArchiveEntry(_materialize(teams, solos, ids), surface, deep))
+
+    def offer(cand: _Candidate) -> None:
+        # Partitions are built only for admitted points, a small share of offers.
+        if archive.admits(cand.surface, cand.deep):
+            partition = _materialize(cand.teams, cand.solos, ids)
+            archive.insert(ArchiveEntry(partition, cand.surface, cand.deep))
+
+    rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed).spawn(1)[0])
+    candidates: list[_Candidate] = []
+    for _ in range(config.population_size):
+        order = list(rng.permutation(n))
+        teams = [tuple(order[i * team_size : (i + 1) * team_size]) for i in range(n_teams)]
+        solos = tuple(order[n_teams * team_size :])
+        cand = _Candidate(teams, solos, rows, schema)
+        candidates.append(cand)
+        offer(cand)
+
+    for _ in range(config.generations):
+        for cand in candidates:
+            for _ in range(swap_attempts):
+                ti, tj = rng.choice(n_teams, size=2, replace=False)
+                mi = int(rng.integers(team_size))
+                mj = int(rng.integers(team_size))
+                team_i = list(cand.teams[ti])
+                team_j = list(cand.teams[tj])
+                team_i[mi], team_j[mj] = team_j[mj], team_i[mi]
+                new_i = tuple(team_i)
+                new_j = tuple(team_j)
+                score_i = surface_deep_rows(rows, new_i, schema)
+                score_j = surface_deep_rows(rows, new_j, schema)
+                new_scores = list(cand.scores)
+                new_scores[ti] = score_i
+                new_scores[tj] = score_j
+                new_surface, new_deep = _mean_scores(new_scores)
+                if _dominates(cand.surface, cand.deep, new_surface, new_deep):
+                    continue
+                cand.teams[ti] = new_i
+                cand.teams[tj] = new_j
+                cand.scores[ti] = score_i
+                cand.scores[tj] = score_j
+                cand.surface = new_surface
+                cand.deep = new_deep
+                offer(cand)
+
+    archive.entries.sort(key=lambda e: (e.surface, e.deep))
     selected = elbow_select(archive)
     return archive, selected
 
@@ -364,9 +331,7 @@ def brute_force_partition(
         team_pool = tuple(i for i in all_idx if i not in solo_combo)
         for split in _team_splits(team_pool, team_size):
             count += 1
-            scores = [surface_deep_rows(rows, t, schema) for t in split]
-            surface = sum(s for s, _ in scores) / len(split)
-            deep = sum(d for _, d in scores) / len(split)
+            surface, deep = _mean_scores([surface_deep_rows(rows, t, schema) for t in split])
             for key, value in (("surface", surface), ("deep", deep), ("total", surface + deep)):
                 cur, holders = best[key]
                 if value > cur:

@@ -127,25 +127,19 @@ def marginal_diversity(
     team_members: Sequence[Participant],
     candidate: Participant,
     schema: AttributeSchema = DEFAULT_SCHEMA,
-    floor: float = DIVERSITY_FLOOR,
-    delta: bool = False,
 ) -> float:
     """Diversity score of the team after adding the candidate.
 
-    The level reading (default) is the mean of all normalized metric
-    components of the post-addition team, floored so the fairness
-    multiplier never zeroes a fit score. delta=True returns the floored
-    change against the current team instead.
+    The mean of all normalized metric components of the post-addition
+    team, floored at DIVERSITY_FLOOR so the fairness multiplier never
+    zeroes a fit score.
     """
     if any(m.id == candidate.id for m in team_members):
         raise ValueError(f"candidate {candidate.id!r} already in team")
     combined = list(team_members) + [candidate]
     if len(combined) > TEAM_SIZE:
         raise ValueError(f"adding candidate would exceed team size {TEAM_SIZE}")
-    level = profile_for_members(combined, schema).component_mean
-    if delta and team_members:
-        level -= profile_for_members(list(team_members), schema).component_mean
-    return max(floor, level)
+    return max(DIVERSITY_FLOOR, profile_for_members(combined, schema).component_mean)
 
 
 def rank_candidates(
@@ -160,8 +154,6 @@ def rank_candidates(
     team_size: int = TEAM_SIZE,
     page: int | None = None,
     page_size: int = 10,
-    diversity_floor: float = DIVERSITY_FLOOR,
-    diversity_delta: bool = False,
 ) -> list[Recommendation]:
     """Rank pool candidates for the query's searcher.
 
@@ -188,9 +180,7 @@ def rank_candidates(
             continue
         candidate = lookup[cid]
         s = fit_score(searcher, candidate, query, schema)
-        d = marginal_diversity(
-            team_members, candidate, schema, floor=diversity_floor, delta=diversity_delta
-        )
+        d = marginal_diversity(team_members, candidate, schema)
         combined = s * d if mode == "fairness" else s
         scored.append(
             (

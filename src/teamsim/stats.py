@@ -20,7 +20,7 @@ from scipy.special import expit, gammaincc
 
 @dataclass(frozen=True)
 class GroupSamples:
-    """Named groups of observations; at least two groups, none empty."""
+    """Named groups of finite observations; at least two groups, none empty."""
 
     groups: dict[str, np.ndarray]
 
@@ -34,6 +34,8 @@ class GroupSamples:
                 raise ValueError(f"group {label!r} is empty")
             if values.ndim != 1:
                 raise ValueError(f"group {label!r} must be one-dimensional")
+            if not np.isfinite(values).all():
+                raise ValueError(f"group {label!r} has non-finite values")
         return cls(groups=groups)
 
     @property

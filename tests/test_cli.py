@@ -125,6 +125,19 @@ def run_dir(tmp_path_factory):
     return out
 
 
+def test_run_config_with_unknown_key_is_input_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ga": {"restartz": 2}}))
+    code, stdout, stderr = _run(capsys, "run", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert stdout == ""
+    (line,) = stderr.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "input"
+    assert "ga.restartz" in error["message"]
+    assert not (tmp_path / "o").exists()
+
+
 class TestRunAnalyzeAuditReplay:
     def test_run_outputs(self, run_dir):
         for name in ("team_metrics.csv", "condition_summary.csv", "manifest.jsonl", "report.txt"):

@@ -118,6 +118,16 @@ class TestParticipantValidation:
         with pytest.raises(ValueError, match="skill"):
             make_participant(skills=(3, 3, 3))
 
+    def test_non_integer_age_and_skill_rejected(self):
+        with pytest.raises(ValueError, match="age"):
+            make_participant(age=30.7)
+        with pytest.raises(ValueError, match="skill"):
+            make_participant(skills=(2.5, 3, 3, 3, 3, 3))
+        assert make_participant(age=np.int64(30)).age == 30
+        data = make_participant().to_dict()
+        with pytest.raises(ValueError, match="age"):
+            Participant.from_dict({**data, "age": 30.7})
+
     def test_unknown_categories(self):
         with pytest.raises(ValueError):
             make_participant(gender="Other")

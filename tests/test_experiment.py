@@ -43,6 +43,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(team_size=5)
 
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ValueError, match="unknown config keys: sessions, workerz$"):
+            ExperimentConfig.from_dict({"sessions": 2, "workerz": 1, "seed": 3})
+        with pytest.raises(ValueError, match=r"unknown config keys: ga\.restarts$"):
+            ExperimentConfig.from_dict({"ga": {"restarts": 2, "generations": 3}})
+
     def test_json_round_trip(self, tmp_path):
         config = _tiny_config(output_dir="somewhere")
         path = tmp_path / "config.json"

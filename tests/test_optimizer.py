@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teamsim.core import Partition, population_lookup
 from teamsim.optimizer import (
@@ -110,6 +112,30 @@ class TestParetoArchive:
         archive.check_invariant()
 
 
+# Few distinct values, so that repeated and tied points are common.
+_objective = st.integers(0, 5).map(lambda i: i / 5)
+
+
+class TestParetoArchiveProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_objective, _objective), max_size=40))
+    def test_any_insert_sequence_keeps_one_entry_per_front_point(self, points):
+        archive = ParetoArchive()
+        first_tag: dict[tuple[float, float], str] = {}
+        for i, point in enumerate(points):
+            before = [(e.surface, e.deep) for e in archive.entries]
+            admitted = archive.insert(_entry(*point, f"t{i}"))
+            # refused exactly when an entry dominates the point or sits on it
+            assert admitted != any(s >= point[0] and d >= point[1] for s, d in before)
+            first_tag.setdefault(point, f"t{i}")
+        archive.check_invariant()
+        front = [(e.surface, e.deep) for e in archive.entries]
+        dominated = lambda p: any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in points)  # noqa: E731
+        assert set(front) == {p for p in points if not dominated(p)}
+        for e in archive.entries:
+            assert e.partition == _entry(0.0, 0.0, first_tag[e.surface, e.deep]).partition
+
+
 class TestElbowSelect:
     def test_single_entry(self):
         archive = ParetoArchive([_entry(0.3, 0.4, "a")])
@@ -190,16 +216,6 @@ class TestGaPartition:
         assert len(selected.teams) == 2
         assert len(selected.solos) == 2
         selected.validate([p.id for p in pop])
-
-    def test_restarts_merge_into_one_archive(self, small_population):
-        single = ga_partition(small_population, GaConfig(generations=2, population_size=5, rng_seed=3))
-        double = ga_partition(
-            small_population,
-            GaConfig(generations=2, population_size=5, rng_seed=3, restarts=2),
-        )
-        double[0].check_invariant()
-        assert isinstance(double[1], Partition)
-        assert single[1].validate([p.id for p in small_population]) is None
 
     def test_near_oracle_on_ten_seeds(self, small_population):
         bf = brute_force_partition(small_population)

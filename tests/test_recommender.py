@@ -203,14 +203,6 @@ class TestMarginalDiversity:
                 _oracle_marginal_diversity(team, candidate), abs=1e-12
             )
 
-    def test_delta_reading_of_solo_equals_level(self):
-        solo = [make_participant(pid="s", gender="Female", age=20)]
-        candidate = make_participant(pid="b", gender="Male", age=40)
-        level = marginal_diversity(solo, candidate)
-        delta = marginal_diversity(solo, candidate, delta=True)
-        # adding to a single member: current diversity is zero
-        assert delta == pytest.approx(level)
-
 
 class TestRankCandidates:
     def _pool(self, n: int = 24, seed: int = 17):

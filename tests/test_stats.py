@@ -25,6 +25,11 @@ class TestGroupSamples:
 
 
 class TestAnova:
+    def test_nan_rejected(self):
+        # a nan F used to count as the most significant p-value, 1/(B+1)
+        with pytest.raises(ValueError, match="non-finite"):
+            anova_f({"a": [1.0, math.nan], "b": [2.0, 3.0]}, n_permutations=10)
+
     def test_identical_groups(self):
         result = anova_f({"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0, 3.0]}, n_permutations=2000)
         assert result.f_stat == 0.0
@@ -108,6 +113,10 @@ class TestBhAdjust:
 
 
 class TestPairwise:
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            pairwise_diffs({"a": [1.0, 2.0], "b": [math.inf, 3.0]}, n_permutations=10)
+
     def test_identical_groups_null(self):
         diffs = pairwise_diffs(
             {"a": [1.0, 2.0, 3.0, 4.0], "b": [1.0, 2.0, 3.0, 4.0]}, n_permutations=1000
