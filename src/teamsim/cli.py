@@ -21,6 +21,7 @@ from .core import SKILL_NAMES, population_lookup
 from .experiment import (
     ANOVA_COLUMNS,
     PAIRWISE_COLUMNS,
+    REPORT_METRICS,
     ExperimentConfig,
     choice_audit,
     load_exposure_rows,
@@ -170,9 +171,11 @@ def _cmd_analyze(args) -> int:
         rows = list(csv.DictReader(fh))
     if not rows:
         return _fail("input", "empty team metrics table", EXIT_INPUT)
-    metrics = [m for m in rows[0] if m not in ("condition", "session", "team", "size")]
-    conditions = sorted({r["condition"] for r in rows})
-    anova_rows, pairwise_rows = stats_tables(metric_groups(rows, conditions, metrics), args.seed)
+    # first appearance is the run's config order, which fixes the permutation stream
+    conditions = list(dict.fromkeys(r["condition"] for r in rows))
+    anova_rows, pairwise_rows = stats_tables(
+        metric_groups(rows, conditions, REPORT_METRICS), args.seed
+    )
     for row in anova_rows:
         print(f"{row['metric']}: F={row['f_stat']:.4f} p={row['p_value']:.4f}")
         for diff in pairwise_rows:

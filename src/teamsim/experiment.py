@@ -100,7 +100,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Config from JSON data; unknown keys, top-level or nested, are refused."""
+        """Config from JSON data; unknown keys, top-level or nested, are refused,
+        and each nested config must be a mapping."""
         kwargs = dict(d)
         _reject_unknown_keys(cls, kwargs)
         if "conditions" in kwargs:
@@ -112,13 +113,18 @@ class ExperimentConfig:
             ("demographics", DemographicSpec),
             ("schema", AttributeSchema),
         ):
-            if key in kwargs and isinstance(kwargs[key], dict):
-                sub_kwargs = dict(kwargs[key])
-                _reject_unknown_keys(sub, sub_kwargs, f"{key}.")
-                for name, value in sub_kwargs.items():
-                    if isinstance(value, list):
-                        sub_kwargs[name] = tuple(value)
-                kwargs[key] = sub(**sub_kwargs)
+            if key not in kwargs:
+                continue
+            if not isinstance(kwargs[key], Mapping):
+                raise ValueError(
+                    f"config key {key!r} must be a mapping, got {type(kwargs[key]).__name__}"
+                )
+            sub_kwargs = dict(kwargs[key])
+            _reject_unknown_keys(sub, sub_kwargs, f"{key}.")
+            for name, value in sub_kwargs.items():
+                if isinstance(value, list):
+                    sub_kwargs[name] = tuple(value)
+            kwargs[key] = sub(**sub_kwargs)
         return cls(**kwargs)
 
     @classmethod

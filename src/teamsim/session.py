@@ -57,12 +57,6 @@ class SessionResult:
     exposures: list[Exposure] = field(default_factory=list)
     duration_s: float = 0.0
 
-    def team_profiles(self) -> list[tuple[tuple[str, ...], DiversityProfile]]:
-        return [
-            (team.sorted_ids(), profile)
-            for team, profile in zip(self.partition.teams, self.profiles)
-        ]
-
 
 def pilot_moments(
     population: Sequence[Participant],

@@ -7,6 +7,24 @@ Permutation inference replaces table lookups for the F and pairwise
 tests: p-values come from seeded label shuffles with the add-one rule
 (1 + hits) / (1 + draws), so the smallest resolvable p is
 1 / (n_permutations + 1).
+
+Each test ranks permutations by a statistic that is exactly monotone in
+the reported one. The pooled total sum of squares does not change under
+permutation, so F is increasing in T = sum_g S_g^2 / n_g (S_g the group
+sums); a pair's |mean(B) - mean(A)| is increasing in |S_B - S n_B / n|.
+Permutations are drawn in blocks of at most PERMUTATION_BLOCK rows with
+``rng.permuted`` on a broadcast ``arange``; its rows equal successive
+``rng.permutation(n)`` draws and leave the generator in the same state,
+so the blocks do not move the random stream. One array reduction per
+block gives the statistic of every row.
+
+Ties: a permuted statistic counts as reaching the observed one unless
+``stat < observed - tol``. Statistics that are mathematically equal can
+differ in their last bits, because the sums run in different orders, and
+tie-heavy data such as Blau indices produce many of them. The tolerance
+is TIE_ULPS * n * eps times a scale of the data (sum x^2 for T, sum |x|
+for S_B), not of the statistic, which can be exactly zero. A nan from
+overflowing sums is never below the threshold, so it counts as a tie.
 """
 
 from __future__ import annotations
@@ -72,6 +90,42 @@ def _f_statistic(pooled: np.ndarray, sizes: Sequence[int]) -> float:
     return (ssb / (k - 1)) / (ssw / (n - k))
 
 
+PERMUTATION_BLOCK = 1000
+TIE_ULPS = 64
+
+
+def _tie_tolerance(n: int, scale: float) -> float:
+    return TIE_ULPS * n * np.finfo(float).eps * scale
+
+
+def _square_sums(rows: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """T = sum_g S_g^2 / n_g for each row; group g is the g-th run of sizes[g] columns."""
+    starts = np.cumsum([0, *sizes[:-1]])
+    sums = np.add.reduceat(rows, starts, axis=-1)
+    return (sums**2 / np.asarray(sizes, dtype=float)).sum(axis=-1)
+
+
+def _permutation_hits(
+    n: int, statistic, tol: float, n_permutations: int, rng: np.random.Generator
+) -> int:
+    """Permutations of range(n) whose statistic reaches the identity's, ties included.
+
+    ``statistic`` maps an index array of shape (..., n) to one value per row.
+    Only a statistic below ``observed - tol`` misses. Sums that overflow
+    give inf - inf = nan, which is never below anything, so overflow counts
+    as a tie and can only raise the p-value.
+    """
+    if n_permutations < 1:
+        raise ValueError("n_permutations must be >= 1")
+    threshold = statistic(np.arange(n)) - tol
+    misses = 0
+    for done in range(0, n_permutations, PERMUTATION_BLOCK):
+        m = min(PERMUTATION_BLOCK, n_permutations - done)
+        block = rng.permuted(np.broadcast_to(np.arange(n), (m, n)), axis=1)
+        misses += int(np.count_nonzero(statistic(block) < threshold))
+    return n_permutations - misses
+
+
 @dataclass(frozen=True)
 class AnovaResult:
     f_stat: float
@@ -83,19 +137,20 @@ def anova_f(groups, *, n_permutations: int = 10000, seed: int = 0) -> AnovaResul
     """One-way F statistic with a permutation p-value.
 
     Group labels are shuffled n_permutations times (seeded); p is the
-    add-one share of permuted F values at or above the observed one.
+    add-one share of permuted F values at or above the observed one,
+    ranked through the equivalent T = sum_g S_g^2 / n_g.
     """
     gs = _as_groups(groups)
     pooled, sizes = gs.pooled()
-    f_obs = _f_statistic(pooled, sizes)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(n_permutations):
-        perm = pooled[rng.permutation(pooled.size)]
-        if _f_statistic(perm, sizes) >= f_obs:
-            hits += 1
+    hits = _permutation_hits(
+        pooled.size,
+        lambda idx: _square_sums(pooled[idx], sizes),
+        _tie_tolerance(pooled.size, float(pooled @ pooled)),
+        n_permutations,
+        np.random.default_rng(seed),
+    )
     return AnovaResult(
-        f_stat=f_obs,
+        f_stat=_f_statistic(pooled, sizes),
         p_value=(1 + hits) / (1 + n_permutations),
         n_permutations=n_permutations,
     )
@@ -129,7 +184,8 @@ def pairwise_diffs(groups, *, n_permutations: int = 10000, seed: int = 0) -> lis
     """All unordered pair mean differences with permutation + BH inference.
 
     Pairs are oriented by sorted label: delta = mean(B) - mean(A). The
-    two-sided permutation p-values are BH-adjusted across the pair family.
+    two-sided permutation p-values, ranked through the equivalent
+    |S_B - S n_B / n|, are BH-adjusted across the pair family.
     """
     gs = _as_groups(groups)
     labels = sorted(gs.labels)
@@ -142,12 +198,14 @@ def pairwise_diffs(groups, *, n_permutations: int = 10000, seed: int = 0) -> lis
             delta = float(vb.mean() - va.mean())
             pooled = np.concatenate([va, vb])
             na = va.size
-            hits = 0
-            for _ in range(n_permutations):
-                perm = pooled[rng.permutation(pooled.size)]
-                d = perm[na:].mean() - perm[:na].mean()
-                if abs(d) >= abs(delta):
-                    hits += 1
+            centre = pooled.sum() * vb.size / pooled.size
+            hits = _permutation_hits(
+                pooled.size,
+                lambda idx: np.abs(pooled[idx[..., na:]].sum(axis=-1) - centre),
+                _tie_tolerance(pooled.size, float(np.abs(pooled).sum())),
+                n_permutations,
+                rng,
+            )
             results.append((a, b, delta, (1 + hits) / (1 + n_permutations)))
     adjusted = bh_adjust([r[3] for r in results])
     return [

@@ -138,6 +138,19 @@ def test_run_config_with_unknown_key_is_input_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_run_config_with_non_mapping_section_is_input_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ga": 5, "conditions": ["algorithmic_diverse"]}))
+    code, stdout, stderr = _run(capsys, "run", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert stdout == ""
+    (line,) = stderr.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "input"
+    assert "'ga'" in error["message"]
+    assert not (tmp_path / "o").exists()
+
+
 class TestRunAnalyzeAuditReplay:
     def test_run_outputs(self, run_dir):
         for name in ("team_metrics.csv", "condition_summary.csv", "manifest.jsonl", "report.txt"):
@@ -155,6 +168,16 @@ class TestRunAnalyzeAuditReplay:
         assert "random vs" in stdout or "fairness_aware vs" in stdout
         assert (tmp_path / "tables" / "anova.csv").exists()
         assert (tmp_path / "tables" / "pairwise.csv").exists()
+
+    def test_analyze_reproduces_run_tables(self, run_dir, capsys, tmp_path):
+        code, _, _ = _run(
+            capsys,
+            "analyze", "--teams", str(run_dir / "team_metrics.csv"),
+            "--seed", "11", "--out", str(tmp_path / "tables"),
+        )
+        assert code == 0
+        for name in ("anova.csv", "pairwise.csv"):
+            assert (tmp_path / "tables" / name).read_bytes() == (run_dir / name).read_bytes()
 
     def test_audit(self, run_dir, capsys):
         code, stdout, _ = _run(capsys, "audit", "--exposures", str(run_dir))

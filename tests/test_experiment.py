@@ -49,6 +49,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"unknown config keys: ga\.restarts$"):
             ExperimentConfig.from_dict({"ga": {"restarts": 2, "generations": 3}})
 
+    @pytest.mark.parametrize("key", ["ga", "policy", "choice_params", "demographics", "schema"])
+    @pytest.mark.parametrize("value", [5, None, [1, 2], "x"])
+    def test_nested_values_must_be_mappings(self, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}' must be a mapping"):
+            ExperimentConfig.from_dict({key: value})
+
     def test_json_round_trip(self, tmp_path):
         config = _tiny_config(output_dir="somewhere")
         path = tmp_path / "config.json"

@@ -1,19 +1,81 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from teamsim.stats import (
+    PERMUTATION_BLOCK,
     GroupSamples,
+    _permutation_hits,
+    _square_sums,
     anova_f,
     bh_adjust,
     chi2_independence,
     logistic_fit,
     pairwise_diffs,
 )
+
+EPS = np.finfo(float).eps
+
+
+def _hits(p_value: float, n_permutations: int) -> int:
+    return round(p_value * (n_permutations + 1)) - 1
+
+
+def _oracle_anova(groups: dict, n_permutations: int, seed: int) -> tuple[int, list[float]]:
+    """The per-permutation loop with the tie rule: hits and every permuted T."""
+    pooled = np.concatenate(list(groups.values()))
+    sizes = [len(v) for v in groups.values()]
+
+    def t_stat(values):
+        total, start = 0.0, 0
+        for size in sizes:
+            total += float(values[start : start + size].sum()) ** 2 / size
+            start += size
+        return total
+
+    threshold = t_stat(pooled) - 64 * pooled.size * EPS * float((pooled**2).sum())
+    rng = np.random.default_rng(seed)
+    stats = [t_stat(pooled[rng.permutation(pooled.size)]) for _ in range(n_permutations)]
+    return sum(t >= threshold for t in stats), stats
+
+
+def _oracle_pairwise(groups: dict, n_permutations: int, seed: int) -> list[int]:
+    """Per-pair hits of the per-permutation loop with the tie rule, in sorted-label order."""
+    labels = sorted(groups)
+    rng = np.random.default_rng(seed)
+    hits = []
+    for i, a in enumerate(labels):
+        for b in labels[i + 1 :]:
+            pooled = np.concatenate([groups[a], groups[b]])
+            na = len(groups[a])
+            centre = pooled.sum() * (pooled.size - na) / pooled.size
+            observed = abs(pooled[na:].sum() - centre)
+            threshold = observed - 64 * pooled.size * EPS * float(np.abs(pooled).sum())
+            count = 0
+            for _ in range(n_permutations):
+                perm = pooled[rng.permutation(pooled.size)]
+                if abs(perm[na:].sum() - centre) >= threshold:
+                    count += 1
+            hits.append(count)
+    return hits
+
+
+# Blau-like values: many permutations give statistics mathematically equal
+# to the observed one, so ties are frequent.
+_tie_heavy_groups = st.lists(
+    st.lists(st.sampled_from([0.0, 0.375, 0.5, 0.625]), min_size=1, max_size=40),
+    min_size=2,
+    max_size=4,
+).map(lambda gs: {f"g{i}": np.array(v) for i, v in enumerate(gs)})
+# every block boundary: one row, just under, at and over one block, several blocks
+_n_permutations = st.sampled_from([1, 999, 1000, 1001, 2500])
 
 
 class TestGroupSamples:
@@ -30,6 +92,12 @@ class TestAnova:
         with pytest.raises(ValueError, match="non-finite"):
             anova_f({"a": [1.0, math.nan], "b": [2.0, 3.0]}, n_permutations=10)
 
+    def test_needs_a_permutation(self):
+        with pytest.raises(ValueError, match="n_permutations"):
+            anova_f({"a": [1.0, 2.0], "b": [2.0, 3.0]}, n_permutations=0)
+        with pytest.raises(ValueError, match="n_permutations"):
+            pairwise_diffs({"a": [1.0, 2.0], "b": [2.0, 3.0]}, n_permutations=-1)
+
     def test_identical_groups(self):
         result = anova_f({"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0, 3.0]}, n_permutations=2000)
         assert result.f_stat == 0.0
@@ -38,8 +106,34 @@ class TestAnova:
     def test_zero_within_variance_edge(self):
         result = anova_f({"a": [0.0] * 4, "b": [1.0] * 4}, n_permutations=2000, seed=1)
         assert math.isinf(result.f_stat)
-        # smallest resolvable p is about 1/(n+1); exact-tie permutations inflate it slightly
-        assert result.p_value < 0.05
+        # the 50 permutations that split zeros from ones tie with the observed F
+        assert result.p_value == 51 / 2001
+
+    def test_overflowing_sums_count_as_ties(self):
+        # squares overflow to inf; inf - inf must not read as a miss on every row
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = anova_f({"a": [1e200, 3e200], "b": [2e200, 5e200]}, n_permutations=10)
+        assert result.p_value == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(_tie_heavy_groups, _n_permutations, st.integers(0, 2**32 - 1))
+    def test_batched_hits_equal_scalar_oracle(self, groups, n_permutations, seed):
+        hits, oracle_stats = _oracle_anova(groups, n_permutations, seed)
+        result = anova_f(groups, n_permutations=n_permutations, seed=seed)
+        assert _hits(result.p_value, n_permutations) == hits
+
+        pooled = np.concatenate(list(groups.values()))
+        sizes = [len(v) for v in groups.values()]
+        batched = []
+
+        def recording(idx):
+            stats = _square_sums(pooled[idx], sizes)
+            batched.append(np.atleast_1d(stats))
+            return stats
+
+        _permutation_hits(pooled.size, recording, 0.0, n_permutations, np.random.default_rng(seed))
+        # batched[0] is the observed statistic
+        assert np.concatenate(batched[1:]) == pytest.approx(oracle_stats, rel=1e-12, abs=1e-12)
 
     def test_matches_classic_f(self):
         rng = np.random.default_rng(11)
@@ -89,6 +183,62 @@ class TestAnova:
         )
 
 
+def test_hits_equal_exact_arithmetic():
+    # continuous data ties too: a permutation that swaps the values of the
+    # two size-2 groups reproduces T and the a-b difference exactly
+    rng = np.random.default_rng(21)
+    groups = {"a": rng.normal(size=2), "b": rng.normal(size=2), "c": rng.normal(size=3)}
+    n_permutations = 600
+
+    def exact_hits(values, statistic, perm_rng):
+        values = [Fraction(float(v)) for v in values]
+        observed = statistic(values)
+        return sum(
+            statistic([values[i] for i in perm_rng.permutation(len(values))]) >= observed
+            for _ in range(n_permutations)
+        )
+
+    def exact_t(v):
+        return sum(v[:2]) ** 2 / 2 + sum(v[2:4]) ** 2 / 2 + sum(v[4:]) ** 2 / 3
+
+    expected = exact_hits(np.concatenate(list(groups.values())), exact_t, np.random.default_rng(5))
+    result = anova_f(groups, n_permutations=n_permutations, seed=5)
+    assert _hits(result.p_value, n_permutations) == expected
+
+    perm_rng = np.random.default_rng(5)
+    expected_pairs = []
+    for a, b in (("a", "b"), ("a", "c"), ("b", "c")):
+        na, n = len(groups[a]), len(groups[a]) + len(groups[b])
+
+        def exact_d(v, na=na, n=n):
+            return abs(sum(v[na:]) - sum(v) * (n - na) / n)
+
+        expected_pairs.append(exact_hits(np.concatenate([groups[a], groups[b]]), exact_d, perm_rng))
+    diffs = pairwise_diffs(groups, n_permutations=n_permutations, seed=5)
+    assert [_hits(d.p_value, n_permutations) for d in diffs] == expected_pairs
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 192])
+def test_permutation_blocks_follow_sequential_stream(n):
+    # the blocked draws must give the rows, and leave the generator in the
+    # state, of one rng.permutation(n) call per permutation; a numpy release
+    # that changes rng.permuted's stream fails here
+    n_permutations = 2 * PERMUTATION_BLOCK + 1
+    blocks = []
+
+    def recording(idx):
+        blocks.append(np.atleast_2d(idx))
+        return np.zeros(np.atleast_2d(idx).shape[0])
+
+    blocked = np.random.default_rng(9)
+    _permutation_hits(n, recording, 0.0, n_permutations, blocked)
+    sequential = np.random.default_rng(9)
+    expected = np.array([sequential.permutation(n) for _ in range(n_permutations)])
+    assert [b.shape[0] for b in blocks[1:]] == [PERMUTATION_BLOCK, PERMUTATION_BLOCK, 1]
+    np.testing.assert_array_equal(np.concatenate(blocks[1:]), expected)
+    assert blocked.integers(2**62) == sequential.integers(2**62)
+
+
 class TestBhAdjust:
     def test_step_up_example(self):
         assert bh_adjust([0.01, 0.02, 0.03, 0.04, 0.05, 0.06]) == pytest.approx([0.06] * 6)
@@ -124,6 +274,27 @@ class TestPairwise:
         assert len(diffs) == 1
         assert diffs[0].delta == 0.0
         assert diffs[0].p_adjusted > 0.9
+
+    def test_equal_means_give_p_one(self):
+        # the two means agree mathematically but not in floating point
+        groups = {"a": [0.1, 0.7, 0.2, 0.3], "b": [0.3, 0.2, 0.1, 0.7]}
+        (diff,) = pairwise_diffs(groups, n_permutations=1000)
+        assert diff.delta != 0.0
+        assert diff.p_value == 1.0
+        assert anova_f(groups, n_permutations=1000).p_value == 1.0
+
+    def test_overflowing_sums_count_as_ties(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            (diff,) = pairwise_diffs({"a": [1e308, 1.5e308], "b": [1e308, 1.7e308]}, n_permutations=10)
+        assert diff.p_value == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tie_heavy_groups, _n_permutations, st.integers(0, 2**32 - 1))
+    def test_batched_hits_equal_scalar_oracle(self, groups, n_permutations, seed):
+        diffs = pairwise_diffs(groups, n_permutations=n_permutations, seed=seed)
+        assert [_hits(d.p_value, n_permutations) for d in diffs] == _oracle_pairwise(
+            groups, n_permutations, seed
+        )
 
     def test_orientation_is_b_minus_a(self):
         diffs = pairwise_diffs({"low": [0.0, 0.0], "high": [1.0, 1.0]}, n_permutations=500)
