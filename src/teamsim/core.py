@@ -15,6 +15,8 @@ import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 GENDERS = ("Male", "Female", "NonBinary")
 RACES = ("White", "Asian", "AfricanAmerican", "AmericanIndian", "MultipleRaces", "Other")
 SKILL_NAMES = (
@@ -316,10 +318,62 @@ def surface_deep_rows(
 ) -> tuple[float, float]:
     """(surface_score, deep_score) for the row subset, without building a profile.
 
-    Hot path for the genetic optimizer: rows is the precomputed population
-    attribute table and idxs selects one team.
+    rows is the precomputed population attribute table and idxs selects one
+    team. The scalar definition that score_teams reproduces in batches.
     """
     return _row_components([rows[i] for i in idxs], schema)[6:]
+
+
+def attribute_table(participants: Sequence[Participant]) -> np.ndarray:
+    """int64[n, METRIC_COUNT] table of attribute_row codes, one row per participant.
+
+    Columns follow attribute_row: gender, race, hispanic, international,
+    age, then the six skills; each column yields one metric component.
+    """
+    return np.array(attribute_rows(participants), dtype=np.int64).reshape(len(participants), METRIC_COUNT)
+
+
+# (first, second) member positions of the t(t-1)/2 unordered member pairs.
+_MEMBER_PAIRS = {t: np.triu_indices(t, 1) for t in range(1, TEAM_SIZE + 1)}
+
+
+def score_teams(
+    table: np.ndarray, idx: np.ndarray, schema: AttributeSchema = DEFAULT_SCHEMA
+) -> tuple[np.ndarray, np.ndarray]:
+    """(surface[m], deep[m]) of m teams given as rows of idx[m, t] into an attribute_table.
+
+    Bit-identical to surface_deep_rows on each row of idx. A Blau index is
+    1 - E / t^2, where E, the sum of squared category counts, is the number
+    of ordered member pairs (self-pairs included) with equal codes; for
+    t <= 4 this rounds exactly as the scalar sum of squared shares does.
+    Each CV adds the squared deviations member by member in the order of
+    idx's columns, as the scalar code does.
+    """
+    idx = np.asarray(idx)
+    t = idx.shape[1]
+    if not 1 <= t <= TEAM_SIZE:
+        raise ValueError(f"team size must be 1..{TEAM_SIZE}, got {t}")
+    members = table[idx.T]  # [t, m, METRIC_COUNT]: member k of every team is members[k]
+    codes = members[:, :, :4]
+    first, second = _MEMBER_PAIRS[t]
+    equal_pairs = t + 2 * (codes[first] == codes[second]).sum(axis=0)
+    blau_max = np.array(
+        [1.0 - 1.0 / k for k in (schema.gender_k, schema.race_k, schema.ethnicity_k, schema.international_k)]
+    )
+    blaus = (1.0 - equal_pairs / (t * t)) / blau_max  # [m, 4]
+    values = members[:, :, 4:]  # age and skills, [t, m, 7]
+    mean = values.sum(axis=0) / t
+    squares = (values - mean) ** 2
+    sum_squares = squares[0]
+    for k in range(1, t):
+        sum_squares = sum_squares + squares[k]
+    cvs = np.sqrt(sum_squares / t) / mean
+    normalized = cvs / (cvs + 1.0)  # normalize_cv
+    surface = blaus[:, 0] + blaus[:, 1] + blaus[:, 2] + blaus[:, 3] + normalized[:, 0]
+    deep = normalized[:, 1]
+    for k in range(2, 1 + NUM_SKILLS):
+        deep = deep + normalized[:, k]
+    return surface, deep / NUM_SKILLS
 
 
 def team_diversity_profile(

@@ -3,7 +3,8 @@
 random_partition draws uniform teams of four. ga_partition runs a
 two-objective genetic search (surface-level and deep-level diversity,
 both maximized) built on member-swap mutations, keeps a non-dominated
-archive, and picks one front entry with the elbow rule.
+archive, and picks one front entry with the elbow rule; its climbers step
+together, each step scored in one batched score_teams call.
 brute_force_partition enumerates every partition of a small population
 and serves as the validation oracle.
 """
@@ -23,9 +24,10 @@ from .core import (
     AttributeSchema,
     Participant,
     Partition,
-    attribute_rows,
+    _is_int,
+    attribute_table,
     population_lookup,
-    surface_deep_rows,
+    score_teams,
     team_diversity_profile,
 )
 
@@ -38,6 +40,7 @@ class GaConfig:
     population_size: candidate partitions kept per generation.
     swap_attempts: member-swap mutations tried per candidate per
         generation; None means one per participant.
+    rng_seed: non-negative integer seed of the search.
     """
 
     generations: int = 20
@@ -46,10 +49,14 @@ class GaConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.generations < 1 or self.population_size < 1:
-            raise ValueError("generations and population_size must be >= 1")
-        if self.swap_attempts is not None and self.swap_attempts < 1:
-            raise ValueError("swap_attempts must be >= 1")
+        counts = {"generations": self.generations, "population_size": self.population_size}
+        if self.swap_attempts is not None:
+            counts["swap_attempts"] = self.swap_attempts
+        for name, value in counts.items():
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not _is_int(self.rng_seed) or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -59,12 +66,15 @@ class ArchiveEntry:
     deep: float
 
 
-def _dominates(a_surface: float, a_deep: float, b_surface: float, b_deep: float) -> bool:
-    """True if objective pair A dominates B (>= on both, > on at least one)."""
+def _dominates(a_surface, a_deep, b_surface, b_deep):
+    """True if objective pair A dominates B (>= on both, > on at least one).
+
+    Works elementwise on arrays of pairs as well as on floats.
+    """
     return (
-        a_surface >= b_surface
-        and a_deep >= b_deep
-        and (a_surface > b_surface or a_deep > b_deep)
+        (a_surface >= b_surface)
+        & (a_deep >= b_deep)
+        & ((a_surface > b_surface) | (a_deep > b_deep))
     )
 
 
@@ -113,6 +123,7 @@ def random_partition(
     rng: np.random.Generator,
 ) -> Partition:
     """Uniformly random teams of team_size; the remainder become solos."""
+    _check_team_size(team_size)
     if not population:
         raise ValueError("empty population")
     ids = [p.id for p in population]
@@ -132,13 +143,27 @@ def objectives(
     if not partition.teams:
         raise ValueError("partition has no teams")
     profiles = [team_diversity_profile(team, lookup, schema) for team in partition.teams]
-    return _mean_scores([(p.surface_score, p.deep_score) for p in profiles])
+    surface, deep = _mean_scores(np.array([(p.surface_score, p.deep_score) for p in profiles]))
+    return float(surface), float(deep)
 
 
-def _mean_scores(scores: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """Mean (surface, deep) over per-team scores: a partition's objectives."""
-    n = len(scores)
-    return sum(s for s, _ in scores) / n, sum(d for _, d in scores) / n
+def _mean_scores(team_scores: np.ndarray) -> np.ndarray:
+    """Partition objectives: scores[..., n_teams, 2] of (surface, deep) per team
+    -> their means [..., 2].
+
+    Adds team by team in order, so a batch of partitions gets bit for bit
+    the means each partition gets on its own.
+    """
+    n = team_scores.shape[-2]
+    total = team_scores[..., 0, :]
+    for k in range(1, n):
+        total = total + team_scores[..., k, :]
+    return total / n
+
+
+def _check_team_size(team_size: int) -> None:
+    if not _is_int(team_size) or not 1 <= team_size <= TEAM_SIZE:
+        raise ValueError(f"team_size must be an integer in 1..{TEAM_SIZE}, got {team_size!r}")
 
 
 def elbow_select(archive: ParetoArchive) -> Partition:
@@ -177,29 +202,24 @@ def elbow_select(archive: ParetoArchive) -> Partition:
     return best.partition
 
 
-class _Candidate:
-    """One GA individual: teams as index tuples plus cached team scores."""
-
-    __slots__ = ("teams", "solos", "scores", "surface", "deep")
-
-    def __init__(
-        self,
-        teams: list[tuple[int, ...]],
-        solos: tuple[int, ...],
-        rows: list[tuple],
-        schema: AttributeSchema,
-    ):
-        self.teams = teams
-        self.solos = solos
-        self.scores = [surface_deep_rows(rows, t, schema) for t in teams]
-        self.surface, self.deep = _mean_scores(self.scores)
-
-
-def _materialize(teams: Sequence[tuple[int, ...]], solos: Sequence[int], ids: list[str]) -> Partition:
+def _materialize(teams: Sequence[Sequence[int]], solos: Sequence[int], ids: list[str]) -> Partition:
     return Partition.build(
         ([ids[i] for i in team] for team in teams),
         [ids[i] for i in solos],
     )
+
+
+def _draw_proposals(
+    rng: np.random.Generator, steps: int, climbers: int, n_teams: int, team_size: int
+) -> np.ndarray:
+    """int[steps, climbers, 4] member-swap proposals (ti, tj, mi, mj).
+
+    (ti, tj) is uniform over ordered pairs of distinct teams, and mi, mj are
+    uniform members of team ti and team tj.
+    """
+    draws = rng.integers(0, (n_teams, n_teams - 1, team_size, team_size), size=(steps, climbers, 4))
+    draws[..., 1] = (draws[..., 0] + 1 + draws[..., 1]) % n_teams
+    return draws
 
 
 def ga_partition(
@@ -210,65 +230,73 @@ def ga_partition(
 ) -> tuple[ParetoArchive, Partition]:
     """Two-objective genetic partition search.
 
-    Starts from random partitions, proposes swaps of two members between
-    two teams, replaces a parent whenever the mutant is not dominated by
-    it, and archives every accepted candidate. Returns the final archive
-    and the elbow-selected partition. Deterministic per (population,
-    config).
+    Starts population_size climbers from random partitions. At each step
+    every climber proposes a swap of two members between two teams and
+    replaces its partition whenever the mutant is not dominated by it; the
+    steps of all climbers are scored in one score_teams call. Every
+    accepted candidate is offered to the archive, climber by climber in
+    step order. Returns the final archive and the elbow-selected
+    partition. Deterministic per (population, config).
     """
+    _check_team_size(team_size)
     if len(population) < 2 * team_size:
         raise ValueError("need at least two teams")
     ids = [p.id for p in population]
     population_lookup(population)  # id uniqueness check
-    rows = attribute_rows(population)
+    table = attribute_table(population)
     n = len(ids)
     n_teams = n // team_size
+    n_climbers = config.population_size
     swap_attempts = config.swap_attempts if config.swap_attempts is not None else n
 
     archive = ParetoArchive()
 
-    def offer(cand: _Candidate) -> None:
+    def offer(teams: np.ndarray, solos: np.ndarray, surface: float, deep: float) -> None:
         # Partitions are built only for admitted points, a small share of offers.
-        if archive.admits(cand.surface, cand.deep):
-            partition = _materialize(cand.teams, cand.solos, ids)
-            archive.insert(ArchiveEntry(partition, cand.surface, cand.deep))
+        if archive.admits(surface, deep):
+            partition = _materialize(teams.tolist(), solos.tolist(), ids)
+            archive.insert(ArchiveEntry(partition, surface, deep))
 
     rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed).spawn(1)[0])
-    candidates: list[_Candidate] = []
-    for _ in range(config.population_size):
-        order = list(rng.permutation(n))
-        teams = [tuple(order[i * team_size : (i + 1) * team_size]) for i in range(n_teams)]
-        solos = tuple(order[n_teams * team_size :])
-        cand = _Candidate(teams, solos, rows, schema)
-        candidates.append(cand)
-        offer(cand)
+    orders = np.array([rng.permutation(n) for _ in range(n_climbers)])
+    teams = orders[:, : n_teams * team_size].reshape(n_climbers, n_teams, team_size)
+    solos = orders[:, n_teams * team_size :]
+    team_scores = np.stack(score_teams(table, teams.reshape(-1, team_size), schema), axis=-1)
+    team_scores = team_scores.reshape(n_climbers, n_teams, 2)
+    scores = _mean_scores(team_scores)
+    for c in range(n_climbers):
+        offer(teams[c], solos[c], *scores[c].tolist())
 
+    climbers = np.arange(n_climbers)
     for _ in range(config.generations):
-        for cand in candidates:
-            for _ in range(swap_attempts):
-                ti, tj = rng.choice(n_teams, size=2, replace=False)
-                mi = int(rng.integers(team_size))
-                mj = int(rng.integers(team_size))
-                team_i = list(cand.teams[ti])
-                team_j = list(cand.teams[tj])
-                team_i[mi], team_j[mj] = team_j[mj], team_i[mi]
-                new_i = tuple(team_i)
-                new_j = tuple(team_j)
-                score_i = surface_deep_rows(rows, new_i, schema)
-                score_j = surface_deep_rows(rows, new_j, schema)
-                new_scores = list(cand.scores)
-                new_scores[ti] = score_i
-                new_scores[tj] = score_j
-                new_surface, new_deep = _mean_scores(new_scores)
-                if _dominates(cand.surface, cand.deep, new_surface, new_deep):
-                    continue
-                cand.teams[ti] = new_i
-                cand.teams[tj] = new_j
-                cand.scores[ti] = score_i
-                cand.scores[tj] = score_j
-                cand.surface = new_surface
-                cand.deep = new_deep
-                offer(cand)
+        proposals = _draw_proposals(rng, swap_attempts, n_climbers, n_teams, team_size)
+        # The archive only grows its dominated region, so a point it does not
+        # admit now is refused at replay too; only the rest are kept.
+        front = np.array([(e.surface, e.deep) for e in archive.entries])
+        kept: list[tuple[int, int, np.ndarray, float, float]] = []
+        for step, (ti, tj, mi, mj) in enumerate(proposals.transpose(0, 2, 1)):
+            new_i = teams[climbers, ti]
+            new_j = teams[climbers, tj]
+            moved_i = new_i[climbers, mi]
+            new_i[climbers, mi] = new_j[climbers, mj]
+            new_j[climbers, mj] = moved_i
+            scored = np.stack(score_teams(table, np.concatenate([new_i, new_j]), schema), axis=-1)
+            trial_team_scores = team_scores.copy()
+            trial_team_scores[climbers, ti] = scored[:n_climbers]
+            trial_team_scores[climbers, tj] = scored[n_climbers:]
+            trial = _mean_scores(trial_team_scores)
+            accepted = ~_dominates(scores[:, 0], scores[:, 1], trial[:, 0], trial[:, 1])
+            moving = climbers[accepted]
+            teams[moving, ti[accepted]] = new_i[accepted]
+            teams[moving, tj[accepted]] = new_j[accepted]
+            team_scores[accepted] = trial_team_scores[accepted]
+            scores[accepted] = trial[accepted]
+            covered = (front[None, :, :] >= trial[:, None, :]).all(axis=2).any(axis=1)
+            for c in np.flatnonzero(accepted & ~covered):
+                kept.append((c, step, teams[c].copy(), *scores[c].tolist()))
+        kept.sort(key=lambda k: k[:2])
+        for c, _, kept_teams, kept_surface, kept_deep in kept:
+            offer(kept_teams, solos[c], kept_surface, kept_deep)
 
     archive.entries.sort(key=lambda e: (e.surface, e.deep))
     selected = elbow_select(archive)
@@ -311,46 +339,42 @@ def brute_force_partition(
     Guarded to small populations: 35 splits at n=8 and 5,775 at n=12
     teams-of-four; anything larger is refused.
     """
+    _check_team_size(team_size)
     n = len(population)
     if n < team_size:
         raise ValueError("population smaller than one team")
     if n > max_population:
         raise ValueError(f"population too large for exhaustive search (max {max_population})")
     ids = [p.id for p in population]
-    rows = attribute_rows(population)
-    remainder = n % team_size
+    # Every split draws its teams from the same C(n, team_size) member sets,
+    # each listed in ascending order as _team_splits yields them: score
+    # those once and look the scores up per split.
+    teams = list(itertools.combinations(range(n), team_size))
+    team_index = {team: i for i, team in enumerate(teams)}
+    team_scores = np.stack(score_teams(attribute_table(population), np.array(teams), schema), axis=-1)
 
-    count = 0
-    best: dict[str, tuple[float, list[tuple]]] = {
-        "surface": (-math.inf, []),
-        "deep": (-math.inf, []),
-        "total": (-math.inf, []),
-    }
-    all_idx = tuple(range(n))
-    for solo_combo in itertools.combinations(all_idx, remainder):
-        team_pool = tuple(i for i in all_idx if i not in solo_combo)
-        for split in _team_splits(team_pool, team_size):
-            count += 1
-            surface, deep = _mean_scores([surface_deep_rows(rows, t, schema) for t in split])
-            for key, value in (("surface", surface), ("deep", deep), ("total", surface + deep)):
-                cur, holders = best[key]
-                if value > cur:
-                    best[key] = (value, [(split, solo_combo)])
-                elif value == cur:
-                    holders.append((split, solo_combo))
+    splits = []
+    for solos in itertools.combinations(range(n), n % team_size):
+        team_pool = tuple(i for i in range(n) if i not in solos)
+        splits.extend((split, solos) for split in _team_splits(team_pool, team_size))
+    split_teams = np.array([[team_index[team] for team in split] for split, _ in splits])
+    surface, deep = _mean_scores(team_scores[split_teams]).T
 
-    def _parts(key: str) -> tuple[Partition, ...]:
-        return tuple(
-            _materialize([tuple(t) for t in split], list(solos), ids)
-            for split, solos in best[key][1]
+    def _best(values: np.ndarray) -> tuple[float, tuple[Partition, ...]]:
+        best = values.max()
+        return float(best), tuple(
+            _materialize(*splits[i], ids) for i in np.flatnonzero(values == best)
         )
 
+    best_surface, best_surface_partitions = _best(surface)
+    best_deep, best_deep_partitions = _best(deep)
+    best_total, best_total_partitions = _best(surface + deep)
     return BruteForceResult(
-        n_partitions=count,
-        best_surface=best["surface"][0],
-        best_surface_partitions=_parts("surface"),
-        best_deep=best["deep"][0],
-        best_deep_partitions=_parts("deep"),
-        best_total=best["total"][0],
-        best_total_partitions=_parts("total"),
+        n_partitions=len(splits),
+        best_surface=best_surface,
+        best_surface_partitions=best_surface_partitions,
+        best_deep=best_deep,
+        best_deep_partitions=best_deep_partitions,
+        best_total=best_total,
+        best_total_partitions=best_total_partitions,
     )

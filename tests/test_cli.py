@@ -67,6 +67,22 @@ class TestAssign:
         assert json.loads(first)["partitions_enumerated"] == 35
         assert len(json.loads(second)["teams"]) == 2
 
+    @pytest.mark.parametrize("mode", ["random", "ga", "oracle"])
+    @pytest.mark.parametrize("team_size", ["0", "5"])
+    def test_team_size_out_of_range_is_input_error(self, tmp_path, capsys, mode, team_size):
+        pop = tmp_path / "small.jsonl"
+        main(["synth", "--n", "8", "--seed", "4", "--out", str(pop)])
+        capsys.readouterr()
+        code, stdout, stderr = _run(
+            capsys, "assign", "--population", str(pop), "--mode", mode, "--team-size", team_size
+        )
+        assert code == 3
+        assert stdout == ""
+        (line,) = stderr.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "input"
+        assert "team_size" in error["message"]
+
     def test_missing_population_file(self, tmp_path, capsys):
         code, _, stderr = _run(
             capsys, "assign", "--population", str(tmp_path / "nope.jsonl"), "--mode", "random"
@@ -106,6 +122,22 @@ class TestRecommend:
         )
         assert code == 3
         assert "two criteria" in json.loads(stderr)["message"]
+
+
+@pytest.mark.parametrize(
+    "ga, field", [({"generations": 2.5}, "generations"), ({"rng_seed": -1}, "rng_seed")]
+)
+def test_run_config_with_invalid_ga_value_is_input_error(tmp_path, capsys, ga, field):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ga": ga, "conditions": ["algorithmic_diverse"]}))
+    code, stdout, stderr = _run(capsys, "run", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert stdout == ""
+    (line,) = stderr.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "input"
+    assert field in error["message"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")

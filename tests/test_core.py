@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from teamsim.core import (
     DEFAULT_SCHEMA,
+    TEAM_SIZE,
     AttributeSchema,
     Participant,
     Partition,
@@ -19,8 +23,10 @@ from teamsim.core import (
     normalized_blau,
     population_lookup,
     profile_for_members,
+    score_teams,
     surface_deep_rows,
     attribute_rows,
+    attribute_table,
     team_diversity_profile,
 )
 from teamsim.population import synth_population
@@ -269,3 +275,76 @@ class TestDiversityProfile:
     def test_normalize_cv_range(self):
         assert normalize_cv(0.0) == 0.0
         assert 0 < normalize_cv(3.0) < 1
+
+
+# One attribute row: codes in the ranges attribute_row produces, ages that
+# reach the schema's bounds 18 and 80.
+_attribute_rows = st.tuples(
+    st.integers(0, 2),
+    st.integers(0, 5),
+    st.integers(0, 1),
+    st.integers(0, 1),
+    st.one_of(st.sampled_from([18, 80]), st.integers(18, 80)),
+    *[st.integers(1, 5)] * 6,
+)
+
+
+@st.composite
+def _scored_teams(draw):
+    """(rows, idx[m, t]): random rows, plus clone teams of one repeated row."""
+    t = draw(st.integers(1, TEAM_SIZE))
+    rows = draw(st.lists(_attribute_rows, min_size=1, max_size=12))
+    n = len(rows)
+    rows = rows + [rows[0]] * t  # t identical rows: a clone team
+    teams = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=t, max_size=t), min_size=1, max_size=20))
+    teams.append(list(range(n, n + t)))
+    teams.append([draw(st.integers(0, n - 1))] * t)  # one row t times
+    return rows, np.array(teams)
+
+
+class TestScoreTeams:
+    @settings(max_examples=300, deadline=None)
+    @given(_scored_teams(), st.sampled_from([DEFAULT_SCHEMA, AttributeSchema(gender_k=4, race_k=7)]))
+    # A team whose surface score changes in the last bit when its squared
+    # age deviations are added in another member order.
+    @example(
+        case=(
+            [
+                (1, 2, 1, 0, 72, 2, 4, 5, 4, 5, 1),
+                (1, 1, 1, 0, 21, 3, 1, 1, 4, 2, 3),
+                (1, 1, 1, 1, 68, 5, 4, 1, 5, 1, 2),
+            ],
+            np.array([[0, 1, 2]]),
+        ),
+        schema=DEFAULT_SCHEMA,
+    )
+    def test_bit_identical_to_scalar(self, case, schema):
+        rows, idx = case
+        surface, deep = score_teams(np.array(rows, dtype=np.int64), idx, schema)
+        expected = [surface_deep_rows(rows, team.tolist(), schema) for team in idx]
+        assert surface.tolist() == [s for s, _ in expected]
+        assert deep.tolist() == [d for _, d in expected]
+
+    @pytest.mark.parametrize("t", range(1, TEAM_SIZE + 1))
+    def test_every_category_pattern_is_exact(self, t):
+        """Every code sequence of a t-member team, in every categorical column.
+
+        The ages and skills the codes pick include teams whose squared
+        deviations sum to different floats in different member orders.
+        """
+        ages, skills = (18, 29, 40, 80), (1, 4, 2, 5)
+        for codes in itertools.product(range(t), repeat=t):
+            rows = [(c, c, c, c, ages[c], *[skills[c]] * 6) for c in codes]
+            surface, deep = score_teams(np.array(rows), np.arange(t)[None, :])
+            assert (surface[0], deep[0]) == surface_deep_rows(rows, range(t))
+
+    def test_table_matches_rows(self, mixed_population):
+        table = attribute_table(mixed_population)
+        assert table.dtype == np.int64
+        assert table.tolist() == [list(row) for row in attribute_rows(mixed_population)]
+
+    @pytest.mark.parametrize("t", [0, TEAM_SIZE + 1])
+    def test_team_size_out_of_range_rejected(self, mixed_population, t):
+        table = attribute_table(mixed_population)
+        with pytest.raises(ValueError, match="team size"):
+            score_teams(table, np.zeros((3, t), dtype=np.int64))

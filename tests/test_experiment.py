@@ -55,6 +55,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"config key '{key}' must be a mapping"):
             ExperimentConfig.from_dict({key: value})
 
+    @pytest.mark.parametrize(
+        "ga",
+        [{"generations": 2.5}, {"population_size": True}, {"swap_attempts": 0.5}, {"rng_seed": -3}],
+    )
+    def test_invalid_ga_values_rejected(self, ga):
+        with pytest.raises(ValueError, match=next(iter(ga))):
+            ExperimentConfig.from_dict({"ga": ga})
+
     def test_json_round_trip(self, tmp_path):
         config = _tiny_config(output_dir="somewhere")
         path = tmp_path / "config.json"

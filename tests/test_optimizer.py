@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamsim.core import Partition, population_lookup
+from scipy.stats import chisquare
+
+from teamsim.core import TEAM_SIZE, Partition, attribute_rows, population_lookup, surface_deep_rows
 from teamsim.optimizer import (
     ArchiveEntry,
     BruteForceResult,
     GaConfig,
     ParetoArchive,
+    _draw_proposals,
+    _team_splits,
     brute_force_partition,
     elbow_select,
     ga_partition,
@@ -19,7 +25,7 @@ from teamsim.optimizer import (
 )
 from teamsim.population import synth_population
 
-from conftest import clone_population
+from conftest import clone_population, make_participant
 
 
 def _entry(surface: float, deep: float, tag: str) -> ArchiveEntry:
@@ -162,6 +168,149 @@ class TestElbowSelect:
             elbow_select(ParetoArchive())
 
 
+class TestGaConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("generations", 2.5),
+            ("generations", True),
+            ("generations", 0),
+            ("population_size", "3"),
+            ("population_size", False),
+            ("swap_attempts", 1.0),
+            ("swap_attempts", True),
+            ("rng_seed", -1),
+            ("rng_seed", 1.5),
+            ("rng_seed", True),
+        ],
+    )
+    def test_invalid_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GaConfig(**{field: value})
+
+    def test_integer_types_accepted(self):
+        config = GaConfig(generations=np.int64(2), swap_attempts=None, rng_seed=2**63)
+        assert config.generations == 2
+
+
+@pytest.mark.parametrize("team_size", [0, TEAM_SIZE + 1, -1, 2.0, True])
+def test_team_size_outside_range_rejected(small_population, team_size):
+    with pytest.raises(ValueError, match="team_size"):
+        random_partition(small_population, team_size, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="team_size"):
+        ga_partition(small_population, GaConfig(generations=1, population_size=2), team_size=team_size)
+    with pytest.raises(ValueError, match="team_size"):
+        brute_force_partition(small_population, team_size)
+
+
+def _reference_ga(population, config: GaConfig, team_size: int):
+    """The scalar climber loop: each climber's swaps one at a time, scored by
+    surface_deep_rows, on the same initial partitions and proposals as ga_partition."""
+    ids = [p.id for p in population]
+    rows = attribute_rows(population)
+    n = len(ids)
+    n_teams = n // team_size
+    swap_attempts = config.swap_attempts if config.swap_attempts is not None else n
+    archive = ParetoArchive()
+
+    def mean(scores):
+        return sum(s for s, _ in scores) / len(scores), sum(d for _, d in scores) / len(scores)
+
+    def offer(cand):
+        if archive.admits(cand["surface"], cand["deep"]):
+            teams = ([ids[i] for i in team] for team in cand["teams"])
+            partition = Partition.build(teams, [ids[i] for i in cand["solos"]])
+            archive.insert(ArchiveEntry(partition, cand["surface"], cand["deep"]))
+
+    rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed).spawn(1)[0])
+    candidates = []
+    for _ in range(config.population_size):
+        order = rng.permutation(n).tolist()
+        teams = [tuple(order[i * team_size : (i + 1) * team_size]) for i in range(n_teams)]
+        scores = [surface_deep_rows(rows, team) for team in teams]
+        cand = {"teams": teams, "solos": order[n_teams * team_size :], "scores": scores}
+        cand["surface"], cand["deep"] = mean(scores)
+        candidates.append(cand)
+        offer(cand)
+    for _ in range(config.generations):
+        proposals = _draw_proposals(rng, swap_attempts, config.population_size, n_teams, team_size)
+        for c, cand in enumerate(candidates):
+            for ti, tj, mi, mj in proposals[:, c].tolist():
+                team_i, team_j = list(cand["teams"][ti]), list(cand["teams"][tj])
+                team_i[mi], team_j[mj] = team_j[mj], team_i[mi]
+                scores = list(cand["scores"])
+                scores[ti] = surface_deep_rows(rows, team_i)
+                scores[tj] = surface_deep_rows(rows, team_j)
+                surface, deep = mean(scores)
+                old_surface, old_deep = cand["surface"], cand["deep"]
+                if old_surface >= surface and old_deep >= deep and (old_surface > surface or old_deep > deep):
+                    continue
+                cand["teams"][ti], cand["teams"][tj] = tuple(team_i), tuple(team_j)
+                cand.update(scores=scores, surface=surface, deep=deep)
+                offer(cand)
+    archive.entries.sort(key=lambda e: (e.surface, e.deep))
+    return archive, elbow_select(archive)
+
+
+def _front(archive: ParetoArchive) -> list:
+    return [(e.surface, e.deep, e.partition) for e in archive.entries]
+
+
+class TestGaMatchesScalarClimbers:
+    @pytest.mark.parametrize(
+        "n, team_size, kind",
+        [
+            (8, 2, "synth"),
+            (8, 4, "synth"),
+            (12, 3, "synth"),
+            (12, 4, "synth"),
+            (33, 2, "synth"),
+            (33, 3, "synth"),
+            (33, 4, "synth"),
+            (12, 3, "clones"),
+            (33, 4, "clones"),
+            (12, 3, "two kinds"),
+            (16, 2, "two kinds"),
+        ],
+    )
+    def test_identical_archive_and_selection(self, n, team_size, kind):
+        if kind == "clones":
+            population = clone_population(n)
+        elif kind == "two kinds":
+            # Many partitions share each objective point, so which one the
+            # archive keeps depends on the order of the offers.
+            population = [
+                make_participant(pid=f"k{i:02d}", gender=("Female", "Male")[i % 2], age=20 + 10 * (i % 2))
+                for i in range(n)
+            ]
+        else:
+            population = synth_population(n, rng=np.random.default_rng(100 * n + team_size))
+        config = GaConfig(generations=3, population_size=6, rng_seed=n + team_size)
+        archive, selected = ga_partition(population, config, team_size=team_size)
+        ref_archive, ref_selected = _reference_ga(population, config, team_size)
+        assert _front(archive) == _front(ref_archive)
+        assert selected == ref_selected
+
+    def test_identical_at_default_config(self, mixed_population):
+        archive, selected = ga_partition(mixed_population, GaConfig(rng_seed=3))
+        ref_archive, ref_selected = _reference_ga(mixed_population, GaConfig(rng_seed=3), TEAM_SIZE)
+        assert _front(archive) == _front(ref_archive)
+        assert selected == ref_selected
+
+
+def test_proposals_uniform_over_team_pairs_and_members():
+    n_teams, team_size = 5, 3
+    draws = _draw_proposals(np.random.default_rng(2024), 400, 50, n_teams, team_size)
+    ti, tj, mi, mj = draws.reshape(-1, 4).T
+    assert draws.shape == (400, 50, 4)
+    assert np.all(ti != tj)
+    pair_counts = np.bincount(ti * n_teams + tj, minlength=n_teams * n_teams)
+    off_diagonal = pair_counts[~np.eye(n_teams, dtype=bool).ravel()]
+    assert chisquare(off_diagonal).pvalue > 1e-3
+    for members in (mi, mj):
+        assert chisquare(np.bincount(members, minlength=team_size)).pvalue > 1e-3
+
+
 class TestGaPartition:
     def test_too_small_population_rejected(self, clones):
         with pytest.raises(ValueError, match="two teams"):
@@ -256,6 +405,42 @@ class TestBruteForce:
             assert surface <= bf.best_surface + 1e-12
             assert deep <= bf.best_deep + 1e-12
             assert surface + deep <= bf.best_total + 1e-12
+
+    @pytest.mark.parametrize(
+        "population, team_size",
+        [
+            (synth_population(8, rng=np.random.default_rng(31)), 4),
+            (synth_population(8, rng=np.random.default_rng(32)), 2),
+            (synth_population(9, rng=np.random.default_rng(33)), 4),
+            (synth_population(9, rng=np.random.default_rng(34)), 3),
+            (synth_population(12, rng=np.random.default_rng(35)), 4),
+            (clone_population(8), 4),
+        ],
+    )
+    def test_matches_scalar_enumeration(self, population, team_size):
+        """Same count and argmax sets (ties included, in enumeration order) as
+        scoring every split team by team with surface_deep_rows."""
+        ids = [p.id for p in population]
+        rows = attribute_rows(population)
+        n = len(population)
+        splits = []
+        for solos in itertools.combinations(range(n), n % team_size):
+            pool = tuple(i for i in range(n) if i not in solos)
+            for split in _team_splits(pool, team_size):
+                scores = [surface_deep_rows(rows, team) for team in split]
+                surface = sum(s for s, _ in scores) / len(scores)
+                deep = sum(d for _, d in scores) / len(scores)
+                partition = Partition.build(([ids[i] for i in t] for t in split), [ids[i] for i in solos])
+                splits.append((surface, deep, surface + deep, partition))
+        result = brute_force_partition(population, team_size)
+        assert result.n_partitions == len(splits)
+        for k, best, partitions in (
+            (0, result.best_surface, result.best_surface_partitions),
+            (1, result.best_deep, result.best_deep_partitions),
+            (2, result.best_total, result.best_total_partitions),
+        ):
+            assert best == max(split[k] for split in splits)
+            assert partitions == tuple(split[3] for split in splits if split[k] == best)
 
     def test_result_partitions_are_valid(self, small_population):
         result = brute_force_partition(small_population)
