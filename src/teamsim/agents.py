@@ -216,10 +216,9 @@ def agent_step(
         return []
     query = gen_query(agent_id, policy, rng)
     state.record_query(agent_id, query_payload(query))
-    pool = [m for m in state.members if m not in group]
     recs = rank_candidates(
         query,
-        pool,
+        state.members,
         lookup=lookup,
         mode=mode,
         searcher_team=group,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,6 +38,11 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_team_size(team_size: int) -> None:
+    if not _is_int(team_size) or not 1 <= team_size <= TEAM_SIZE:
+        raise ValueError(f"team_size must be an integer in 1..{TEAM_SIZE}, got {team_size!r}")
+
+
 @dataclass(frozen=True)
 class Participant:
     """One person: categorical demographics, age, and six skill levels (1-5)."""
@@ -49,6 +54,9 @@ class Participant:
     international: bool
     age: int
     skills: tuple[int, ...]
+    # attribute_row codes, computed once: participants are immutable and the
+    # recommender codes every candidate on every search.
+    _row: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -63,6 +71,14 @@ class Participant:
             raise ValueError(f"expected {NUM_SKILLS} skills, got {len(self.skills)}")
         if any(not _is_int(s) or not 1 <= s <= 5 for s in self.skills):
             raise ValueError(f"skill levels must be integers in 1..5, got {self.skills}")
+        row = (
+            _GENDER_INDEX[self.gender],
+            _RACE_INDEX[self.race],
+            int(self.hispanic),
+            int(self.international),
+            self.age,
+        ) + tuple(self.skills)
+        object.__setattr__(self, "_row", row)
 
     def to_dict(self) -> dict:
         return {
@@ -249,13 +265,7 @@ def normalize_cv(cv: float) -> float:
 
 def attribute_row(p: Participant) -> tuple:
     """Integer-coded attribute tuple for fast repeated team scoring."""
-    return (
-        _GENDER_INDEX[p.gender],
-        _RACE_INDEX[p.race],
-        int(p.hispanic),
-        int(p.international),
-        p.age,
-    ) + p.skills
+    return p._row
 
 
 def attribute_rows(participants: Sequence[Participant]) -> list[tuple]:

@@ -24,6 +24,7 @@ from .core import (
     AttributeSchema,
     Participant,
     Partition,
+    _check_team_size,
     _is_int,
     attribute_table,
     population_lookup,
@@ -126,6 +127,7 @@ def random_partition(
     _check_team_size(team_size)
     if not population:
         raise ValueError("empty population")
+    population_lookup(population)  # id uniqueness check
     ids = [p.id for p in population]
     order = [ids[i] for i in rng.permutation(len(ids))]
     n_teams = len(order) // team_size
@@ -159,11 +161,6 @@ def _mean_scores(team_scores: np.ndarray) -> np.ndarray:
     for k in range(1, n):
         total = total + team_scores[..., k, :]
     return total / n
-
-
-def _check_team_size(team_size: int) -> None:
-    if not _is_int(team_size) or not 1 <= team_size <= TEAM_SIZE:
-        raise ValueError(f"team_size must be an integer in 1..{TEAM_SIZE}, got {team_size!r}")
 
 
 def elbow_select(archive: ParetoArchive) -> Partition:
@@ -345,6 +342,7 @@ def brute_force_partition(
         raise ValueError("population smaller than one team")
     if n > max_population:
         raise ValueError(f"population too large for exhaustive search (max {max_population})")
+    population_lookup(population)  # id uniqueness check
     ids = [p.id for p in population]
     # Every split draws its teams from the same C(n, team_size) member sets,
     # each listed in ascending order as _team_splits yields them: score

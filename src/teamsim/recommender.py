@@ -12,19 +12,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .core import (
     DEFAULT_SCHEMA,
+    METRIC_COUNT,
     NUM_SKILLS,
     TEAM_SIZE,
     AttributeSchema,
     Participant,
+    _check_team_size,
+    attribute_table,
     profile_for_members,
+    score_teams,
 )
 
 CRITERION_KINDS = ("skill", "similar_age", "same_gender", "same_race", "same_international")
 DEMOGRAPHIC_KINDS = ("similar_age", "same_gender", "same_race", "same_international")
 MODES = ("fit_only", "fairness")
 DIVERSITY_FLOOR = 0.01
+
+# attribute_row columns read by the criteria.
+_SAME_COLUMN = {"same_gender": 0, "same_race": 1, "same_international": 3}
+_AGE_COLUMN = 4
+_SKILL_COLUMN = 5
 
 
 @dataclass(frozen=True)
@@ -142,6 +153,19 @@ def marginal_diversity(
     return max(DIVERSITY_FLOOR, profile_for_members(combined, schema).component_mean)
 
 
+def _criterion_column(
+    searcher: np.ndarray, candidates: np.ndarray, criterion: Criterion, schema: AttributeSchema
+) -> np.ndarray:
+    """criterion_score of every candidate; rows are attribute_table codes."""
+    if criterion.kind == "skill":
+        return (candidates[:, _SKILL_COLUMN + criterion.skill] - 1) / 4.0
+    if criterion.kind == "similar_age":
+        gap = np.abs(searcher[_AGE_COLUMN] - candidates[:, _AGE_COLUMN])
+        return np.maximum(0.0, 1.0 - gap / schema.age_range)
+    column = _SAME_COLUMN[criterion.kind]
+    return (candidates[:, column] == searcher[column]).astype(float)
+
+
 def rank_candidates(
     query: Query,
     pool: Sequence[str],
@@ -161,57 +185,74 @@ def rank_candidates(
     by candidate id. Candidates in the searcher's own group, and those
     whose group merge would exceed team_size, are dropped before scoring.
     Returns the requested page (1-based), or the whole ranking when page
-    is None. An empty pool yields an empty list.
+    is None. An empty pool yields an empty list. Duplicate ids in pool or
+    searcher_team, and a team_size outside 1..TEAM_SIZE, are refused.
+
+    The whole pool is scored at once, bit for bit as the scalar
+    definitions score each candidate: fit_score adds the criteria in
+    query order, marginal_diversity scores the team's members in
+    searcher_team order followed by the candidate, and match_percent is
+    applied elementwise.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    searcher = lookup[query.searcher_id]
+    _check_team_size(team_size)
+    if page is not None and page < 1:
+        raise ValueError("page is 1-based")
     team_ids = list(searcher_team) if searcher_team is not None else [query.searcher_id]
     if query.searcher_id not in team_ids:
         raise ValueError("searcher_team must include the searcher")
+    in_team = set(team_ids)
+    if len(in_team) != len(team_ids):
+        raise ValueError("duplicate ids in searcher_team")
+    if len(set(pool)) != len(pool):
+        raise ValueError("duplicate ids in pool")
     team_members = [lookup[mid] for mid in team_ids]
 
-    scored: list[tuple[float, str, Recommendation]] = []
-    for cid in pool:
-        if cid == query.searcher_id or cid in team_ids:
-            continue
-        candidate_group = list(team_of(cid)) if team_of is not None else [cid]
-        if len(team_ids) + len(candidate_group) > team_size:
-            continue
-        candidate = lookup[cid]
-        s = fit_score(searcher, candidate, query, schema)
-        d = marginal_diversity(team_members, candidate, schema)
-        combined = s * d if mode == "fairness" else s
-        scored.append(
-            (
-                combined,
-                cid,
-                Recommendation(
-                    candidate_id=cid,
-                    fit_score=s,
-                    diversity_score=d,
-                    combined_score=combined,
-                    rank=0,
-                    match_percent=match_percent(query, s),
-                ),
-            )
-        )
+    room = team_size - len(team_ids)
+    eligible = [cid for cid in pool if cid not in in_team]
+    if team_of is not None:
+        eligible = [cid for cid in eligible if len(team_of(cid)) <= room]
+    elif room < 1:  # each candidate is a group of one
+        eligible = []
+    if not eligible:
+        return []
+    k, m = len(team_ids), len(eligible)
+    table = attribute_table(team_members + [lookup[cid] for cid in eligible])
+    candidates = table[k:]
 
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    ranked = [
+    idx = np.empty((m, k + 1), dtype=np.intp)
+    idx[:, :k] = np.arange(k)
+    idx[:, k] = np.arange(k, k + m)
+    surface, deep = score_teams(table, idx, schema)
+    # DiversityProfile.component_mean, floored as in marginal_diversity.
+    diversity = np.maximum(DIVERSITY_FLOOR, (surface + NUM_SKILLS * deep) / METRIC_COUNT)
+
+    searcher_row = table[team_ids.index(query.searcher_id)]
+    fit = np.zeros(m)
+    for c in query.criteria:
+        fit = fit + c.importance * _criterion_column(searcher_row, candidates, c, schema)
+    # A query's nonzero weights make s_max > s_min, so match_percent's
+    # equal-extremes branch never applies.
+    s_min, s_max = score_extremes(query)
+    match = 100.0 * (fit - s_min) / (s_max - s_min)
+    combined = fit * diversity if mode == "fairness" else fit
+
+    # A stable sort by -combined of the candidates in id order breaks ties by id.
+    by_id = sorted(range(m), key=eligible.__getitem__)
+    order = np.asarray(by_id)[np.argsort(-combined[by_id], kind="stable")].tolist()
+    ranked = list(enumerate(order, 1))
+    if page is not None:
+        ranked = ranked[(page - 1) * page_size : page * page_size]
+    fit_l, div_l, combined_l, match_l = (a.tolist() for a in (fit, diversity, combined, match))
+    return [
         Recommendation(
-            candidate_id=rec.candidate_id,
-            fit_score=rec.fit_score,
-            diversity_score=rec.diversity_score,
-            combined_score=rec.combined_score,
-            rank=i + 1,
-            match_percent=rec.match_percent,
+            candidate_id=eligible[i],
+            fit_score=fit_l[i],
+            diversity_score=div_l[i],
+            combined_score=combined_l[i],
+            rank=rank,
+            match_percent=match_l[i],
         )
-        for i, (_, _, rec) in enumerate(scored)
+        for rank, i in ranked
     ]
-    if page is None:
-        return ranked
-    if page < 1:
-        raise ValueError("page is 1-based")
-    start = (page - 1) * page_size
-    return ranked[start : start + page_size]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -55,7 +54,6 @@ class SessionResult:
     events: list[Event] = field(default_factory=list)
     moments: StandardizationMoments | None = None
     exposures: list[Exposure] = field(default_factory=list)
-    duration_s: float = 0.0
 
 
 def pilot_moments(
@@ -84,7 +82,7 @@ def pilot_moments(
         query = gen_query(searcher, policy, rng)
         recs = rank_candidates(
             query,
-            [i for i in ids if i != searcher],
+            ids,
             lookup=lookup,
             mode=mode,
             schema=schema,
@@ -173,7 +171,6 @@ def run_session(
     if len(population) < 2 * team_size:
         raise ValueError(f"population must have at least {2 * team_size} participants")
     lookup = population_lookup(population)
-    started = time.perf_counter()
     events: list[Event] = []
     moments = None
     exposures: list[Exposure] = []
@@ -214,5 +211,4 @@ def run_session(
         events=events,
         moments=moments,
         exposures=exposures,
-        duration_s=time.perf_counter() - started,
     )

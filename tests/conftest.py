@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from teamsim.core import Participant
+from teamsim.core import DEFAULT_SCHEMA, TEAM_SIZE, Participant
 from teamsim.population import synth_population
+from teamsim.recommender import Recommendation, fit_score, marginal_diversity, match_percent
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -68,3 +69,43 @@ def clone_population(n: int) -> list[Participant]:
 @pytest.fixture
 def clones():
     return clone_population
+
+
+def scalar_rank_candidates(
+    query,
+    pool,
+    *,
+    lookup,
+    mode,
+    searcher_team=None,
+    team_of=None,
+    schema=DEFAULT_SCHEMA,
+    team_size=TEAM_SIZE,
+    page=None,
+    page_size=10,
+):
+    """Reference for rank_candidates: one candidate at a time through the
+    scalar definitions, sorted by (-combined, candidate id)."""
+    searcher = lookup[query.searcher_id]
+    team_ids = list(searcher_team) if searcher_team is not None else [query.searcher_id]
+    team_members = [lookup[mid] for mid in team_ids]
+    scored = []
+    for cid in pool:
+        if cid in team_ids:
+            continue
+        group = team_of(cid) if team_of is not None else [cid]
+        if len(team_ids) + len(group) > team_size:
+            continue
+        candidate = lookup[cid]
+        fit = fit_score(searcher, candidate, query, schema)
+        diversity = marginal_diversity(team_members, candidate, schema)
+        combined = fit * diversity if mode == "fairness" else fit
+        scored.append((combined, cid, fit, diversity, match_percent(query, fit)))
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    ranked = [
+        Recommendation(cid, fit, diversity, combined, rank, percent)
+        for rank, (combined, cid, fit, diversity, percent) in enumerate(scored, 1)
+    ]
+    if page is None:
+        return ranked
+    return ranked[(page - 1) * page_size : page * page_size]

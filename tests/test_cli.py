@@ -83,6 +83,20 @@ class TestAssign:
         assert error["error"] == "input"
         assert "team_size" in error["message"]
 
+    @pytest.mark.parametrize("mode", ["random", "ga", "oracle"])
+    def test_duplicate_ids_are_input_error(self, tmp_path, capsys, mode):
+        pop = tmp_path / "dup.jsonl"
+        main(["synth", "--n", "8", "--seed", "4", "--out", str(pop)])
+        capsys.readouterr()
+        lines = pop.read_text().splitlines()
+        lines[1] = lines[1].replace('"p0002"', '"p0001"')
+        pop.write_text("\n".join(lines) + "\n")
+        code, stdout, stderr = _run(capsys, "assign", "--population", str(pop), "--mode", mode)
+        assert code == 3
+        assert stdout == ""
+        (line,) = stderr.splitlines()
+        assert json.loads(line)["error"] == "input"
+
     def test_missing_population_file(self, tmp_path, capsys):
         code, _, stderr = _run(
             capsys, "assign", "--population", str(tmp_path / "nope.jsonl"), "--mode", "random"
@@ -113,6 +127,17 @@ class TestRecommend:
         )
         assert code == 3
         assert json.loads(stderr)["error"] == "input"
+
+    def test_duplicate_team_ids_are_input_error(self, pop_file, capsys):
+        code, stdout, stderr = _run(
+            capsys,
+            "recommend", "--population", str(pop_file), "--searcher", "p0001",
+            "--team", "p0002,p0002", "--criterion", "same_gender=2", "--criterion", "same_race=1",
+        )
+        assert code == 3
+        assert stdout == ""
+        (line,) = stderr.splitlines()
+        assert "duplicate" in json.loads(line)["message"]
 
     def test_single_criterion_query_rejected(self, pop_file, capsys):
         code, _, stderr = _run(

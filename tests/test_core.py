@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import statistics
@@ -25,6 +26,7 @@ from teamsim.core import (
     profile_for_members,
     score_teams,
     surface_deep_rows,
+    attribute_row,
     attribute_rows,
     attribute_table,
     team_diversity_profile,
@@ -147,6 +149,12 @@ class TestParticipantValidation:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             population_lookup([make_participant(pid="a"), make_participant(pid="a")])
+
+    def test_attribute_row_follows_replace(self):
+        p = make_participant(gender="Male", race="Asian", international=True, age=30)
+        assert attribute_row(p) == (0, 1, 0, 1, 30, 3, 3, 3, 3, 3, 3)
+        q = dataclasses.replace(p, gender="NonBinary", hispanic=True, age=41, skills=(1, 2, 3, 4, 5, 5))
+        assert attribute_row(q) == (2, 1, 1, 1, 41, 1, 2, 3, 4, 5, 5)
 
 
 class TestTeamAndPartition:

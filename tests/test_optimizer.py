@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -201,6 +202,18 @@ def test_team_size_outside_range_rejected(small_population, team_size):
         ga_partition(small_population, GaConfig(generations=1, population_size=2), team_size=team_size)
     with pytest.raises(ValueError, match="team_size"):
         brute_force_partition(small_population, team_size)
+
+
+@pytest.mark.parametrize("seed", range(2, 8))
+def test_duplicate_ids_rejected(seed):
+    population = synth_population(8, rng=np.random.default_rng(seed))
+    population[1] = dataclasses.replace(population[1], id=population[0].id)
+    with pytest.raises(ValueError, match="duplicate participant id"):
+        random_partition(population, rng=np.random.default_rng(seed))
+    with pytest.raises(ValueError, match="duplicate participant id"):
+        ga_partition(population, GaConfig(generations=1, population_size=2, rng_seed=seed))
+    with pytest.raises(ValueError, match="duplicate participant id"):
+        brute_force_partition(population)
 
 
 def _reference_ga(population, config: GaConfig, team_size: int):

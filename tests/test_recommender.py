@@ -5,10 +5,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from teamsim.core import population_lookup
+from teamsim.core import GENDERS, NUM_SKILLS, RACES, TEAM_SIZE, Participant, population_lookup
 from teamsim.population import synth_population
 from teamsim.recommender import (
+    DEMOGRAPHIC_KINDS,
+    MODES,
     Criterion,
     Query,
     criterion_score,
@@ -18,7 +22,7 @@ from teamsim.recommender import (
     rank_candidates,
 )
 
-from conftest import make_participant
+from conftest import make_participant, scalar_rank_candidates
 
 
 def _query(*criteria: Criterion, searcher: str = "s") -> Query:
@@ -355,3 +359,130 @@ class TestRankCandidates:
         )
         with pytest.raises(ValueError, match="unknown mode"):
             rank_candidates(query, [], lookup={"s": searcher}, mode="both")
+
+    @pytest.mark.parametrize(
+        "misuse, message",
+        [
+            ({"pool": ["p0002", "p0003"] * 2}, "duplicate ids in pool"),
+            ({"searcher_team": ["p0001"] * 4}, "duplicate ids in searcher_team"),
+            *(({"team_size": size}, "team_size") for size in (0, TEAM_SIZE + 1, -1, 2.0, True)),
+        ],
+    )
+    def test_misuse_rejected(self, misuse, message):
+        pop, lookup = self._pool(8)
+        query = _query(
+            Criterion(kind="same_gender", importance=1),
+            Criterion(kind="similar_age", importance=1),
+            searcher="p0001",
+        )
+        kwargs = {"pool": [p.id for p in pop], "lookup": lookup, "mode": "fairness", **misuse}
+        with pytest.raises(ValueError, match=message):
+            rank_candidates(query, **kwargs)
+
+
+_attributes = st.tuples(
+    st.sampled_from(GENDERS),
+    st.sampled_from(RACES),
+    st.booleans(),
+    st.booleans(),
+    st.one_of(st.sampled_from((18, 80)), st.integers(18, 100)),
+    st.tuples(*[st.integers(1, 5)] * NUM_SKILLS),
+)
+_criteria = st.lists(
+    st.builds(
+        lambda kind, importance: Criterion(kind=kind[0], importance=importance, skill=kind[1]),
+        st.one_of(
+            st.tuples(st.just("skill"), st.integers(0, NUM_SKILLS - 1)),
+            st.tuples(st.sampled_from(DEMOGRAPHIC_KINDS), st.none()),
+        ),
+        st.integers(-3, 3).filter(bool),
+    ),
+    min_size=2,
+    max_size=5,
+    unique_by=lambda c: c.key,
+)
+
+
+@st.composite
+def _ranking_cases(draw):
+    """(query, pool, keyword arguments) of one rank_candidates call.
+
+    The searcher's team has 1-3 members in drawn order; the other
+    participants form groups of 1-3 under team_of. Clone pools tie every
+    score, so the id tiebreak decides the order.
+    """
+    n = draw(st.integers(2, 14))
+    attributes = draw(st.lists(_attributes, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        attributes = [attributes[0]] * n
+    ids = draw(st.permutations([f"p{i:02d}" for i in range(n)]))
+    population = [Participant(pid, *attrs) for pid, attrs in zip(ids, attributes)]
+    k = draw(st.integers(1, min(3, n - 1)))
+    team, rest = list(ids[:k]), list(ids[k:])
+    groups = {member: tuple(team) for member in team}
+    while rest:
+        size = draw(st.integers(1, min(3, len(rest))))
+        group, rest = tuple(rest[:size]), rest[size:]
+        groups.update((member, group) for member in group)
+    query = Query(searcher_id=draw(st.sampled_from(team)), criteria=tuple(draw(_criteria)))
+    kwargs = {
+        "lookup": population_lookup(population),
+        "mode": draw(st.sampled_from(MODES)),
+        "searcher_team": team,
+        "team_of": draw(st.sampled_from([None, groups.__getitem__])),
+        "team_size": draw(st.integers(1, TEAM_SIZE)),
+        "page": draw(st.sampled_from([None, 1, 2])),
+        "page_size": draw(st.sampled_from([1, 3, 10])),
+    }
+    return query, draw(st.permutations(ids)), kwargs
+
+
+# Members whose diversity score changes in the last bit when the candidate
+# is scored ahead of the team rather than behind it.
+_ORDER_SENSITIVE = [
+    Participant("a", "Female", "AfricanAmerican", True, False, 72, (2, 4, 5, 4, 5, 1)),
+    Participant("b", "Female", "Asian", True, False, 21, (3, 1, 1, 4, 2, 3)),
+    Participant("c", "Female", "Asian", True, True, 68, (5, 4, 1, 5, 1, 2)),
+]
+
+
+# Four candidates whose fit scores change in the last bit when the criteria
+# are summed by a vectorised dot product instead of one after another.
+_SUM_ORDER_SENSITIVE = [make_participant(pid="s", age=30)] + [
+    make_participant(pid=f"c{i}", age=43) for i in range(4)
+]
+
+
+class TestRankCandidatesExact:
+    @settings(max_examples=400, deadline=None)
+    @given(_ranking_cases())
+    @example(
+        case=(
+            _query(
+                Criterion(kind="similar_age", importance=3),
+                Criterion(kind="same_gender", importance=-2),
+            ),
+            ["c0", "c1", "c2", "c3"],
+            {"lookup": population_lookup(_SUM_ORDER_SENSITIVE), "mode": "fit_only"},
+        )
+    )
+    @example(
+        case=(
+            _query(
+                Criterion(kind="similar_age", importance=3),
+                Criterion(kind="skill", importance=1, skill=0),
+                searcher="a",
+            ),
+            ["c"],
+            {
+                "lookup": population_lookup(_ORDER_SENSITIVE),
+                "mode": "fairness",
+                "searcher_team": ["a", "b"],
+            },
+        )
+    )
+    def test_matches_scalar_reference(self, case):
+        query, pool, kwargs = case
+        assert rank_candidates(query, pool, **kwargs) == scalar_rank_candidates(
+            query, pool, **kwargs
+        )

@@ -3,9 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import teamsim.agents
+import teamsim.session
 from teamsim.agents import AgentPolicy, ChoiceModelParams
 from teamsim.population import synth_population
 from teamsim.session import CONDITIONS, pilot_moments, run_session
+
+from conftest import scalar_rank_candidates
 
 
 class TestPilotMoments:
@@ -111,3 +115,17 @@ class TestRunSession:
             placed += sum(len(g) for g in pre_fill.groups() if len(g) == 4)
             total += 32
         assert placed / total >= 0.90
+
+    @pytest.mark.parametrize("condition", ["self_assembled", "fairness_aware"])
+    def test_batched_ranking_matches_scalar_reference(self, condition, monkeypatch):
+        pop = synth_population(40, rng=np.random.default_rng(21))
+
+        def session():
+            result = run_session(condition, pop, rng=np.random.default_rng(22))
+            events = [e.to_dict() for e in result.events]
+            return events, result.partition, result.moments, result.exposures
+
+        batched = session()
+        monkeypatch.setattr(teamsim.agents, "rank_candidates", scalar_rank_candidates)
+        monkeypatch.setattr(teamsim.session, "rank_candidates", scalar_rank_candidates)
+        assert session() == batched
