@@ -301,10 +301,6 @@ class ExposureBatch:
             ]
         )
 
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return ("intercept", "rank", "same_gender", "diversity", "treatment", "interaction")
-
 
 def simulate_exposures(
     params: ChoiceModelParams,

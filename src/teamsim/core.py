@@ -141,12 +141,6 @@ class Partition:
         built = tuple(sorted((Team.of(t) for t in teams), key=Team.sorted_ids))
         return cls(teams=built, solos=tuple(sorted(solos)))
 
-    def all_ids(self) -> set[str]:
-        ids: set[str] = set(self.solos)
-        for t in self.teams:
-            ids |= t.member_ids
-        return ids
-
     def validate(self, population_ids: Iterable[str]) -> None:
         """Check disjointness and exact cover of the population."""
         seen: set[str] = set()
@@ -253,8 +247,6 @@ def coefficient_of_variation(values: Sequence[float]) -> float:
     n = len(values)
     if n == 0:
         raise ValueError("empty group")
-    if sum(values) == 0:
-        raise ValueError("undefined CV: mean is zero")
     return _cv_from_values(values, n)
 
 
@@ -276,13 +268,26 @@ def _blau_from_codes(codes: Sequence[int], n: int) -> float:
     counts: dict = {}
     for c in codes:
         counts[c] = counts.get(c, 0) + 1
-    return 1.0 - sum((c / n) ** 2 for c in counts.values())
+    squares = 0.0
+    for c in counts.values():
+        squares += (c / n) ** 2
+    return 1.0 - squares
 
 
+# Float sums in the scalar definitions are explicit left-to-right loops:
+# sum() compensates float rounding since Python 3.12, which would change
+# their last bits, and score_teams adds in this order.
 def _cv_from_values(values: Sequence[float], n: int) -> float:
-    mean = sum(values) / n
-    var = sum((x - mean) ** 2 for x in values) / n
-    return math.sqrt(var) / mean
+    total = 0
+    for x in values:
+        total += x
+    mean = total / n
+    if mean == 0:
+        raise ValueError("undefined CV: mean is zero")
+    squares = 0.0
+    for x in values:
+        squares += (x - mean) ** 2
+    return math.sqrt(squares / n) / mean
 
 
 def _row_components(rows: Sequence[tuple], schema: AttributeSchema) -> tuple:
@@ -296,7 +301,10 @@ def _row_components(rows: Sequence[tuple], schema: AttributeSchema) -> tuple:
     age_cv = _cv_from_values(age, n)
     skill_cvs = tuple(_cv_from_values(values, n) for values in skills)
     surface = gender_b + race_b + eth_b + intl_b + normalize_cv(age_cv)
-    deep = sum(normalize_cv(cv) for cv in skill_cvs) / NUM_SKILLS
+    deep = 0.0
+    for cv in skill_cvs:
+        deep += normalize_cv(cv)
+    deep /= NUM_SKILLS
     return gender_b, race_b, eth_b, intl_b, age_cv, skill_cvs, surface, deep
 
 

@@ -27,6 +27,7 @@ from .core import (
     AttributeSchema,
     Participant,
     Partition,
+    _is_int,
     population_lookup,
     team_diversity_profile,
 )
@@ -34,7 +35,7 @@ from .optimizer import GaConfig
 from .population import DemographicSpec, synth_population
 from .protocol import replay, write_log
 from .session import CONDITIONS, SessionResult, run_session
-from .stats import LogisticFit, anova_f, chi2_independence, logistic_fit, pairwise_diffs
+from .stats import LogisticFit, anova_f_by_metric, chi2_independence, logistic_fit, pairwise_diffs_by_metric
 
 OUTPUT_DIR_ENV = "TEAMSIM_OUTPUT_DIR"
 
@@ -84,14 +85,19 @@ class ExperimentConfig:
             raise ValueError(f"unknown conditions {unknown}")
         if len(set(self.conditions)) != len(self.conditions):
             raise ValueError("duplicate conditions")
-        if self.sessions_per_condition < 1:
-            raise ValueError("sessions_per_condition must be >= 1")
-        if self.agents_per_session < 8:
-            raise ValueError("agents_per_session must be >= 8")
-        if not 2 <= self.team_size <= 4:
-            raise ValueError("team_size must be in 2..4")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name, low, high in (
+            ("sessions_per_condition", 1, None),
+            ("agents_per_session", 8, None),
+            ("rounds", 1, None),
+            ("seed", 0, None),
+            ("team_size", 2, 4),
+            ("page_size", 1, None),
+            ("workers", 1, None),
+        ):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low or (high is not None and value > high):
+                bounds = f"in {low}..{high}" if high is not None else f">= {low}"
+                raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -253,15 +259,17 @@ def stats_tables(
     groups_by_metric: Mapping[str, Mapping[str, Sequence[float]]], seed: int
 ) -> tuple[list[dict], list[dict]]:
     """(anova rows, pairwise rows) over metrics; metrics with fewer than two
-    groups are skipped."""
+    groups are skipped. Metrics with equal labels and group sizes share one
+    permutation stream per test (see anova_f_by_metric)."""
+    tested = {metric: groups for metric, groups in groups_by_metric.items() if len(groups) >= 2}
+    anovas = anova_f_by_metric(tested, seed=seed)
+    diffs = pairwise_diffs_by_metric(tested, seed=seed)
     anova_rows: list[dict] = []
     pairwise_rows: list[dict] = []
-    for metric, groups in groups_by_metric.items():
-        if len(groups) < 2:
-            continue
-        result = anova_f(groups, seed=seed)
+    for metric in tested:
+        result = anovas[metric]
         anova_rows.append({"metric": metric, "f_stat": result.f_stat, "p_value": result.p_value})
-        for diff in pairwise_diffs(groups, seed=seed):
+        for diff in diffs[metric]:
             pairwise_rows.append(
                 {
                     "metric": metric,

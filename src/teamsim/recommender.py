@@ -22,6 +22,7 @@ from .core import (
     AttributeSchema,
     Participant,
     _check_team_size,
+    _is_int,
     attribute_table,
     profile_for_members,
     score_teams,
@@ -113,10 +114,11 @@ def fit_score(
     query: Query,
     schema: AttributeSchema = DEFAULT_SCHEMA,
 ) -> float:
-    """Weighted sum of per-criterion scores."""
-    return sum(
-        c.importance * criterion_score(searcher, candidate, c, schema) for c in query.criteria
-    )
+    """Weighted sum of per-criterion scores, added left to right in query order."""
+    total = 0.0
+    for c in query.criteria:
+        total += c.importance * criterion_score(searcher, candidate, c, schema)
+    return total
 
 
 def score_extremes(query: Query) -> tuple[float, float]:
@@ -166,6 +168,11 @@ def _criterion_column(
     return (candidates[:, column] == searcher[column]).astype(float)
 
 
+def _check_page_size(page_size: int) -> None:
+    if not _is_int(page_size) or page_size < 1:
+        raise ValueError(f"page_size must be an integer >= 1, got {page_size!r}")
+
+
 def rank_candidates(
     query: Query,
     pool: Sequence[str],
@@ -186,7 +193,8 @@ def rank_candidates(
     whose group merge would exceed team_size, are dropped before scoring.
     Returns the requested page (1-based), or the whole ranking when page
     is None. An empty pool yields an empty list. Duplicate ids in pool or
-    searcher_team, and a team_size outside 1..TEAM_SIZE, are refused.
+    searcher_team, a team_size outside 1..TEAM_SIZE and a page_size below 1
+    are refused.
 
     The whole pool is scored at once, bit for bit as the scalar
     definitions score each candidate: fit_score adds the criteria in
@@ -199,6 +207,7 @@ def rank_candidates(
     _check_team_size(team_size)
     if page is not None and page < 1:
         raise ValueError("page is 1-based")
+    _check_page_size(page_size)
     team_ids = list(searcher_team) if searcher_team is not None else [query.searcher_id]
     if query.searcher_id not in team_ids:
         raise ValueError("searcher_team must include the searcher")

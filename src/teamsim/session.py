@@ -36,7 +36,7 @@ from .core import (
 )
 from .optimizer import GaConfig, ga_partition, random_partition
 from .protocol import AssemblyState, Event
-from .recommender import rank_candidates
+from .recommender import _check_page_size, rank_candidates
 
 CONDITIONS = ("random", "algorithmic_diverse", "self_assembled", "fairness_aware")
 AGENCY_MODES = {"self_assembled": "fit_only", "fairness_aware": "fairness"}
@@ -72,7 +72,9 @@ def pilot_moments(
     the all-singleton pool, and the first-page (rank, diversity) pairs are
     pooled until the target count is reached. Constant columns fall back to
     sd 1 so a degenerate population still standardizes (to all-zero scores).
+    A page_size below 1 is refused, as every page would be empty.
     """
+    _check_page_size(page_size)
     lookup = population_lookup(population)
     ids = [p.id for p in population]
     ranks: list[float] = []

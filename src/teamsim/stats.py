@@ -18,6 +18,15 @@ Permutations are drawn in blocks of at most PERMUTATION_BLOCK rows with
 so the blocks do not move the random stream. One array reduction per
 block gives the statistic of every row.
 
+anova_f_by_metric and pairwise_diffs_by_metric test several metrics at
+once; anova_f and pairwise_diffs are their one-metric case. Metrics with
+the same labels in the same order and the same group sizes form a family
+that draws each permutation block once and evaluates it on every member,
+one metric at a time, as the joint resampling of Westfall & Young
+(1993) does. Each test reseeds with its seed, so every metric's p-value
+is the one a separate call gives; tie tolerances and the BH family stay
+per metric.
+
 Ties: a permuted statistic counts as reaching the observed one unless
 ``stat < observed - tol``. Statistics that are mathematically equal can
 differ in their last bits, because the sums run in different orders, and
@@ -105,25 +114,54 @@ def _square_sums(rows: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     return (sums**2 / np.asarray(sizes, dtype=float)).sum(axis=-1)
 
 
-def _permutation_hits(
-    n: int, statistic, tol: float, n_permutations: int, rng: np.random.Generator
-) -> int:
-    """Permutations of range(n) whose statistic reaches the identity's, ties included.
+def _permutation_hits_each(
+    n: int,
+    statistics: Sequence,
+    tols: Sequence[float],
+    n_permutations: int,
+    rng: np.random.Generator,
+) -> list[int]:
+    """Per statistic, the permutations of range(n) whose value reaches the identity's.
 
-    ``statistic`` maps an index array of shape (..., n) to one value per row.
-    Only a statistic below ``observed - tol`` misses. Sums that overflow
-    give inf - inf = nan, which is never below anything, so overflow counts
-    as a tie and can only raise the p-value.
+    Every statistic maps an index array of shape (..., n) to one value per
+    row and is evaluated on the same permutation blocks; only a value below
+    ``observed - tol`` (with that statistic's own tol) misses. Sums that
+    overflow give inf - inf = nan, which is never below anything, so
+    overflow counts as a tie and can only raise the p-value. The statistics
+    run one after another on each block, so memory stays at one block of
+    indices plus what one statistic gathers.
     """
     if n_permutations < 1:
         raise ValueError("n_permutations must be >= 1")
-    threshold = statistic(np.arange(n)) - tol
-    misses = 0
+    identity = np.arange(n)
+    thresholds = [statistic(identity) - tol for statistic, tol in zip(statistics, tols)]
+    misses = [0] * len(thresholds)
     for done in range(0, n_permutations, PERMUTATION_BLOCK):
         m = min(PERMUTATION_BLOCK, n_permutations - done)
-        block = rng.permuted(np.broadcast_to(np.arange(n), (m, n)), axis=1)
-        misses += int(np.count_nonzero(statistic(block) < threshold))
-    return n_permutations - misses
+        block = rng.permuted(np.broadcast_to(identity, (m, n)), axis=1)
+        for j, (statistic, threshold) in enumerate(zip(statistics, thresholds)):
+            misses[j] += int(np.count_nonzero(statistic(block) < threshold))
+    return [n_permutations - miss for miss in misses]
+
+
+def _permutation_hits(
+    n: int, statistic, tol: float, n_permutations: int, rng: np.random.Generator
+) -> int:
+    """_permutation_hits_each for a single statistic."""
+    return _permutation_hits_each(n, [statistic], [tol], n_permutations, rng)[0]
+
+
+def _families(samples: Mapping[str, GroupSamples]) -> list[list[str]]:
+    """Metric names grouped by (labels in order, group sizes), in first-seen order.
+
+    The metrics of a family put the same labels at the same positions of
+    their pooled values, so one permutation draw serves all of them.
+    """
+    families: dict[tuple, list[str]] = {}
+    for metric, gs in samples.items():
+        key = tuple((label, values.size) for label, values in gs.groups.items())
+        families.setdefault(key, []).append(metric)
+    return list(families.values())
 
 
 @dataclass(frozen=True)
@@ -133,6 +171,40 @@ class AnovaResult:
     n_permutations: int
 
 
+def anova_f_by_metric(
+    groups_by_metric: Mapping[str, Mapping[str, Sequence[float]]],
+    *,
+    n_permutations: int = 10000,
+    seed: int = 0,
+) -> dict[str, AnovaResult]:
+    """anova_f of each metric's groups, sharing the permutation draws.
+
+    Metrics with the same labels in the same order and the same group sizes
+    form a family; each family draws one stream of permutations, seeded
+    with seed, and evaluates it on every member metric. Each result equals
+    anova_f(groups_by_metric[metric], n_permutations=..., seed=seed).
+    """
+    samples = {metric: _as_groups(groups) for metric, groups in groups_by_metric.items()}
+    results: dict[str, AnovaResult] = {}
+    for family in _families(samples):
+        sizes = [values.size for values in samples[family[0]].groups.values()]
+        pooled = [samples[metric].pooled()[0] for metric in family]
+        hits = _permutation_hits_each(
+            pooled[0].size,
+            [lambda idx, v=v: _square_sums(v[idx], sizes) for v in pooled],
+            [_tie_tolerance(v.size, float(v @ v)) for v in pooled],
+            n_permutations,
+            np.random.default_rng(seed),
+        )
+        for metric, v, h in zip(family, pooled, hits):
+            results[metric] = AnovaResult(
+                f_stat=_f_statistic(v, sizes),
+                p_value=(1 + h) / (1 + n_permutations),
+                n_permutations=n_permutations,
+            )
+    return {metric: results[metric] for metric in samples}
+
+
 def anova_f(groups, *, n_permutations: int = 10000, seed: int = 0) -> AnovaResult:
     """One-way F statistic with a permutation p-value.
 
@@ -140,20 +212,7 @@ def anova_f(groups, *, n_permutations: int = 10000, seed: int = 0) -> AnovaResul
     add-one share of permuted F values at or above the observed one,
     ranked through the equivalent T = sum_g S_g^2 / n_g.
     """
-    gs = _as_groups(groups)
-    pooled, sizes = gs.pooled()
-    hits = _permutation_hits(
-        pooled.size,
-        lambda idx: _square_sums(pooled[idx], sizes),
-        _tie_tolerance(pooled.size, float(pooled @ pooled)),
-        n_permutations,
-        np.random.default_rng(seed),
-    )
-    return AnovaResult(
-        f_stat=_f_statistic(pooled, sizes),
-        p_value=(1 + hits) / (1 + n_permutations),
-        n_permutations=n_permutations,
-    )
+    return anova_f_by_metric({"": groups}, n_permutations=n_permutations, seed=seed)[""]
 
 
 def bh_adjust(p_values: Sequence[float]) -> list[float]:
@@ -180,6 +239,56 @@ class PairwiseDiff:
     p_adjusted: float
 
 
+def _pair_statistic(va: np.ndarray, vb: np.ndarray):
+    """(statistic, tol) ranking |mean(B) - mean(A)| through |S_B - S n_B / n|."""
+    pooled = np.concatenate([va, vb])
+    na = va.size
+    centre = pooled.sum() * vb.size / pooled.size
+    return (
+        lambda idx: np.abs(pooled[idx[..., na:]].sum(axis=-1) - centre),
+        _tie_tolerance(pooled.size, float(np.abs(pooled).sum())),
+    )
+
+
+def pairwise_diffs_by_metric(
+    groups_by_metric: Mapping[str, Mapping[str, Sequence[float]]],
+    *,
+    n_permutations: int = 10000,
+    seed: int = 0,
+) -> dict[str, list[PairwiseDiff]]:
+    """pairwise_diffs of each metric's groups, sharing the permutation draws.
+
+    Families are formed as in anova_f_by_metric. Each family draws one
+    stream, seeded with seed, that runs through its pairs in order; each
+    pair's permutations are evaluated on every member metric. p-values and
+    the BH adjustment stay per metric, so each result equals
+    pairwise_diffs(groups_by_metric[metric], n_permutations=..., seed=seed).
+    """
+    samples = {metric: _as_groups(groups) for metric, groups in groups_by_metric.items()}
+    results: dict[str, list[PairwiseDiff]] = {}
+    for family in _families(samples):
+        labels = sorted(samples[family[0]].labels)
+        rng = np.random.default_rng(seed)
+        rows: dict[str, list[tuple[str, str, float, float]]] = {metric: [] for metric in family}
+        for i, a in enumerate(labels):
+            for b in labels[i + 1 :]:
+                pairs = [(samples[metric].groups[a], samples[metric].groups[b]) for metric in family]
+                statistics, tols = zip(*(_pair_statistic(va, vb) for va, vb in pairs))
+                hits = _permutation_hits_each(
+                    pairs[0][0].size + pairs[0][1].size, statistics, tols, n_permutations, rng
+                )
+                for metric, (va, vb), h in zip(family, pairs, hits):
+                    delta = float(vb.mean() - va.mean())
+                    rows[metric].append((a, b, delta, (1 + h) / (1 + n_permutations)))
+        for metric, metric_rows in rows.items():
+            adjusted = bh_adjust([r[3] for r in metric_rows])
+            results[metric] = [
+                PairwiseDiff(group_a=a, group_b=b, delta=d, p_value=p, p_adjusted=adj)
+                for (a, b, d, p), adj in zip(metric_rows, adjusted)
+            ]
+    return {metric: results[metric] for metric in samples}
+
+
 def pairwise_diffs(groups, *, n_permutations: int = 10000, seed: int = 0) -> list[PairwiseDiff]:
     """All unordered pair mean differences with permutation + BH inference.
 
@@ -187,31 +296,7 @@ def pairwise_diffs(groups, *, n_permutations: int = 10000, seed: int = 0) -> lis
     two-sided permutation p-values, ranked through the equivalent
     |S_B - S n_B / n|, are BH-adjusted across the pair family.
     """
-    gs = _as_groups(groups)
-    labels = sorted(gs.labels)
-    results: list[tuple[str, str, float, float]] = []
-    rng = np.random.default_rng(seed)
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            va = gs.groups[a]
-            vb = gs.groups[b]
-            delta = float(vb.mean() - va.mean())
-            pooled = np.concatenate([va, vb])
-            na = va.size
-            centre = pooled.sum() * vb.size / pooled.size
-            hits = _permutation_hits(
-                pooled.size,
-                lambda idx: np.abs(pooled[idx[..., na:]].sum(axis=-1) - centre),
-                _tie_tolerance(pooled.size, float(np.abs(pooled).sum())),
-                n_permutations,
-                rng,
-            )
-            results.append((a, b, delta, (1 + hits) / (1 + n_permutations)))
-    adjusted = bh_adjust([r[3] for r in results])
-    return [
-        PairwiseDiff(group_a=a, group_b=b, delta=d, p_value=p, p_adjusted=adj)
-        for (a, b, d, p), adj in zip(results, adjusted)
-    ]
+    return pairwise_diffs_by_metric({"": groups}, n_permutations=n_permutations, seed=seed)[""]
 
 
 @dataclass(frozen=True)

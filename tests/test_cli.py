@@ -165,6 +165,36 @@ def test_run_config_with_invalid_ga_value_is_input_error(tmp_path, capsys, ga, f
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("page_size", 0), ("page_size", -3), ("rounds", -1), ("sessions_per_condition", 1.5),
+     ("agents_per_session", 8.0)],
+)
+def test_run_config_with_invalid_size_is_input_error(tmp_path, capsys, key, value):
+    # a random-only run of one small session, so a missing check finishes quickly
+    config = tmp_path / "config.json"
+    sizes = {"sessions_per_condition": 1, "agents_per_session": 8, key: value}
+    config.write_text(json.dumps({"conditions": ["random"], **sizes}))
+    code, stdout, stderr = _run(capsys, "run", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert stdout == ""
+    (line,) = stderr.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "input"
+    assert key in error["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_recommend_page_size_zero_is_input_error(pop_file, capsys):
+    code, _, stderr = _run(
+        capsys,
+        "recommend", "--population", str(pop_file), "--searcher", "p0001",
+        "--criterion", "same_gender=2", "--criterion", "similar_age=1", "--page-size", "0",
+    )
+    assert code == 3
+    assert "page_size" in json.loads(stderr)["message"]
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_run")

@@ -100,6 +100,20 @@ class TestCoefficientOfVariation:
     def test_zero_mean_rejected(self):
         with pytest.raises(ValueError, match="undefined CV"):
             coefficient_of_variation([-1, 1])
+        # zero when added left to right, 1.0 when summed exactly
+        with pytest.raises(ValueError, match="undefined CV"):
+            coefficient_of_variation([1e16, 1.0, -1e16])
+
+    def test_sums_left_to_right(self):
+        # math.fsum rounds once, and sum() compensates float rounding since
+        # Python 3.12; the definition adds left to right on every version
+        values = [0.1, 0.2, 0.3]
+        assert (0.1 + 0.2) + 0.3 != math.fsum(values)
+        mean = ((0.1 + 0.2) + 0.3) / 3
+        squares = ((0.1 - mean) ** 2 + (0.2 - mean) ** 2) + (0.3 - mean) ** 2
+        expected = math.sqrt(squares / 3) / mean
+        assert expected == 0.4082482904638629
+        assert coefficient_of_variation(values) == expected
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -1,20 +1,25 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import teamsim.stats
 from teamsim.agents import ChoiceModelParams, simulate_exposures
 from teamsim.experiment import (
+    REPORT_METRICS,
     AuditError,
     ExperimentConfig,
     choice_audit,
     load_exposure_rows,
     regenerate_team_rows,
     run_experiment,
+    stats_tables,
 )
 from teamsim.optimizer import GaConfig
+from teamsim.stats import PERMUTATION_BLOCK, anova_f, pairwise_diffs
 
 
 def _tiny_config(**overrides) -> ExperimentConfig:
@@ -42,6 +47,29 @@ class TestConfig:
             ExperimentConfig(agents_per_session=7)
         with pytest.raises(ValueError):
             ExperimentConfig(team_size=5)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sessions_per_condition", 2.0),
+            ("agents_per_session", 16.5),
+            ("rounds", -1),
+            ("rounds", 0),
+            ("rounds", 2.0),
+            ("seed", -1),
+            ("team_size", 3.0),
+            ("page_size", 0),
+            ("page_size", -3),
+            ("page_size", True),
+            ("workers", 1.0),
+        ],
+    )
+    def test_sizes_must_be_integers_in_range(self, key, value):
+        # refused on construction, before any session runs
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            ExperimentConfig(**{key: value})
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            ExperimentConfig.from_dict({key: value})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys: sessions, workerz$"):
@@ -74,6 +102,63 @@ class TestConfig:
 @pytest.fixture(scope="module")
 def tiny_report():
     return run_experiment(_tiny_config())
+
+
+class TestStatsTables:
+    def test_families_share_draws_only_with_equal_labels_and_sizes(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        three, five = (rng.integers(0, 3, size=k) / 4.0 for k in (3, 5))
+        tables = {
+            "base": {"a": three, "b": five},
+            "same": {"a": 1.0 - three, "b": five * 2.0},  # shares base's draws
+            "swapped_sizes": {"a": five, "b": three},  # same n, sizes reversed
+            "swapped_labels": {"b": three, "a": five},  # base's sizes, labels reversed
+            "other_labels": {"a": three, "c": five},
+            "one_group": {"a": three},  # skipped
+        }
+        calls = []
+        each = teamsim.stats._permutation_hits_each
+
+        def recording(n, statistics, tols, n_permutations, rng):
+            calls.append((n, len(statistics)))
+            return each(n, statistics, tols, n_permutations, rng)
+
+        monkeypatch.setattr(teamsim.stats, "_permutation_hits_each", recording)
+        anova_rows, pairwise_rows = stats_tables(tables, seed=5)
+        # one ANOVA and one pairwise stream per family; base and same share both
+        assert calls == [(8, 2), (8, 1), (8, 1), (8, 1)] * 2
+        monkeypatch.undo()
+
+        tested = [m for m in tables if m != "one_group"]
+        assert [r["metric"] for r in anova_rows] == tested
+        assert [r["metric"] for r in pairwise_rows] == tested
+        for row, metric in zip(anova_rows, tested):
+            alone = anova_f(tables[metric], seed=5)
+            assert (row["f_stat"], row["p_value"]) == (alone.f_stat, alone.p_value)
+        for row, metric in zip(pairwise_rows, tested):
+            (alone,) = pairwise_diffs(tables[metric], seed=5)
+            assert (row["group_a"], row["group_b"]) == (alone.group_a, alone.group_b)
+            assert (row["delta"], row["p_value"], row["p_adjusted"]) == (
+                alone.delta,
+                alone.p_value,
+                alone.p_adjusted,
+            )
+
+    def test_memory_stays_at_one_metric_per_block(self):
+        # 1,280 teams in 4 conditions and all seven metrics: gathering every
+        # metric of a block at once would hold 7 value blocks
+        rng = np.random.default_rng(9)
+        tables = {
+            metric: {f"c{g}": rng.random(320) for g in range(4)} for metric in REPORT_METRICS
+        }
+        one_block = PERMUTATION_BLOCK * 1280 * 8  # indices and values are 8 bytes each
+        tracemalloc.start()
+        try:
+            stats_tables(tables, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (one_block + one_block)
 
 
 class TestRunExperiment:

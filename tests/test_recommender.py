@@ -255,6 +255,21 @@ class TestRankCandidates:
         )
         assert [r.rank for r in page2] == [r.rank for r in full[10:20]]
 
+    @pytest.mark.parametrize("page_size", [0, -3, 2.0])
+    def test_page_size_below_one_refused(self, page_size):
+        pop, lookup = self._pool()
+        query = _query(
+            Criterion(kind="same_gender", importance=2),
+            Criterion(kind="similar_age", importance=2),
+            searcher=pop[0].id,
+        )
+        for page in (1, None):
+            with pytest.raises(ValueError, match="page_size"):
+                rank_candidates(
+                    query, [p.id for p in pop], lookup=lookup, mode="fit_only",
+                    page=page, page_size=page_size,
+                )
+
     def test_never_recommends_overfull_merge(self):
         pop, lookup = self._pool(12)
         ids = [p.id for p in pop]

@@ -15,10 +15,12 @@ from teamsim.stats import (
     _permutation_hits,
     _square_sums,
     anova_f,
+    anova_f_by_metric,
     bh_adjust,
     chi2_independence,
     logistic_fit,
     pairwise_diffs,
+    pairwise_diffs_by_metric,
 )
 
 EPS = np.finfo(float).eps
@@ -316,6 +318,51 @@ class TestPairwise:
         d = pairwise_diffs(groups, n_permutations=2000, seed=3)[0]
         assert d.p_adjusted < 0.05
         assert d.delta > 0
+
+
+_TIE_VALUES = st.sampled_from([0.0, 0.375, 0.5, 0.625])
+
+
+@st.composite
+def _metric_tables(draw):
+    """1-7 metrics of tie-heavy values over 2-4 groups; most share one size
+    vector, and some draw their own."""
+    n_groups = draw(st.integers(2, 4))
+    shared = draw(st.lists(st.integers(1, 30), min_size=n_groups, max_size=n_groups))
+    tables = {}
+    for m in range(draw(st.integers(1, 7))):
+        sizes = shared
+        if draw(st.integers(0, 3)) == 0:
+            sizes = draw(st.lists(st.integers(1, 30), min_size=n_groups, max_size=n_groups))
+        tables[f"m{m}"] = {
+            f"g{i}": np.array(draw(st.lists(_TIE_VALUES, min_size=size, max_size=size)))
+            for i, size in enumerate(sizes)
+        }
+    return tables
+
+
+class TestSharedStream:
+    @settings(max_examples=50, deadline=None)
+    @given(_metric_tables(), st.sampled_from([1, 999, 1000, 1001]), st.integers(0, 2**32 - 1))
+    def test_equals_separate_calls(self, tables, n_permutations, seed):
+        anovas = anova_f_by_metric(tables, n_permutations=n_permutations, seed=seed)
+        diffs = pairwise_diffs_by_metric(tables, n_permutations=n_permutations, seed=seed)
+        assert list(anovas) == list(diffs) == list(tables)
+        for metric, groups in tables.items():
+            # dataclass equality: f_stat, p_value, delta and p_adjusted compare with ==
+            assert anovas[metric] == anova_f(groups, n_permutations=n_permutations, seed=seed)
+            assert diffs[metric] == pairwise_diffs(groups, n_permutations=n_permutations, seed=seed)
+
+    def test_empty_mapping(self):
+        assert anova_f_by_metric({}) == {}
+        assert pairwise_diffs_by_metric({}) == {}
+
+    def test_bad_metric_refused(self):
+        tables = {"ok": {"a": [1.0, 2.0], "b": [2.0, 3.0]}, "bad": {"a": [1.0, math.nan], "b": [2.0]}}
+        with pytest.raises(ValueError, match="non-finite"):
+            anova_f_by_metric(tables, n_permutations=10)
+        with pytest.raises(ValueError, match="non-finite"):
+            pairwise_diffs_by_metric(tables, n_permutations=10)
 
 
 class TestChi2:
