@@ -15,9 +15,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import DEFAULT_SCHEMA, NUM_SKILLS, TEAM_SIZE, AttributeSchema, Participant
+from .core import DEFAULT_SCHEMA, NUM_SKILLS, AttributeSchema, Participant
 from .protocol import AssemblyState
 from .recommender import DEMOGRAPHIC_KINDS, Criterion, Query, rank_candidates
+
+# The choice model's fixed effects, in design-matrix column order.
+FIXED_EFFECTS = ("intercept", "rank", "same_gender", "diversity", "treatment", "interaction")
 
 
 @dataclass(frozen=True)
@@ -37,14 +40,7 @@ class ChoiceModelParams:
             raise ValueError("random_intercept_variance must be >= 0")
 
     def named_fixed_effects(self) -> dict[str, float]:
-        return {
-            "intercept": self.intercept,
-            "rank": self.rank,
-            "same_gender": self.same_gender,
-            "diversity": self.diversity,
-            "treatment": self.treatment,
-            "interaction": self.interaction,
-        }
+        return {name: getattr(self, name) for name in FIXED_EFFECTS}
 
 
 @dataclass(frozen=True)
@@ -145,19 +141,38 @@ def choice_probability(
     u: float = 0.0,
 ) -> float:
     """Invitation probability for one standardized recommendation."""
-    eta = (
-        params.intercept
-        + params.rank * rank_z
-        + params.same_gender * same_gender
-        + params.diversity * diversity_z
-        + params.treatment * treatment
-        + params.interaction * diversity_z * treatment
-        + u
-    )
+    eta = linear_predictor(params, rank_z, same_gender, diversity_z, treatment, u)
     if eta >= 0:
         return 1.0 / (1.0 + math.exp(-eta))
     e = math.exp(eta)
     return e / (1.0 + e)
+
+
+def _predictors(rank_z, same_gender, diversity_z, treatment) -> tuple:
+    """The columns of FIXED_EFFECTS after the intercept; floats or arrays."""
+    return (rank_z, same_gender, diversity_z, treatment, diversity_z * treatment)
+
+
+def linear_predictor(params: ChoiceModelParams, rank_z, same_gender, diversity_z, treatment, u=0.0):
+    """The choice model's log-odds, summed left to right in FIXED_EFFECTS
+    order, plus the searcher's random intercept u; works on floats and on
+    arrays alike. Spelled out rather than looped: it runs once per exposure."""
+    rank, same, div, treat, inter = _predictors(rank_z, same_gender, diversity_z, treatment)
+    return (
+        params.intercept
+        + params.rank * rank
+        + params.same_gender * same
+        + params.diversity * div
+        + params.treatment * treat
+        + params.interaction * inter
+        + u
+    )
+
+
+def design_matrix(rank_z, same_gender, diversity_z, treatment) -> np.ndarray:
+    """One row per exposure, one column per name in FIXED_EFFECTS."""
+    columns = _predictors(rank_z, same_gender, diversity_z, treatment)
+    return np.column_stack([np.ones(len(rank_z)), *columns])
 
 
 def gen_query(searcher_id: str, policy: AgentPolicy, rng: np.random.Generator) -> Query:
@@ -202,17 +217,17 @@ def agent_step(
     rng: np.random.Generator,
     schema: AttributeSchema = DEFAULT_SCHEMA,
     page_size: int = 10,
-    team_size: int = TEAM_SIZE,
 ) -> list[Exposure]:
     """One search-and-invite turn for an agent.
 
     Walks the first recommendation page in rank order and invites the
     first candidate whose choice-model draw succeeds; recipients then
     answer immediately with per-member acceptance draws. Agents whose
-    group is already full do nothing. Returns the walked exposures.
+    group already holds the state's team_size do nothing. Returns the
+    walked exposures.
     """
     group = state.group_of(agent_id)
-    if len(group) >= team_size:
+    if len(group) >= state.team_size:
         return []
     query = gen_query(agent_id, policy, rng)
     state.record_query(agent_id, query_payload(query))
@@ -224,7 +239,7 @@ def agent_step(
         searcher_team=group,
         team_of=state.group_of,
         schema=schema,
-        team_size=team_size,
+        team_size=state.team_size,
         page=1,
         page_size=page_size,
     )
@@ -290,16 +305,7 @@ class ExposureBatch:
     selected: np.ndarray
 
     def design_matrix(self) -> np.ndarray:
-        return np.column_stack(
-            [
-                np.ones(len(self.selected)),
-                self.rank_z,
-                self.same_gender,
-                self.diversity_z,
-                self.treatment,
-                self.diversity_z * self.treatment,
-            ]
-        )
+        return design_matrix(self.rank_z, self.same_gender, self.diversity_z, self.treatment)
 
 
 def simulate_exposures(
@@ -331,16 +337,7 @@ def simulate_exposures(
     rank_z = (raw_rank - raw_rank.mean()) / raw_rank.std()
     div_z = (raw_div - raw_div.mean()) / raw_div.std()
     treatment = treat_by_searcher[searcher]
-    u = u_by_searcher[searcher]
-    eta = (
-        params.intercept
-        + params.rank * rank_z
-        + params.same_gender * same_gender
-        + params.diversity * div_z
-        + params.treatment * treatment
-        + params.interaction * div_z * treatment
-        + u
-    )
+    eta = linear_predictor(params, rank_z, same_gender, div_z, treatment, u_by_searcher[searcher])
     p = 1.0 / (1.0 + np.exp(-eta))
     selected = (rng.random(n) < p).astype(int)
     return ExposureBatch(

@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exposures", required=True, help="exposures.csv or a run directory")
     p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("replay", help="validate an event log against the invariant suite")
+    p = sub.add_parser("replay", help="validate an event log against the assembly rules")
     p.add_argument("--events", required=True)
     p.set_defaults(func=_cmd_replay)
 

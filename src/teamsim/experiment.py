@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .agents import AgentPolicy, ChoiceModelParams
+from .agents import FIXED_EFFECTS, AgentPolicy, ChoiceModelParams, design_matrix
 from .core import (
     GENDERS,
     RACES,
@@ -52,7 +52,6 @@ REPORT_METRICS = (
 ANOVA_COLUMNS = ("metric", "f_stat", "p_value")
 PAIRWISE_COLUMNS = ("metric", "group_a", "group_b", "delta", "p_value", "p_adjusted")
 
-AUDIT_COLUMNS = ("intercept", "rank", "same_gender", "diversity", "treatment", "interaction")
 MIN_EXPOSURES_PER_COEFFICIENT = 50
 
 
@@ -541,28 +540,18 @@ def choice_audit(
     producing a singular fit.
     """
     n = len(exposure_rows)
-    needed = min_per_coefficient * len(AUDIT_COLUMNS)
+    needed = min_per_coefficient * len(FIXED_EFFECTS)
     if n < needed:
         raise AuditError(
             f"need at least {needed} exposures ({min_per_coefficient} per coefficient), got {n}; "
             "run more or longer agency sessions"
         )
-    rank_z = np.asarray([float(r["rank_z"]) for r in exposure_rows])
-    same_gender = np.asarray([float(r["same_gender"]) for r in exposure_rows])
-    div_z = np.asarray([float(r["diversity_z"]) for r in exposure_rows])
-    treatment = np.asarray([float(r["treatment"]) for r in exposure_rows])
-    y = np.asarray([float(r["selected"]) for r in exposure_rows])
-    columns = {
-        "intercept": np.ones(n),
-        "rank": rank_z,
-        "same_gender": same_gender,
-        "diversity": div_z,
-        "treatment": treatment,
-        "interaction": div_z * treatment,
-    }
+    inputs = ("rank_z", "same_gender", "diversity_z", "treatment", "selected")
+    *predictors, y = (np.asarray([float(r[c]) for r in exposure_rows]) for c in inputs)
+    columns = dict(zip(FIXED_EFFECTS, design_matrix(*predictors).T))
     warnings = []
     kept = ["intercept"]
-    for name in AUDIT_COLUMNS[1:]:
+    for name in FIXED_EFFECTS[1:]:
         if np.ptp(columns[name]) == 0.0:
             warnings.append(f"dropped constant column {name!r}")
         else:

@@ -3,12 +3,16 @@
 Participants start as singleton groups and grow by invitation: an
 invitation goes to one target and snapshots both groups; the merge
 happens only when every recipient-group member accepts, and never
-produces a group larger than four. Membership changes void any open
+produces a group larger than the team size that the session passes to
+AssemblyState (default TEAM_SIZE). Membership changes void any open
 invitation whose snapshots went stale.
 
-All mutations are event-sourced: commands validate, emit events, and
-apply them through one dispatcher, so replaying a log reproduces the
-final state exactly.
+All mutations are event-sourced: commands emit events and apply them
+through one dispatcher, _apply, which checks each event against every
+assembly rule before it changes anything. Replay goes through the same
+dispatcher, so it refuses a log at its first rule-breaking event and
+reproduces the final state of a valid one exactly. Logs do not record
+the team size, so replay caps groups at TEAM_SIZE.
 """
 
 from __future__ import annotations
@@ -19,23 +23,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TEAM_SIZE, Partition
+from .core import TEAM_SIZE, Partition, _check_team_size
 
-EVENT_KINDS = (
-    "query_issued",
-    "recommendations_shown",
-    "invitation_sent",
-    "response_recorded",
-    "groups_merged",
-    "member_left",
-    "deadline_fill",
-)
 RESPONSES = ("accepted", "declined", "ignored")
 LOG_SCHEMA = "teamsim.assembly-log.v1"
 
 
 class AssemblyError(ValueError):
-    """A command that violates the assembly rules."""
+    """A command or logged event that violates the assembly rules."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise AssemblyError(message)
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,8 @@ class Event:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Event":
+        if not isinstance(d, dict) or not isinstance(d.get("payload"), dict):
+            raise ValueError(f"an event must be a JSON object with an object payload: {d!r}")
         return cls(round=int(d["round"]), kind=d["kind"], payload=d["payload"])
 
 
@@ -63,26 +65,29 @@ class Invitation:
 
 
 class AssemblyState:
-    """Single-writer assembly session state."""
+    """Single-writer assembly session state; groups hold at most team_size."""
 
-    def __init__(self, member_ids: Iterable[str]):
+    def __init__(self, member_ids: Iterable[str], team_size: int = TEAM_SIZE):
+        _check_team_size(team_size)
         members = list(member_ids)
         if len(set(members)) != len(members):
             raise ValueError("duplicate member ids")
         if not members:
             raise ValueError("empty session")
         self.members: tuple[str, ...] = tuple(members)
+        self.team_size = team_size
         self._groups: dict[str, tuple[str, ...]] = {m: (m,) for m in members}
         self._group_key: dict[str, str] = {m: m for m in members}
         self.invitations: dict[str, Invitation] = {}
         self.round: int = 0
         self.event_log: list[Event] = []
         self._inv_seq: int = 0
+        self._merges: int = 0
 
     # -- read side ---------------------------------------------------------
 
     def group_of(self, member_id: str) -> tuple[str, ...]:
-        if member_id not in self._group_key:
+        if member_id not in self._group_key:  # not _require: called once per candidate
             raise AssemblyError(f"unknown member {member_id!r}")
         return self._groups[self._group_key[member_id]]
 
@@ -93,7 +98,7 @@ class AssemblyState:
         return [inv for inv in self.invitations.values() if inv.status == "open"]
 
     def merged_count(self) -> int:
-        return sum(1 for e in self.event_log if e.kind == "groups_merged")
+        return self._merges
 
     # -- commands ----------------------------------------------------------
 
@@ -102,20 +107,16 @@ class AssemblyState:
         return self.round
 
     def record_query(self, searcher_id: str, query_payload: dict) -> None:
-        self.group_of(searcher_id)
         self._emit("query_issued", {"searcher_id": searcher_id, "query": query_payload})
 
     def record_recommendations(self, searcher_id: str, shown: list[dict]) -> None:
-        self.group_of(searcher_id)
         self._emit("recommendations_shown", {"searcher_id": searcher_id, "shown": shown})
 
     def send_invitation(self, sender_id: str, target_id: str) -> str:
+        """Invite the target's group to merge with the sender's. An open
+        invitation between the same two groups is returned instead."""
         sender_group = self.group_of(sender_id)
         recipient_group = self.group_of(target_id)
-        if sender_group == recipient_group:
-            raise AssemblyError("already teammates")
-        if len(sender_group) + len(recipient_group) > TEAM_SIZE:
-            raise AssemblyError("merge would exceed team size")
         pair = frozenset((sender_group, recipient_group))
         for inv in self.invitations.values():
             if inv.status == "open" and frozenset((inv.sender_group, inv.recipient_group)) == pair:
@@ -134,22 +135,14 @@ class AssemblyState:
         return inv_id
 
     def respond(self, invitation_id: str, member_id: str, response: str) -> None:
-        if response not in RESPONSES:
-            raise ValueError(f"unknown response {response!r}")
-        inv = self.invitations.get(invitation_id)
-        if inv is None:
-            raise AssemblyError(f"unknown invitation {invitation_id!r}")
-        if inv.status != "open":
-            raise AssemblyError(f"invitation {invitation_id!r} is {inv.status}, not open")
-        if inv.responses.get(member_id) != "pending":
-            raise AssemblyError(f"{member_id!r} has no pending response on {invitation_id!r}")
+        """Record one recipient's answer; the last acceptance merges the groups."""
         self._emit(
             "response_recorded",
             {"invitation_id": invitation_id, "member_id": member_id, "response": response},
         )
         inv = self.invitations[invitation_id]
         if inv.status == "open" and all(r == "accepted" for r in inv.responses.values()):
-            merged = sorted(set(inv.sender_group) | set(inv.recipient_group))
+            merged = sorted(inv.sender_group + inv.recipient_group)
             self._emit("groups_merged", {"invitation_id": invitation_id, "members": merged})
 
     def leave_group(self, member_id: str) -> None:
@@ -158,27 +151,21 @@ class AssemblyState:
             return
         self._emit("member_left", {"member_id": member_id, "old_group": list(group)})
 
-    def finalize(self, rng: np.random.Generator, team_size: int = TEAM_SIZE) -> Partition:
+    def finalize(self, rng: np.random.Generator) -> Partition:
         """Expire open invitations, keep full groups, randomly pack the rest.
 
-        Members of groups below team_size are pooled and shuffled into
-        fresh teams of team_size; the leftover become solos. The packing
-        is recorded in the deadline_fill event, so replay needs no rng.
+        Members of groups below the state's team_size (set at construction)
+        are pooled and shuffled into fresh teams of team_size; the leftover
+        become solos. The packing is recorded in the deadline_fill event, so
+        replay needs no rng.
         """
-        full = [g for g in self.groups() if len(g) == team_size]
-        pool: list[str] = []
-        for g in self.groups():
-            if len(g) < team_size:
-                pool.extend(g)
-        pool.sort()
+        size = self.team_size
+        full = [list(g) for g in self.groups() if len(g) == size]
+        pool = sorted(m for g in self.groups() if len(g) < size for m in g)
         shuffled = [pool[i] for i in rng.permutation(len(pool))] if pool else []
-        packed = [
-            shuffled[i * team_size : (i + 1) * team_size]
-            for i in range(len(shuffled) // team_size)
-        ]
-        solos = shuffled[(len(shuffled) // team_size) * team_size :]
-        teams = [list(g) for g in full] + packed
-        self._emit("deadline_fill", {"teams": teams, "solos": sorted(solos)})
+        cut = len(shuffled) // size * size
+        packed = [shuffled[i : i + size] for i in range(0, cut, size)]
+        self._emit("deadline_fill", {"teams": full + packed, "solos": sorted(shuffled[cut:])})
         return self.partition()
 
     def partition(self) -> Partition:
@@ -196,66 +183,99 @@ class AssemblyState:
         self.event_log.append(event)
 
     def _apply(self, event: Event) -> None:
-        kind = event.kind
-        if kind == "invitation_sent":
-            p = event.payload
-            inv = Invitation(
-                id=p["invitation_id"],
-                sender_id=p["sender_id"],
-                sender_group=tuple(p["sender_group"]),
-                recipient_group=tuple(p["recipient_group"]),
-                responses={m: "pending" for m in p["recipient_group"]},
+        """Check one event against the assembly rules, then apply it.
+
+        This is the only place the rules live, so commands and replay
+        enforce the same set. A refused event raises AssemblyError (or
+        ValueError for an unknown kind or response) before any change.
+        """
+        kind, p = event.kind, event.payload
+        if kind in ("query_issued", "recommendations_shown"):
+            self.group_of(p["searcher_id"])
+        elif kind == "invitation_sent":
+            inv_id = f"inv-{self._inv_seq + 1:05d}"
+            _require(p["invitation_id"] == inv_id, f"invitation id is not the next, {inv_id!r}")
+            sender_group = self.group_of(p["sender_id"])
+            recipient_group = self.group_of(p["target_id"])
+            _require(sender_group != recipient_group, "already teammates")
+            _require(
+                len(sender_group) + len(recipient_group) <= self.team_size,
+                "merge would exceed team size",
             )
-            self.invitations[inv.id] = inv
-            self._inv_seq = max(self._inv_seq, int(inv.id.split("-")[1]))
+            _require(
+                tuple(p["sender_group"]) == sender_group
+                and tuple(p["recipient_group"]) == recipient_group,
+                f"snapshots of {inv_id!r} are not the live groups",
+            )
+            self.invitations[inv_id] = Invitation(
+                id=inv_id,
+                sender_id=p["sender_id"],
+                sender_group=sender_group,
+                recipient_group=recipient_group,
+                responses=dict.fromkeys(recipient_group, "pending"),
+            )
+            self._inv_seq += 1
         elif kind == "response_recorded":
-            p = event.payload
-            inv = self.invitations[p["invitation_id"]]
-            inv.responses[p["member_id"]] = p["response"]
+            if p["response"] not in RESPONSES:
+                raise ValueError(f"unknown response {p['response']!r}")
+            inv = self._open_invitation(p["invitation_id"])
+            member = p["member_id"]
+            _require(
+                inv.responses.get(member) == "pending",
+                f"{member!r} has no pending response on {inv.id!r}",
+            )
+            inv.responses[member] = p["response"]
             if p["response"] == "declined":
                 inv.status = "rejected"
         elif kind == "groups_merged":
-            p = event.payload
-            inv = self.invitations[p["invitation_id"]]
+            inv = self._open_invitation(p["invitation_id"])
+            _require(
+                all(r == "accepted" for r in inv.responses.values()),
+                f"{inv.id!r} merged without full acceptance",
+            )
+            members = sorted(inv.sender_group + inv.recipient_group)
+            _require(list(p["members"]) == members, f"merge of {inv.id!r} must join its two groups")
             inv.status = "merged"
-            members = tuple(p["members"])
-            for key in {self._group_key[m] for m in members}:
-                del self._groups[key]
-            new_key = min(members)
-            self._groups[new_key] = members
-            for m in members:
-                self._group_key[m] = new_key
+            del self._groups[inv.sender_group[0]], self._groups[inv.recipient_group[0]]
+            self._set_group(tuple(members))
+            self._merges += 1
             self._void_stale()
         elif kind == "member_left":
-            p = event.payload
             member = p["member_id"]
-            old_key = self._group_key[member]
-            remaining = tuple(m for m in self._groups[old_key] if m != member)
-            del self._groups[old_key]
-            new_key = min(remaining)
-            self._groups[new_key] = remaining
-            for m in remaining:
-                self._group_key[m] = new_key
-            self._groups[member] = (member,)
-            self._group_key[member] = member
+            group = self.group_of(member)
+            _require(len(group) > 1, f"{member!r} is solo and cannot leave")
+            _require(tuple(p["old_group"]) == group, f"old_group of {member!r} is not live")
+            del self._groups[group[0]]
+            self._set_group(tuple(m for m in group if m != member))
+            self._set_group((member,))
             self._void_stale()
         elif kind == "deadline_fill":
-            p = event.payload
-            for inv in self.invitations.values():
-                if inv.status == "open":
-                    inv.status = "expired"
-            self._groups = {}
-            self._group_key = {}
-            for team in p["teams"]:
-                key = min(team)
-                self._groups[key] = tuple(sorted(team))
-                for m in team:
-                    self._group_key[m] = key
-            for solo in p["solos"]:
-                self._groups[solo] = (solo,)
-                self._group_key[solo] = solo
-        elif kind not in EVENT_KINDS:
+            groups = [tuple(sorted(t)) for t in p["teams"]] + [(s,) for s in p["solos"]]
+            placed = sorted(m for g in groups for m in g)
+            _require(placed == sorted(self.members), "deadline fill must place each member once")
+            _require(
+                all(1 <= len(g) <= self.team_size for g in groups),
+                "deadline fill team is empty or exceeds team size",
+            )
+            for inv in self.open_invitations():
+                inv.status = "expired"
+            self._groups, self._group_key = {}, {}
+            for g in groups:
+                self._set_group(g)
+        else:
             raise ValueError(f"unknown event kind {kind!r}")
+
+    def _open_invitation(self, invitation_id: str) -> Invitation:
+        inv = self.invitations.get(invitation_id)
+        _require(inv is not None, f"unknown invitation {invitation_id!r}")
+        _require(inv.status == "open", f"invitation {invitation_id!r} is {inv.status}, not open")
+        return inv
+
+    def _set_group(self, group: tuple[str, ...]) -> None:
+        """Store a sorted, non-empty group under its first (least) member."""
+        self._groups[group[0]] = group
+        for m in group:
+            self._group_key[m] = group[0]
 
     def _void_stale(self) -> None:
         """Void open invitations whose group snapshots no longer exist."""
@@ -269,38 +289,16 @@ class AssemblyState:
     # -- validation and replay ----------------------------------------------
 
     def check_invariants(self) -> None:
-        seen: list[str] = []
+        """Check that the group maps partition the members into groups of
+        1..team_size. The event rules in _apply keep everything else true."""
         for key, group in self._groups.items():
-            if not 1 <= len(group) <= TEAM_SIZE:
+            if not 1 <= len(group) <= self.team_size:
                 raise AssertionError(f"group size out of bounds: {group}")
-            if key != min(group):
-                raise AssertionError(f"group key {key!r} is not the min member")
-            seen.extend(group)
-            for m in group:
-                if self._group_key[m] != key:
-                    raise AssertionError(f"member map out of sync for {m!r}")
-        if sorted(seen) != sorted(self.members):
+            if key != min(group) or any(self._group_key.get(m) != key for m in group):
+                raise AssertionError(f"member map out of sync for group {group}")
+        placed = sum(len(g) for g in self._groups.values())
+        if placed != len(self.members) or self._group_key.keys() != set(self.members):
             raise AssertionError("groups do not partition the members")
-        live = set(self._groups.values())
-        for inv in self.invitations.values():
-            if set(inv.responses) != set(inv.recipient_group):
-                raise AssertionError(f"response keys mismatch on {inv.id}")
-            if inv.status == "open":
-                if inv.sender_group not in live or inv.recipient_group not in live:
-                    raise AssertionError(f"open invitation {inv.id} has stale snapshots")
-                if len(inv.sender_group) + len(inv.recipient_group) > TEAM_SIZE:
-                    raise AssertionError(f"open invitation {inv.id} would overfill a team")
-            if inv.status == "merged" and any(
-                r != "accepted" for r in inv.responses.values()
-            ):
-                raise AssertionError(f"merged invitation {inv.id} without full acceptance")
-        rounds = [e.round for e in self.event_log]
-        if rounds != sorted(rounds):
-            raise AssertionError("event rounds are not monotone")
-        merges_applied = sum(1 for e in self.event_log if e.kind == "groups_merged")
-        merges_status = sum(1 for i in self.invitations.values() if i.status == "merged")
-        if merges_applied != merges_status:
-            raise AssertionError("merged-invitation count disagrees with the log")
 
     def snapshot(self) -> dict:
         """Comparable view of the full state (used by replay tests)."""
@@ -317,15 +315,17 @@ class AssemblyState:
 
 
 def replay(member_ids: Iterable[str], events: Sequence[Event]) -> AssemblyState:
-    """Fold an event log over a fresh state; validates round monotonicity."""
+    """Fold an event log over a fresh state, checking each event with the
+    rules the commands obey; rounds must not decrease. A malformed payload
+    is refused as a rule violation."""
     state = AssemblyState(member_ids)
-    last_round = 0
     for event in events:
-        if event.round < last_round:
-            raise AssemblyError("event rounds must be non-decreasing")
+        _require(event.round >= state.round, "event rounds must be non-decreasing")
         state.round = event.round
-        last_round = event.round
-        state._apply(event)
+        try:
+            state._apply(event)
+        except TypeError as exc:
+            raise AssemblyError(f"malformed {event.kind} event: {exc}") from exc
         state.event_log.append(event)
     return state
 
@@ -345,7 +345,7 @@ def read_log(path) -> tuple[list[str], list[Event]]:
     if not lines:
         raise ValueError(f"empty log file {path}")
     header = json.loads(lines[0])
-    if header.get("schema") != LOG_SCHEMA:
+    if not isinstance(header, dict) or header.get("schema") != LOG_SCHEMA:
         raise ValueError(f"unexpected log schema in {path}")
     events = [Event.from_dict(json.loads(line)) for line in lines[1:]]
     return list(header["members"]), events

@@ -126,7 +126,7 @@ def run_assembly(
     )
     sigma = math.sqrt(params.random_intercept_variance)
     u_by_agent = {pid: float(rng.normal(0.0, sigma)) if sigma > 0 else 0.0 for pid in ids}
-    state = AssemblyState(ids)
+    state = AssemblyState(ids, team_size=team_size)
     exposures: list[Exposure] = []
     for _ in range(rounds):
         state.advance_round()
@@ -145,11 +145,10 @@ def run_assembly(
                     rng=rng,
                     schema=schema,
                     page_size=page_size,
-                    team_size=team_size,
                 )
             )
     state.advance_round()
-    partition = state.finalize(rng, team_size=team_size)
+    partition = state.finalize(rng)
     return state, partition, moments, exposures
 
 

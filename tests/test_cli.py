@@ -5,6 +5,7 @@ import json
 import pytest
 
 from teamsim.cli import main
+from teamsim.protocol import Event, write_log
 
 
 def _run(capsys, *argv):
@@ -286,3 +287,146 @@ class TestRunAnalyzeAuditReplay:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+def _sent(n, sender, target, sender_group, recipient_group):
+    return ("invitation_sent", {
+        "invitation_id": f"inv-{n:05d}", "sender_id": sender, "target_id": target,
+        "sender_group": sender_group, "recipient_group": recipient_group,
+    })
+
+
+def _accepted(n, member):
+    return ("response_recorded", {
+        "invitation_id": f"inv-{n:05d}", "member_id": member, "response": "accepted",
+    })
+
+
+def _merged(n, members):
+    return ("groups_merged", {"invitation_id": f"inv-{n:05d}", "members": members})
+
+
+def _pair(n, a, b):
+    return [_sent(n, a, b, [a], [b]), _accepted(n, b), _merged(n, [a, b])]
+
+
+_QUAD = [  # a01..a04 become one full team through three valid merges
+    *_pair(1, "a01", "a02"),
+    *_pair(2, "a03", "a04"),
+    _sent(3, "a01", "a03", ["a01", "a02"], ["a03", "a04"]),
+    _accepted(3, "a03"),
+    _accepted(3, "a04"),
+    _merged(3, ["a01", "a02", "a03", "a04"]),
+]
+
+# Each log breaks one assembly rule at its last valid-looking step.
+_BAD_LOGS = {
+    "oversized_merge": (
+        [
+            *_pair(1, "a00", "a01"),
+            _sent(2, "a00", "a02", ["a00", "a01"], ["a02"]),
+            _accepted(2, "a02"),
+            _merged(2, ["a00", "a01", "a02"]),
+            *_pair(3, "a03", "a04"),
+            _sent(4, "a00", "a03", ["a00", "a01", "a02"], ["a03", "a04"]),
+            _accepted(4, "a03"),
+            _accepted(4, "a04"),
+            _merged(4, ["a00", "a01", "a02", "a03", "a04"]),
+        ],
+        "exceed team size",
+    ),
+    "merge_without_acceptance": (
+        [_sent(1, "a00", "a01", ["a00"], ["a01"]), _merged(1, ["a00", "a01"])],
+        "without full acceptance",
+    ),
+    "merge_not_its_groups": (
+        [
+            _sent(1, "a00", "a01", ["a00"], ["a01"]),
+            _accepted(1, "a01"),
+            _merged(1, ["a00", "a01", "a02"]),
+        ],
+        "join its two groups",
+    ),
+    "stale_snapshot": (
+        [*_pair(1, "a00", "a01"), _sent(2, "a00", "a02", ["a00"], ["a02"])],
+        "not the live groups",
+    ),
+    "solo_leaves": (
+        [("member_left", {"member_id": "a00", "old_group": ["a00"]})],
+        "cannot leave",
+    ),
+    "leave_with_stale_group": (
+        [*_pair(1, "a00", "a01"),
+         ("member_left", {"member_id": "a00", "old_group": ["a00", "a01", "a02"]})],
+        "is not live",
+    ),
+    "fill_oversized_team": (
+        [("deadline_fill", {"teams": [["a00", "a01", "a02", "a03", "a04"]], "solos": ["a05"]})],
+        "exceeds team size",
+    ),
+    "fill_empty_team": (
+        [("deadline_fill", {"teams": [[], ["a00", "a01", "a02", "a03"]], "solos": ["a04", "a05"]})],
+        "empty",
+    ),
+    "fill_drops_members": (
+        [("deadline_fill", {"teams": [["a00", "a01", "a02", "a03"]], "solos": ["a04"]})],
+        "each member once",
+    ),
+    "reanchor": (  # a solo joins a full team, then one member leaves again
+        [
+            *_QUAD,
+            _sent(4, "a00", "a01", ["a00"], ["a01", "a02", "a03", "a04"]),
+            *(_accepted(4, m) for m in ("a01", "a02", "a03", "a04")),
+            _merged(4, ["a00", "a01", "a02", "a03", "a04"]),
+            ("member_left", {"member_id": "a04", "old_group": ["a00", "a01", "a02", "a03", "a04"]}),
+        ],
+        "exceed team size",
+    ),
+}
+
+
+def _write_events(path, events):
+    members = [f"a{i:02d}" for i in range(6)]
+    write_log(path, members, [Event(round=1, kind=kind, payload=p) for kind, p in events])
+    return path
+
+
+def _one_error_line(stderr):
+    lines = stderr.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+class TestReplayRefusesBadLogs:
+    def test_valid_prefix_replays(self, tmp_path, capsys):
+        log = _write_events(tmp_path / "ok.jsonl", _QUAD)
+        code, stdout, _ = _run(capsys, "replay", "--events", str(log))
+        assert code == 0
+        assert json.loads(stdout)["groups"][1] == ["a01", "a02", "a03", "a04"]
+
+    @pytest.mark.parametrize("name", sorted(_BAD_LOGS))
+    def test_rule_breaking_log_exits_3(self, tmp_path, capsys, name):
+        events, message = _BAD_LOGS[name]
+        log = _write_events(tmp_path / f"{name}.jsonl", events)
+        code, stdout, stderr = _run(capsys, "replay", "--events", str(log))
+        assert code == 3
+        assert stdout == ""
+        error = _one_error_line(stderr)
+        assert error["error"] == "protocol"
+        assert message in error["message"]
+
+    @pytest.mark.parametrize(
+        "event, category",
+        [
+            (("invitation_sent", {**_sent(1, "a00", "a01", ["a00"], ["a01"])[1],
+                                  "invitation_id": "x"}), "protocol"),
+            (("member_left", {"member_id": ["a00"], "old_group": ["a00"]}), "protocol"),
+            (("query_issued", ["a00"]), "input"),
+        ],
+        ids=["invitation_id", "unhashable_member", "list_payload"],
+    )
+    def test_malformed_event_exits_3(self, tmp_path, capsys, event, category):
+        log = _write_events(tmp_path / "bad.jsonl", [event])
+        code, stdout, stderr = _run(capsys, "replay", "--events", str(log))
+        assert (code, stdout) == (3, "")
+        assert _one_error_line(stderr)["error"] == category

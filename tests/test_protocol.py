@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from teamsim.protocol import (
     AssemblyError,
@@ -208,6 +214,18 @@ class TestFinalize:
         assert state.invitations[inv_id].status == "expired"
         state.check_invariants()
 
+    def test_team_size_comes_from_the_state(self):
+        state = AssemblyState(_ids(7), team_size=3)
+        _merge(state, "a00", "a01")
+        _merge(state, "a00", "a02")
+        with pytest.raises(AssemblyError, match="exceed team size"):
+            state.send_invitation("a03", "a00")
+        partition = state.finalize(np.random.default_rng(7))
+        assert sorted(len(t.member_ids) for t in partition.teams) == [3, 3]
+        assert len(partition.solos) == 1
+        with pytest.raises(ValueError, match="team_size"):
+            AssemblyState(_ids(7), team_size=5)
+
     def test_never_splits_full_groups(self):
         rng = np.random.default_rng(4)
         for trial in range(10):
@@ -308,3 +326,117 @@ class TestFuzz:
         state.check_invariants()
         replayed = replay(list(state.members), state.event_log)
         assert replayed.snapshot() == state.snapshot()
+
+
+_MACHINE_MEMBERS = _ids(9)
+
+
+class AssemblyMachine(RuleBasedStateMachine):
+    """Random command traffic: every step keeps the invariants, a refused
+    command changes nothing, and the finished log replays to the same state."""
+
+    @initialize(team_size=st.integers(2, 4))
+    def start(self, team_size):
+        self.state = AssemblyState(_MACHINE_MEMBERS, team_size=team_size)
+
+    def _refused(self, command, *args):
+        before = self.state.snapshot()
+        try:
+            command(*args)
+        except AssemblyError:
+            assert self.state.snapshot() == before
+            return True
+        return False
+
+    @rule(a=st.sampled_from(_MACHINE_MEMBERS), b=st.sampled_from(_MACHINE_MEMBERS))
+    def invite(self, a, b):
+        ga, gb = self.state.group_of(a), self.state.group_of(b)
+        refused = self._refused(self.state.send_invitation, a, b)
+        assert refused == (ga == gb or len(ga) + len(gb) > self.state.team_size)
+
+    @rule(pick=st.integers(0, 2**16), response=st.sampled_from(("accepted", "declined", "ignored")))
+    def respond(self, pick, response):
+        invs = list(self.state.invitations.values())
+        if invs:
+            inv = invs[pick % len(invs)]
+            member = inv.recipient_group[pick % len(inv.recipient_group)]
+            closed = inv.status != "open" or inv.responses[member] != "pending"
+            assert self._refused(self.state.respond, inv.id, member, response) == closed
+
+    @rule(member=st.sampled_from(_MACHINE_MEMBERS))
+    def leave(self, member):
+        self.state.leave_group(member)
+
+    @rule()
+    def advance_round(self):
+        self.state.advance_round()
+
+    @invariant()
+    def invariants_hold(self):
+        self.state.check_invariants()
+
+    def teardown(self):
+        self.state.finalize(np.random.default_rng(len(self.state.event_log)))
+        self.state.check_invariants()
+        self.state.partition().validate(_MACHINE_MEMBERS)
+        replayed = replay(_MACHINE_MEMBERS, self.state.event_log)
+        assert replayed.snapshot() == self.state.snapshot()
+
+
+TestAssemblyMachine = AssemblyMachine.TestCase
+TestAssemblyMachine.settings = settings(max_examples=60, stateful_step_count=60, deadline=None)
+
+
+def _real_log() -> tuple[list[str], list[Event]]:
+    members = _ids(9)
+    state = AssemblyState(members)
+    rng = np.random.default_rng(7)
+    _random_walk(state, rng, steps=400)
+    state.finalize(rng)
+    return members, state.event_log
+
+
+_MEMBERS_IN_LOG, _LOG = _real_log()
+_MEMBER_ID = re.compile(r'"a\d\d"')
+
+
+def _mutate(events: list[Event], how: str, i: int, j: int, new_member: str) -> list[Event]:
+    events = list(events)
+    i %= len(events)
+    if how == "drop":
+        del events[i]
+    elif how == "duplicate":
+        events.insert(i, events[i])
+    elif how == "swap":
+        same_round = [k for k, e in enumerate(events) if e.round == events[i].round]
+        k = same_round[j % len(same_round)]
+        events[i], events[k] = events[k], events[i]
+    else:
+        text = json.dumps(events[i].payload)
+        hits = [m.start() for m in _MEMBER_ID.finditer(text)]
+        if hits:
+            at = hits[j % len(hits)]
+            payload = json.loads(text[:at] + json.dumps(new_member) + text[at + 5 :])
+            events[i] = Event(round=events[i].round, kind=events[i].kind, payload=payload)
+    return events
+
+
+class TestMutatedLogs:
+    def test_real_log_replays(self):
+        assert replay(_MEMBERS_IN_LOG, _LOG).snapshot()["events"] == [e.to_dict() for e in _LOG]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(("drop", "duplicate", "swap", "member")),
+        st.integers(0, 2**16),
+        st.integers(0, 2**16),
+        st.sampled_from(_MEMBERS_IN_LOG + ["zz9"]),
+    )
+    def test_replay_refuses_or_accepts_cleanly(self, how, i, j, new_member):
+        events = _mutate(_LOG, how, i, j, new_member)
+        try:
+            state = replay(_MEMBERS_IN_LOG, events)
+        except (AssemblyError, ValueError, KeyError):
+            return
+        state.check_invariants()
+        state.partition().validate(_MEMBERS_IN_LOG)
