@@ -10,7 +10,6 @@ compositions.
 __version__ = "0.1.0"
 
 from .core import (
-    AttributeSchema,
     DiversityProfile,
     Participant,
     Partition,
@@ -33,7 +32,6 @@ __all__ = [
     "AgentPolicy",
     "AssemblyError",
     "AssemblyState",
-    "AttributeSchema",
     "AuditReport",
     "ChoiceModelParams",
     "Criterion",

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import DEFAULT_SCHEMA, NUM_SKILLS, AttributeSchema, Participant
+from .core import NUM_SKILLS, Participant, _is_int
 from .protocol import AssemblyState
 from .recommender import DEMOGRAPHIC_KINDS, Criterion, Query, rank_candidates
 
@@ -60,14 +60,16 @@ class AgentPolicy:
     accept_probability: float = 0.8
 
     def __post_init__(self) -> None:
-        if not self.criteria_counts or any(c < 2 for c in self.criteria_counts):
-            raise ValueError("criteria_counts must contain values >= 2")
+        if not self.criteria_counts or any(not _is_int(c) or c < 2 for c in self.criteria_counts):
+            raise ValueError(f"criteria_counts must contain integers >= 2, got {self.criteria_counts!r}")
         if not 0.0 <= self.skill_criterion_prob <= 1.0:
             raise ValueError("skill_criterion_prob must be in [0, 1]")
         if not 0.0 <= self.accept_probability <= 1.0:
             raise ValueError("accept_probability must be in [0, 1]")
-        if any(i == 0 or not -3 <= i <= 3 for i in self.importance_choices):
-            raise ValueError("importance_choices must be nonzero values in [-3, 3]")
+        if any(not _is_int(i) or i == 0 or not -3 <= i <= 3 for i in self.importance_choices):
+            raise ValueError(
+                f"importance_choices must be nonzero integers in [-3, 3], got {self.importance_choices!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -215,7 +217,6 @@ def agent_step(
     mode: str,
     u: float,
     rng: np.random.Generator,
-    schema: AttributeSchema = DEFAULT_SCHEMA,
     page_size: int = 10,
 ) -> list[Exposure]:
     """One search-and-invite turn for an agent.
@@ -238,7 +239,6 @@ def agent_step(
         mode=mode,
         searcher_team=group,
         team_of=state.group_of,
-        schema=schema,
         team_size=state.team_size,
         page=1,
         page_size=page_size,
@@ -308,30 +308,33 @@ class ExposureBatch:
         return design_matrix(self.rank_z, self.same_gender, self.diversity_z, self.treatment)
 
 
+SIMULATED_PAGE_SIZE = 10
+SIMULATED_SEARCHERS = 200
+
+
 def simulate_exposures(
     params: ChoiceModelParams,
     n: int,
     rng: np.random.Generator,
     *,
-    page_size: int = 10,
     random_intercepts: bool = False,
-    n_searchers: int = 200,
     treatment_share: float = 0.5,
 ) -> ExposureBatch:
     """Draw n independent recommendation exposures straight from the model.
 
-    Raw ranks are uniform over the page, raw diversity uniform on (0, 1);
-    both are standardized against the batch's own moments before entering
-    the linear predictor, mirroring the live pipeline.
+    Raw ranks are uniform over a page of SIMULATED_PAGE_SIZE, raw diversity
+    uniform on (0, 1); both are standardized against the batch's own moments
+    before entering the linear predictor, mirroring the live pipeline. The
+    exposures come from SIMULATED_SEARCHERS searchers.
     """
-    searcher = rng.integers(n_searchers, size=n)
+    searcher = rng.integers(SIMULATED_SEARCHERS, size=n)
     u_by_searcher = (
-        rng.normal(0.0, math.sqrt(params.random_intercept_variance), size=n_searchers)
+        rng.normal(0.0, math.sqrt(params.random_intercept_variance), size=SIMULATED_SEARCHERS)
         if random_intercepts
-        else np.zeros(n_searchers)
+        else np.zeros(SIMULATED_SEARCHERS)
     )
-    treat_by_searcher = (rng.random(n_searchers) < treatment_share).astype(int)
-    raw_rank = rng.integers(1, page_size + 1, size=n).astype(float)
+    treat_by_searcher = (rng.random(SIMULATED_SEARCHERS) < treatment_share).astype(int)
+    raw_rank = rng.integers(1, SIMULATED_PAGE_SIZE + 1, size=n).astype(float)
     raw_div = rng.random(n)
     same_gender = rng.integers(0, 2, size=n)
     rank_z = (raw_rank - raw_rank.mean()) / raw_rank.std()

@@ -5,6 +5,12 @@ squared category shares) and numeric spread with the coefficient of
 variation (population standard deviation over mean). Per-attribute scores
 are normalized to [0, 1] and aggregated into surface-level (demographics)
 and deep-level (skills) scores.
+
+The attribute categories are fixed: each Blau index is divided by its
+maximum 1 - 1/k, where k is the size of the attribute's category set
+(GENDERS, RACES, and two each for Hispanic and international), so the
+normalization does not depend on the population or on any setting. CV
+scores are mapped through cv / (cv + 1).
 """
 
 from __future__ import annotations
@@ -33,9 +39,19 @@ TEAM_SIZE = 4
 _GENDER_INDEX = {g: i for i, g in enumerate(GENDERS)}
 _RACE_INDEX = {r: i for i, r in enumerate(RACES)}
 
+# Maximum Blau index 1 - 1/k of gender, race, Hispanic and international,
+# k being each attribute's category count.
+BLAU_MAX = tuple(1.0 - 1.0 / k for k in (len(GENDERS), len(RACES), 2, 2))
+_BLAU_MAX = np.array(BLAU_MAX)
+AGE_MIN = 18
+# The age span 18..80 over which the similar_age criterion scales age gaps.
+AGE_SPAN = 80 - AGE_MIN
+
 
 def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # The exact-type test spares the slow ABC check on the common case: every
+    # query's criteria pass through here.
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def _check_team_size(team_size: int) -> None:
@@ -65,8 +81,8 @@ class Participant:
             raise ValueError(f"unknown gender {self.gender!r}")
         if self.race not in _RACE_INDEX:
             raise ValueError(f"unknown race {self.race!r}")
-        if not _is_int(self.age) or self.age < 18:
-            raise ValueError(f"age must be an integer >= 18, got {self.age!r}")
+        if not _is_int(self.age) or self.age < AGE_MIN:
+            raise ValueError(f"age must be an integer >= {AGE_MIN}, got {self.age!r}")
         if len(self.skills) != NUM_SKILLS:
             raise ValueError(f"expected {NUM_SKILLS} skills, got {len(self.skills)}")
         if any(not _is_int(s) or not 1 <= s <= 5 for s in self.skills):
@@ -166,36 +182,6 @@ class Partition:
         return hashlib.sha1(repr(self.canonical()).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class AttributeSchema:
-    """Category counts and numeric ranges used to normalize diversity metrics.
-
-    Blau scores are divided by their theoretical maximum 1 - 1/k with k taken
-    from the schema (not the observed team), so normalization is
-    population-independent. CV scores are mapped through cv / (cv + 1).
-    """
-
-    gender_k: int = len(GENDERS)
-    race_k: int = len(RACES)
-    ethnicity_k: int = 2
-    international_k: int = 2
-    age_min: int = 18
-    age_max: int = 80
-
-    def __post_init__(self) -> None:
-        for name in ("gender_k", "race_k", "ethnicity_k", "international_k"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be >= 2")
-        if self.age_max <= self.age_min:
-            raise ValueError("age_max must exceed age_min")
-
-    @property
-    def age_range(self) -> int:
-        return self.age_max - self.age_min
-
-
-DEFAULT_SCHEMA = AttributeSchema()
-
 # Count of normalized metric components in a profile: 4 categorical Blau
 # scores + 1 age CV + 6 skill CVs.
 METRIC_COUNT = 11
@@ -205,8 +191,9 @@ METRIC_COUNT = 11
 class DiversityProfile:
     """Per-attribute diversity of one team plus surface/deep/total aggregates.
 
-    Blau fields are already normalized to [0, 1]; age_cv and skill_cvs are
-    raw coefficients of variation. surface_score sums the five normalized
+    Blau fields are already normalized to [0, 1] by the maxima BLAU_MAX,
+    which come from the category tuples; age_cv and skill_cvs are raw
+    coefficients of variation. surface_score sums the five normalized
     surface components, deep_score averages the six normalized skill
     components, total_score is their sum.
     """
@@ -290,14 +277,13 @@ def _cv_from_values(values: Sequence[float], n: int) -> float:
     return math.sqrt(squares / n) / mean
 
 
-def _row_components(rows: Sequence[tuple], schema: AttributeSchema) -> tuple:
+def _row_components(rows: Sequence[tuple]) -> tuple:
     """(gender_b, race_b, eth_b, intl_b, age_cv, skill_cvs, surface, deep) for coded rows."""
     n = len(rows)
     gender, race, eth, intl, age, *skills = zip(*rows)
-    gender_b = _blau_from_codes(gender, n) / (1.0 - 1.0 / schema.gender_k)
-    race_b = _blau_from_codes(race, n) / (1.0 - 1.0 / schema.race_k)
-    eth_b = _blau_from_codes(eth, n) / (1.0 - 1.0 / schema.ethnicity_k)
-    intl_b = _blau_from_codes(intl, n) / (1.0 - 1.0 / schema.international_k)
+    gender_b, race_b, eth_b, intl_b = (
+        _blau_from_codes(codes, n) / top for codes, top in zip((gender, race, eth, intl), BLAU_MAX)
+    )
     age_cv = _cv_from_values(age, n)
     skill_cvs = tuple(_cv_from_values(values, n) for values in skills)
     surface = gender_b + race_b + eth_b + intl_b + normalize_cv(age_cv)
@@ -308,10 +294,10 @@ def _row_components(rows: Sequence[tuple], schema: AttributeSchema) -> tuple:
     return gender_b, race_b, eth_b, intl_b, age_cv, skill_cvs, surface, deep
 
 
-def profile_for_rows(rows: Sequence[tuple], schema: AttributeSchema = DEFAULT_SCHEMA) -> DiversityProfile:
+def profile_for_rows(rows: Sequence[tuple]) -> DiversityProfile:
     if not rows:
         raise ValueError("empty group")
-    gender_b, race_b, eth_b, intl_b, age_cv, skill_cvs, surface, deep = _row_components(rows, schema)
+    gender_b, race_b, eth_b, intl_b, age_cv, skill_cvs, surface, deep = _row_components(rows)
     return DiversityProfile(
         gender_blau=gender_b,
         race_blau=race_b,
@@ -325,21 +311,17 @@ def profile_for_rows(rows: Sequence[tuple], schema: AttributeSchema = DEFAULT_SC
     )
 
 
-def profile_for_members(
-    members: Sequence[Participant], schema: AttributeSchema = DEFAULT_SCHEMA
-) -> DiversityProfile:
-    return profile_for_rows(attribute_rows(members), schema)
+def profile_for_members(members: Sequence[Participant]) -> DiversityProfile:
+    return profile_for_rows(attribute_rows(members))
 
 
-def surface_deep_rows(
-    rows: Sequence[tuple], idxs: Sequence[int], schema: AttributeSchema = DEFAULT_SCHEMA
-) -> tuple[float, float]:
+def surface_deep_rows(rows: Sequence[tuple], idxs: Sequence[int]) -> tuple[float, float]:
     """(surface_score, deep_score) for the row subset, without building a profile.
 
     rows is the precomputed population attribute table and idxs selects one
     team. The scalar definition that score_teams reproduces in batches.
     """
-    return _row_components([rows[i] for i in idxs], schema)[6:]
+    return _row_components([rows[i] for i in idxs])[6:]
 
 
 def attribute_table(participants: Sequence[Participant]) -> np.ndarray:
@@ -355,9 +337,7 @@ def attribute_table(participants: Sequence[Participant]) -> np.ndarray:
 _MEMBER_PAIRS = {t: np.triu_indices(t, 1) for t in range(1, TEAM_SIZE + 1)}
 
 
-def score_teams(
-    table: np.ndarray, idx: np.ndarray, schema: AttributeSchema = DEFAULT_SCHEMA
-) -> tuple[np.ndarray, np.ndarray]:
+def score_teams(table: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(surface[m], deep[m]) of m teams given as rows of idx[m, t] into an attribute_table.
 
     Bit-identical to surface_deep_rows on each row of idx. A Blau index is
@@ -375,10 +355,7 @@ def score_teams(
     codes = members[:, :, :4]
     first, second = _MEMBER_PAIRS[t]
     equal_pairs = t + 2 * (codes[first] == codes[second]).sum(axis=0)
-    blau_max = np.array(
-        [1.0 - 1.0 / k for k in (schema.gender_k, schema.race_k, schema.ethnicity_k, schema.international_k)]
-    )
-    blaus = (1.0 - equal_pairs / (t * t)) / blau_max  # [m, 4]
+    blaus = (1.0 - equal_pairs / (t * t)) / _BLAU_MAX  # [m, 4]
     values = members[:, :, 4:]  # age and skills, [t, m, 7]
     mean = values.sum(axis=0) / t
     squares = (values - mean) ** 2
@@ -394,18 +371,14 @@ def score_teams(
     return surface, deep / NUM_SKILLS
 
 
-def team_diversity_profile(
-    team: Team,
-    lookup: Mapping[str, Participant],
-    schema: AttributeSchema = DEFAULT_SCHEMA,
-) -> DiversityProfile:
+def team_diversity_profile(team: Team, lookup: Mapping[str, Participant]) -> DiversityProfile:
     """DiversityProfile of a team, resolving members through lookup."""
     members = []
     for mid in team.sorted_ids():
         if mid not in lookup:
             raise ValueError(f"unknown member id {mid!r}")
         members.append(lookup[mid])
-    return profile_for_members(members, schema)
+    return profile_for_members(members)
 
 
 def population_lookup(participants: Sequence[Participant]) -> dict[str, Participant]:

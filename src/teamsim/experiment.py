@@ -24,7 +24,6 @@ from .agents import FIXED_EFFECTS, AgentPolicy, ChoiceModelParams, design_matrix
 from .core import (
     GENDERS,
     RACES,
-    AttributeSchema,
     Participant,
     Partition,
     _is_int,
@@ -74,7 +73,6 @@ class ExperimentConfig:
     policy: AgentPolicy = field(default_factory=AgentPolicy)
     choice_params: ChoiceModelParams = field(default_factory=ChoiceModelParams)
     demographics: DemographicSpec = field(default_factory=DemographicSpec)
-    schema: AttributeSchema = field(default_factory=AttributeSchema)
 
     def __post_init__(self) -> None:
         if not self.conditions:
@@ -116,7 +114,6 @@ class ExperimentConfig:
             ("policy", AgentPolicy),
             ("choice_params", ChoiceModelParams),
             ("demographics", DemographicSpec),
-            ("schema", AttributeSchema),
         ):
             if key not in kwargs:
                 continue
@@ -168,7 +165,6 @@ def _run_one(args: tuple[ExperimentConfig, str, int, int, int]) -> SessionResult
         ga=config.ga,
         policy=config.policy,
         params=config.choice_params,
-        schema=config.schema,
         rounds=config.rounds,
         team_size=config.team_size,
         page_size=config.page_size,
@@ -527,10 +523,7 @@ class AuditReport:
 
 
 def choice_audit(
-    exposure_rows: Sequence[dict],
-    params: ChoiceModelParams = ChoiceModelParams(),
-    *,
-    min_per_coefficient: int = MIN_EXPOSURES_PER_COEFFICIENT,
+    exposure_rows: Sequence[dict], params: ChoiceModelParams = ChoiceModelParams()
 ) -> AuditReport:
     """Fit the invitation model on pooled exposures and compare against the
     generating coefficients.
@@ -540,11 +533,11 @@ def choice_audit(
     producing a singular fit.
     """
     n = len(exposure_rows)
-    needed = min_per_coefficient * len(FIXED_EFFECTS)
+    needed = MIN_EXPOSURES_PER_COEFFICIENT * len(FIXED_EFFECTS)
     if n < needed:
         raise AuditError(
-            f"need at least {needed} exposures ({min_per_coefficient} per coefficient), got {n}; "
-            "run more or longer agency sessions"
+            f"need at least {needed} exposures ({MIN_EXPOSURES_PER_COEFFICIENT} per coefficient), "
+            f"got {n}; run more or longer agency sessions"
         )
     inputs = ("rank_z", "same_gender", "diversity_z", "treatment", "selected")
     *predictors, y = (np.asarray([float(r[c]) for r in exposure_rows]) for c in inputs)
@@ -586,25 +579,16 @@ def regenerate_team_rows(run_dir) -> list[dict]:
 
     Agency sessions are replayed from their event logs; other conditions
     load their persisted partitions. Used to check replay equivalence of
-    the report.
+    the report. Only the manifest's session records are read, so manifests
+    whose config record predates the current config format still work.
     """
     from .population import load_population
     from .protocol import read_log
 
     run_dir = Path(run_dir)
-    manifest_sessions = []
     with open(run_dir / "manifest.jsonl", "r", encoding="utf-8") as fh:
-        config_dict = None
-        for line in fh:
-            record = json.loads(line)
-            if record["kind"] == "session":
-                manifest_sessions.append(record)
-            elif record["kind"] == "config":
-                config_dict = record["config"]
-    if config_dict is None:
-        raise ValueError("manifest missing config record")
-    schema_dict = dict(config_dict["schema"])
-    schema = AttributeSchema(**schema_dict)
+        records = [json.loads(line) for line in fh]
+    manifest_sessions = [r for r in records if r["kind"] == "session"]
 
     sessions = []
     for record in manifest_sessions:
@@ -627,7 +611,7 @@ def regenerate_team_rows(run_dir) -> list[dict]:
                 session_index=record["index"],
                 population=population,
                 partition=partition,
-                profiles=[team_diversity_profile(t, lookup, schema) for t in partition.teams],
+                profiles=[team_diversity_profile(t, lookup) for t in partition.teams],
             )
         )
     return _team_rows(sessions)

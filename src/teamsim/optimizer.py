@@ -19,9 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_SCHEMA,
     TEAM_SIZE,
-    AttributeSchema,
     Participant,
     Partition,
     _check_team_size,
@@ -136,15 +134,11 @@ def random_partition(
     return Partition.build(teams, solos)
 
 
-def objectives(
-    partition: Partition,
-    lookup: Mapping[str, Participant],
-    schema: AttributeSchema = DEFAULT_SCHEMA,
-) -> tuple[float, float]:
+def objectives(partition: Partition, lookup: Mapping[str, Participant]) -> tuple[float, float]:
     """Mean (surface, deep) diversity over teams; solos are excluded."""
     if not partition.teams:
         raise ValueError("partition has no teams")
-    profiles = [team_diversity_profile(team, lookup, schema) for team in partition.teams]
+    profiles = [team_diversity_profile(team, lookup) for team in partition.teams]
     surface, deep = _mean_scores(np.array([(p.surface_score, p.deep_score) for p in profiles]))
     return float(surface), float(deep)
 
@@ -222,7 +216,6 @@ def _draw_proposals(
 def ga_partition(
     population: Sequence[Participant],
     config: GaConfig = GaConfig(),
-    schema: AttributeSchema = DEFAULT_SCHEMA,
     team_size: int = TEAM_SIZE,
 ) -> tuple[ParetoArchive, Partition]:
     """Two-objective genetic partition search.
@@ -258,7 +251,7 @@ def ga_partition(
     orders = np.array([rng.permutation(n) for _ in range(n_climbers)])
     teams = orders[:, : n_teams * team_size].reshape(n_climbers, n_teams, team_size)
     solos = orders[:, n_teams * team_size :]
-    team_scores = np.stack(score_teams(table, teams.reshape(-1, team_size), schema), axis=-1)
+    team_scores = np.stack(score_teams(table, teams.reshape(-1, team_size)), axis=-1)
     team_scores = team_scores.reshape(n_climbers, n_teams, 2)
     scores = _mean_scores(team_scores)
     for c in range(n_climbers):
@@ -277,7 +270,7 @@ def ga_partition(
             moved_i = new_i[climbers, mi]
             new_i[climbers, mi] = new_j[climbers, mj]
             new_j[climbers, mj] = moved_i
-            scored = np.stack(score_teams(table, np.concatenate([new_i, new_j]), schema), axis=-1)
+            scored = np.stack(score_teams(table, np.concatenate([new_i, new_j])), axis=-1)
             trial_team_scores = team_scores.copy()
             trial_team_scores[climbers, ti] = scored[:n_climbers]
             trial_team_scores[climbers, tj] = scored[n_climbers:]
@@ -325,23 +318,23 @@ def _team_splits(idxs: tuple[int, ...], team_size: int):
             yield (team,) + tail
 
 
+BRUTE_FORCE_MAX_POPULATION = 12
+
+
 def brute_force_partition(
-    population: Sequence[Participant],
-    team_size: int = TEAM_SIZE,
-    schema: AttributeSchema = DEFAULT_SCHEMA,
-    max_population: int = 12,
+    population: Sequence[Participant], team_size: int = TEAM_SIZE
 ) -> BruteForceResult:
     """Exhaustive search over all partitions; argmax sets per objective.
 
     Guarded to small populations: 35 splits at n=8 and 5,775 at n=12
-    teams-of-four; anything larger is refused.
+    teams-of-four; anything above BRUTE_FORCE_MAX_POPULATION is refused.
     """
     _check_team_size(team_size)
     n = len(population)
     if n < team_size:
         raise ValueError("population smaller than one team")
-    if n > max_population:
-        raise ValueError(f"population too large for exhaustive search (max {max_population})")
+    if n > BRUTE_FORCE_MAX_POPULATION:
+        raise ValueError(f"population too large for exhaustive search (max {BRUTE_FORCE_MAX_POPULATION})")
     population_lookup(population)  # id uniqueness check
     ids = [p.id for p in population]
     # Every split draws its teams from the same C(n, team_size) member sets,
@@ -349,7 +342,7 @@ def brute_force_partition(
     # those once and look the scores up per split.
     teams = list(itertools.combinations(range(n), team_size))
     team_index = {team: i for i, team in enumerate(teams)}
-    team_scores = np.stack(score_teams(attribute_table(population), np.array(teams), schema), axis=-1)
+    team_scores = np.stack(score_teams(attribute_table(population), np.array(teams)), axis=-1)
 
     splits = []
     for solos in itertools.combinations(range(n), n % team_size):

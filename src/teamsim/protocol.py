@@ -12,7 +12,8 @@ through one dispatcher, _apply, which checks each event against every
 assembly rule before it changes anything. Replay goes through the same
 dispatcher, so it refuses a log at its first rule-breaking event and
 reproduces the final state of a valid one exactly. Logs do not record
-the team size, so replay caps groups at TEAM_SIZE.
+the team size, so replay caps groups at TEAM_SIZE. The deadline fill is
+the last event of a session: nothing is accepted after it.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ class AssemblyState:
         self.event_log: list[Event] = []
         self._inv_seq: int = 0
         self._merges: int = 0
+        self._filled: bool = False
 
     # -- read side ---------------------------------------------------------
 
@@ -190,8 +192,12 @@ class AssemblyState:
         ValueError for an unknown kind or response) before any change.
         """
         kind, p = event.kind, event.payload
-        if kind in ("query_issued", "recommendations_shown"):
+        if self._filled:
+            raise AssemblyError(f"{kind} event after the deadline fill")
+        if kind == "query_issued":
             self.group_of(p["searcher_id"])
+        elif kind == "recommendations_shown":
+            self._check_shown(p["searcher_id"], p["shown"])
         elif kind == "invitation_sent":
             inv_id = f"inv-{self._inv_seq + 1:05d}"
             _require(p["invitation_id"] == inv_id, f"invitation id is not the next, {inv_id!r}")
@@ -262,8 +268,28 @@ class AssemblyState:
             self._groups, self._group_key = {}, {}
             for g in groups:
                 self._set_group(g)
+            self._filled = True
         else:
             raise ValueError(f"unknown event kind {kind!r}")
+
+    def _check_shown(self, searcher_id: str, shown: list[dict]) -> None:
+        """A shown page lists distinct members outside the searcher's group,
+        each in a group that fits the room left, ranked 1..k in order."""
+        group = self.group_of(searcher_id)
+        room = self.team_size - len(group)
+        seen = set()
+        # Not _require: its messages would be formatted for every candidate.
+        for rank, row in enumerate(shown, 1):
+            cid = row["candidate_id"]
+            if row["rank"] != rank:
+                raise AssemblyError(f"shown ranks must run 1..k in order, got {row['rank']!r} at {rank}")
+            if cid in group:
+                raise AssemblyError(f"shown candidate {cid!r} is in the searcher's group")
+            if cid in seen:
+                raise AssemblyError(f"shown candidate {cid!r} repeats")
+            if len(self.group_of(cid)) > room:
+                raise AssemblyError(f"shown candidate {cid!r} has no room to join")
+            seen.add(cid)
 
     def _open_invitation(self, invitation_id: str) -> Invitation:
         inv = self.invitations.get(invitation_id)

@@ -15,11 +15,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_SCHEMA,
+    AGE_SPAN,
     METRIC_COUNT,
     NUM_SKILLS,
     TEAM_SIZE,
-    AttributeSchema,
     Participant,
     _check_team_size,
     _is_int,
@@ -50,11 +49,11 @@ class Criterion:
     def __post_init__(self) -> None:
         if self.kind not in CRITERION_KINDS:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
-        if not -3 <= self.importance <= 3:
-            raise ValueError(f"importance must be in [-3, 3], got {self.importance}")
+        if not _is_int(self.importance) or not -3 <= self.importance <= 3:
+            raise ValueError(f"importance must be an integer in [-3, 3], got {self.importance!r}")
         if self.kind == "skill":
-            if self.skill is None or not 0 <= self.skill < NUM_SKILLS:
-                raise ValueError(f"skill criterion needs a skill index in 0..{NUM_SKILLS - 1}")
+            if not _is_int(self.skill) or not 0 <= self.skill < NUM_SKILLS:
+                raise ValueError(f"skill criterion needs an integer skill index in 0..{NUM_SKILLS - 1}")
         elif self.skill is not None:
             raise ValueError(f"{self.kind} criterion takes no skill index")
 
@@ -90,17 +89,12 @@ class Recommendation:
     match_percent: float
 
 
-def criterion_score(
-    searcher: Participant,
-    candidate: Participant,
-    criterion: Criterion,
-    schema: AttributeSchema = DEFAULT_SCHEMA,
-) -> float:
+def criterion_score(searcher: Participant, candidate: Participant, criterion: Criterion) -> float:
     """Candidate's score for one criterion, in [0, 1]."""
     if criterion.kind == "skill":
         return (candidate.skills[criterion.skill] - 1) / 4.0
     if criterion.kind == "similar_age":
-        return max(0.0, 1.0 - abs(searcher.age - candidate.age) / schema.age_range)
+        return max(0.0, 1.0 - abs(searcher.age - candidate.age) / AGE_SPAN)
     if criterion.kind == "same_gender":
         return 1.0 if searcher.gender == candidate.gender else 0.0
     if criterion.kind == "same_race":
@@ -108,16 +102,11 @@ def criterion_score(
     return 1.0 if searcher.international == candidate.international else 0.0
 
 
-def fit_score(
-    searcher: Participant,
-    candidate: Participant,
-    query: Query,
-    schema: AttributeSchema = DEFAULT_SCHEMA,
-) -> float:
+def fit_score(searcher: Participant, candidate: Participant, query: Query) -> float:
     """Weighted sum of per-criterion scores, added left to right in query order."""
     total = 0.0
     for c in query.criteria:
-        total += c.importance * criterion_score(searcher, candidate, c, schema)
+        total += c.importance * criterion_score(searcher, candidate, c)
     return total
 
 
@@ -136,11 +125,7 @@ def match_percent(query: Query, score: float) -> float:
     return 100.0 * (score - s_min) / (s_max - s_min)
 
 
-def marginal_diversity(
-    team_members: Sequence[Participant],
-    candidate: Participant,
-    schema: AttributeSchema = DEFAULT_SCHEMA,
-) -> float:
+def marginal_diversity(team_members: Sequence[Participant], candidate: Participant) -> float:
     """Diversity score of the team after adding the candidate.
 
     The mean of all normalized metric components of the post-addition
@@ -152,18 +137,16 @@ def marginal_diversity(
     combined = list(team_members) + [candidate]
     if len(combined) > TEAM_SIZE:
         raise ValueError(f"adding candidate would exceed team size {TEAM_SIZE}")
-    return max(DIVERSITY_FLOOR, profile_for_members(combined, schema).component_mean)
+    return max(DIVERSITY_FLOOR, profile_for_members(combined).component_mean)
 
 
-def _criterion_column(
-    searcher: np.ndarray, candidates: np.ndarray, criterion: Criterion, schema: AttributeSchema
-) -> np.ndarray:
+def _criterion_column(searcher: np.ndarray, candidates: np.ndarray, criterion: Criterion) -> np.ndarray:
     """criterion_score of every candidate; rows are attribute_table codes."""
     if criterion.kind == "skill":
         return (candidates[:, _SKILL_COLUMN + criterion.skill] - 1) / 4.0
     if criterion.kind == "similar_age":
         gap = np.abs(searcher[_AGE_COLUMN] - candidates[:, _AGE_COLUMN])
-        return np.maximum(0.0, 1.0 - gap / schema.age_range)
+        return np.maximum(0.0, 1.0 - gap / AGE_SPAN)
     column = _SAME_COLUMN[criterion.kind]
     return (candidates[:, column] == searcher[column]).astype(float)
 
@@ -181,7 +164,6 @@ def rank_candidates(
     mode: str,
     searcher_team: Sequence[str] | None = None,
     team_of: Callable[[str], Sequence[str]] | None = None,
-    schema: AttributeSchema = DEFAULT_SCHEMA,
     team_size: int = TEAM_SIZE,
     page: int | None = None,
     page_size: int = 10,
@@ -233,14 +215,14 @@ def rank_candidates(
     idx = np.empty((m, k + 1), dtype=np.intp)
     idx[:, :k] = np.arange(k)
     idx[:, k] = np.arange(k, k + m)
-    surface, deep = score_teams(table, idx, schema)
+    surface, deep = score_teams(table, idx)
     # DiversityProfile.component_mean, floored as in marginal_diversity.
     diversity = np.maximum(DIVERSITY_FLOOR, (surface + NUM_SKILLS * deep) / METRIC_COUNT)
 
     searcher_row = table[team_ids.index(query.searcher_id)]
     fit = np.zeros(m)
     for c in query.criteria:
-        fit = fit + c.importance * _criterion_column(searcher_row, candidates, c, schema)
+        fit = fit + c.importance * _criterion_column(searcher_row, candidates, c)
     # A query's nonzero weights make s_max > s_min, so match_percent's
     # equal-extremes branch never applies.
     s_min, s_max = score_extremes(query)

@@ -25,9 +25,7 @@ from .agents import (
     gen_query,
 )
 from .core import (
-    DEFAULT_SCHEMA,
     TEAM_SIZE,
-    AttributeSchema,
     DiversityProfile,
     Participant,
     Partition,
@@ -62,7 +60,6 @@ def pilot_moments(
     mode: str,
     rng: np.random.Generator,
     *,
-    schema: AttributeSchema = DEFAULT_SCHEMA,
     target: int = PILOT_EXPOSURES,
     page_size: int = 10,
 ) -> StandardizationMoments:
@@ -82,15 +79,7 @@ def pilot_moments(
     while len(ranks) < target:
         searcher = ids[int(rng.integers(len(ids)))]
         query = gen_query(searcher, policy, rng)
-        recs = rank_candidates(
-            query,
-            ids,
-            lookup=lookup,
-            mode=mode,
-            schema=schema,
-            page=1,
-            page_size=page_size,
-        )
+        recs = rank_candidates(query, ids, lookup=lookup, mode=mode, page=1, page_size=page_size)
         for rec in recs:
             ranks.append(float(rec.rank))
             divs.append(rec.diversity_score)
@@ -113,7 +102,6 @@ def run_assembly(
     *,
     policy: AgentPolicy,
     params: ChoiceModelParams,
-    schema: AttributeSchema = DEFAULT_SCHEMA,
     rounds: int = 10,
     team_size: int = TEAM_SIZE,
     page_size: int = 10,
@@ -121,9 +109,7 @@ def run_assembly(
     """Agent-driven assembly: pilot moments, seeded-order rounds, finalize."""
     lookup = population_lookup(population)
     ids = [p.id for p in population]
-    moments = pilot_moments(
-        population, policy, mode, rng, schema=schema, page_size=page_size
-    )
+    moments = pilot_moments(population, policy, mode, rng, page_size=page_size)
     sigma = math.sqrt(params.random_intercept_variance)
     u_by_agent = {pid: float(rng.normal(0.0, sigma)) if sigma > 0 else 0.0 for pid in ids}
     state = AssemblyState(ids, team_size=team_size)
@@ -143,7 +129,6 @@ def run_assembly(
                     mode=mode,
                     u=u_by_agent[agent_id],
                     rng=rng,
-                    schema=schema,
                     page_size=page_size,
                 )
             )
@@ -161,7 +146,6 @@ def run_session(
     ga: GaConfig | None = None,
     policy: AgentPolicy | None = None,
     params: ChoiceModelParams | None = None,
-    schema: AttributeSchema = DEFAULT_SCHEMA,
     rounds: int = 10,
     team_size: int = TEAM_SIZE,
     page_size: int = 10,
@@ -182,10 +166,7 @@ def run_session(
         ga_config = ga if ga is not None else GaConfig()
         seed = int(rng.integers(2**63 - 1))
         _, partition = ga_partition(
-            population,
-            dataclasses.replace(ga_config, rng_seed=seed),
-            schema=schema,
-            team_size=team_size,
+            population, dataclasses.replace(ga_config, rng_seed=seed), team_size=team_size
         )
     else:
         state, partition, moments, exposures = run_assembly(
@@ -194,7 +175,6 @@ def run_session(
             rng,
             policy=policy if policy is not None else AgentPolicy(),
             params=params if params is not None else ChoiceModelParams(),
-            schema=schema,
             rounds=rounds,
             team_size=team_size,
             page_size=page_size,
@@ -202,7 +182,7 @@ def run_session(
         events = state.event_log
 
     partition.validate(lookup)
-    profiles = [team_diversity_profile(team, lookup, schema) for team in partition.teams]
+    profiles = [team_diversity_profile(team, lookup) for team in partition.teams]
     return SessionResult(
         condition=condition,
         session_index=session_index,

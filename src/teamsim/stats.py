@@ -335,14 +335,15 @@ class LogisticFit:
 
 
 SEPARATION_BOUND = 30.0
+LOGISTIC_MAX_ITER = 100
+LOGISTIC_TOL = 1e-8
 
 
-def logistic_fit(
-    X, y, *, max_iter: int = 100, tol: float = 1e-8
-) -> LogisticFit:
+def logistic_fit(X, y) -> LogisticFit:
     """Maximum-likelihood logistic regression via Newton/IRLS.
 
-    Stops when the largest coefficient step falls below tol. Diverging
+    Stops when the largest coefficient step falls below LOGISTIC_TOL, or
+    unconverged after LOGISTIC_MAX_ITER steps. Diverging
     coefficients (|beta| beyond SEPARATION_BOUND) are flagged as
     separation and the fit is returned unconverged rather than silently.
     Standard errors come from the inverse observed information matrix.
@@ -366,7 +367,7 @@ def logistic_fit(
     separation = False
     iterations = 0
     info = np.eye(p)
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, LOGISTIC_MAX_ITER + 1):
         eta = X @ beta
         mu = expit(eta)
         w = mu * (1.0 - mu)
@@ -381,7 +382,7 @@ def logistic_fit(
         if np.abs(beta).max() > SEPARATION_BOUND:
             separation = True
             break
-        if np.abs(step).max() < tol:
+        if np.abs(step).max() < LOGISTIC_TOL:
             converged = True
             break
     if converged:

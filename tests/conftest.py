@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from teamsim.core import DEFAULT_SCHEMA, TEAM_SIZE, Participant
+from teamsim.core import TEAM_SIZE, Participant
 from teamsim.population import synth_population
 from teamsim.recommender import Recommendation, fit_score, marginal_diversity, match_percent
 
@@ -79,7 +79,6 @@ def scalar_rank_candidates(
     mode,
     searcher_team=None,
     team_of=None,
-    schema=DEFAULT_SCHEMA,
     team_size=TEAM_SIZE,
     page=None,
     page_size=10,
@@ -97,8 +96,8 @@ def scalar_rank_candidates(
         if len(team_ids) + len(group) > team_size:
             continue
         candidate = lookup[cid]
-        fit = fit_score(searcher, candidate, query, schema)
-        diversity = marginal_diversity(team_members, candidate, schema)
+        fit = fit_score(searcher, candidate, query)
+        diversity = marginal_diversity(team_members, candidate)
         combined = fit * diversity if mode == "fairness" else fit
         scored.append((combined, cid, fit, diversity, match_percent(query, fit)))
     scored.sort(key=lambda item: (-item[0], item[1]))

@@ -132,6 +132,21 @@ class TestGenQuery:
         with pytest.raises(ValueError):
             AgentPolicy(importance_choices=(0, 1))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"criteria_counts": (2.5,)},
+            {"criteria_counts": (2, 3.0)},
+            {"criteria_counts": (True, 2)},
+            {"importance_choices": (1.5,)},
+            {"importance_choices": (1, True)},
+        ],
+    )
+    def test_policy_numbers_must_be_integers(self, kwargs):
+        # a criteria count of 2.5 would otherwise make gen_query issue 3-criterion queries
+        with pytest.raises(ValueError, match="integers"):
+            AgentPolicy(**kwargs)
+
 
 def _session_bits(n=12, seed=6):
     pop = synth_population(n, rng=np.random.default_rng(seed))

@@ -186,6 +186,22 @@ def test_run_config_with_invalid_size_is_input_error(tmp_path, capsys, key, valu
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "policy, field",
+    [({"criteria_counts": [2.5]}, "criteria_counts"), ({"importance_choices": [1.5, 2]}, "importance_choices")],
+)
+def test_run_config_with_non_integer_policy_is_input_error(tmp_path, capsys, policy, field):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"policy": policy, "conditions": ["self_assembled"]}))
+    code, stdout, stderr = _run(capsys, "run", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert (code, stdout) == (3, "")
+    (line,) = stderr.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "input"
+    assert field in error["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_recommend_page_size_zero_is_input_error(pop_file, capsys):
     code, _, stderr = _run(
         capsys,
@@ -214,16 +230,18 @@ def run_dir(tmp_path_factory):
 
 
 def test_run_config_with_unknown_key_is_input_error(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"ga": {"restartz": 2}}))
-    code, stdout, stderr = _run(capsys, "run", "--config", str(config), "--out", str(tmp_path / "o"))
-    assert code == 3
-    assert stdout == ""
-    (line,) = stderr.splitlines()
-    error = json.loads(line)
-    assert error["error"] == "input"
-    assert "ga.restartz" in error["message"]
-    assert not (tmp_path / "o").exists()
+    # a schema section, as in configs copied from older manifests, is an unknown key
+    for data, key in (({"ga": {"restartz": 2}}, "ga.restartz"), ({"schema": {"gender_k": 3}}, "schema")):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        code, stdout, stderr = _run(capsys, "run", "--config", str(config), "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert stdout == ""
+        (line,) = stderr.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "input"
+        assert key in error["message"]
+        assert not (tmp_path / "o").exists()
 
 
 def test_run_config_with_non_mapping_section_is_input_error(tmp_path, capsys):
@@ -371,6 +389,23 @@ _BAD_LOGS = {
     "fill_drops_members": (
         [("deadline_fill", {"teams": [["a00", "a01", "a02", "a03"]], "solos": ["a04"]})],
         "each member once",
+    ),
+    "event_after_fill": (  # the fill leaves a04 and a05 solo; they merge afterwards
+        [
+            ("deadline_fill", {"teams": [["a00", "a01", "a02", "a03"]], "solos": ["a04", "a05"]}),
+            *_pair(1, "a04", "a05"),
+        ],
+        "after the deadline fill",
+    ),
+    "shows_teammate": (
+        [*_pair(1, "a00", "a01"),
+         ("recommendations_shown", {"searcher_id": "a00", "shown": [
+             {"candidate_id": "a02", "rank": 1}, {"candidate_id": "a01", "rank": 2}]})],
+        "in the searcher's group",
+    ),
+    "shows_non_member": (
+        [("recommendations_shown", {"searcher_id": "a00", "shown": [{"candidate_id": "zz9", "rank": 1}]})],
+        "unknown member",
     ),
     "reanchor": (  # a solo joins a full team, then one member leaves again
         [

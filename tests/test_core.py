@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teamsim.core import (
-    DEFAULT_SCHEMA,
+    AGE_SPAN,
+    BLAU_MAX,
     TEAM_SIZE,
-    AttributeSchema,
     Participant,
     Partition,
     Team,
@@ -24,6 +24,7 @@ from teamsim.core import (
     normalized_blau,
     population_lookup,
     profile_for_members,
+    profile_for_rows,
     score_teams,
     surface_deep_rows,
     attribute_row,
@@ -196,11 +197,8 @@ class TestTeamAndPartition:
 
 class TestSchema:
     def test_default_age_range(self):
-        assert DEFAULT_SCHEMA.age_range == 62
-
-    def test_k_floor(self):
-        with pytest.raises(ValueError):
-            AttributeSchema(gender_k=1)
+        assert AGE_SPAN == 62
+        assert BLAU_MAX == (1 - 1 / 3, 1 - 1 / 6, 0.5, 0.5)
 
 
 def _oracle_profile_components(members) -> list[float]:
@@ -300,7 +298,7 @@ class TestDiversityProfile:
 
 
 # One attribute row: codes in the ranges attribute_row produces, ages that
-# reach the schema's bounds 18 and 80.
+# reach the bounds 18 and 80 of the similar_age span.
 _attribute_rows = st.tuples(
     st.integers(0, 2),
     st.integers(0, 5),
@@ -326,7 +324,7 @@ def _scored_teams(draw):
 
 class TestScoreTeams:
     @settings(max_examples=300, deadline=None)
-    @given(_scored_teams(), st.sampled_from([DEFAULT_SCHEMA, AttributeSchema(gender_k=4, race_k=7)]))
+    @given(_scored_teams())
     # A team whose surface score changes in the last bit when its squared
     # age deviations are added in another member order.
     @example(
@@ -338,14 +336,17 @@ class TestScoreTeams:
             ],
             np.array([[0, 1, 2]]),
         ),
-        schema=DEFAULT_SCHEMA,
     )
-    def test_bit_identical_to_scalar(self, case, schema):
+    def test_bit_identical_to_scalar(self, case):
         rows, idx = case
-        surface, deep = score_teams(np.array(rows, dtype=np.int64), idx, schema)
-        expected = [surface_deep_rows(rows, team.tolist(), schema) for team in idx]
+        surface, deep = score_teams(np.array(rows, dtype=np.int64), idx)
+        expected = [surface_deep_rows(rows, team.tolist()) for team in idx]
         assert surface.tolist() == [s for s, _ in expected]
         assert deep.tolist() == [d for _, d in expected]
+        for team in idx:
+            profile = profile_for_rows([rows[i] for i in team])
+            blaus = (profile.gender_blau, profile.race_blau, profile.ethnicity_blau, profile.international_blau)
+            assert all(0.0 <= b <= 1.0 for b in blaus)
 
     @pytest.mark.parametrize("t", range(1, TEAM_SIZE + 1))
     def test_every_category_pattern_is_exact(self, t):

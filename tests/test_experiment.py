@@ -76,8 +76,11 @@ class TestConfig:
             ExperimentConfig.from_dict({"sessions": 2, "workerz": 1, "seed": 3})
         with pytest.raises(ValueError, match=r"unknown config keys: ga\.restarts$"):
             ExperimentConfig.from_dict({"ga": {"restarts": 2, "generations": 3}})
+        # The Blau category counts and the age span are fixed, not settings.
+        with pytest.raises(ValueError, match="unknown config keys: schema$"):
+            ExperimentConfig.from_dict({"schema": {"gender_k": 2}})
 
-    @pytest.mark.parametrize("key", ["ga", "policy", "choice_params", "demographics", "schema"])
+    @pytest.mark.parametrize("key", ["ga", "policy", "choice_params", "demographics"])
     @pytest.mark.parametrize("value", [5, None, [1, 2], "x"])
     def test_nested_values_must_be_mappings(self, key, value):
         with pytest.raises(ValueError, match=f"config key '{key}' must be a mapping"):
@@ -262,6 +265,23 @@ class TestReportFiles:
         live = sorted(report.team_rows, key=lambda r: (r["condition"], r["session"], r["team"]))
         rebuilt = sorted(regenerated, key=lambda r: (r["condition"], r["session"], r["team"]))
         assert rebuilt == live
+
+    def test_regenerates_manifest_with_old_schema_record(self, tmp_path):
+        """Run directories written while the config had a schema section still rebuild."""
+        out = tmp_path / "run"
+        report = run_experiment(
+            _tiny_config(conditions=("random", "fairness_aware"), sessions_per_condition=1, output_dir=str(out))
+        )
+        manifest = out / "manifest.jsonl"
+        records = [json.loads(line) for line in manifest.read_text().splitlines()]
+        (config,) = [r for r in records if r["kind"] == "config"]
+        assert "schema" not in config["config"]
+        config["config"]["schema"] = {
+            "age_max": 80, "age_min": 18, "ethnicity_k": 2, "gender_k": 3, "international_k": 2, "race_k": 6,
+        }
+        manifest.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        key = lambda r: (r["condition"], r["session"], r["team"])  # noqa: E731
+        assert sorted(regenerate_team_rows(out), key=key) == sorted(report.team_rows, key=key)
 
     def test_exposures_csv_round_trips_for_audit(self, tmp_path):
         out = tmp_path / "run"

@@ -238,6 +238,76 @@ class TestFinalize:
             partition.validate(_ids(11))
 
 
+def _shown(*candidates: str) -> list[dict]:
+    return [{"candidate_id": c, "rank": r} for r, c in enumerate(candidates, 1)]
+
+
+class TestDeadlineFillIsLast:
+    def test_commands_after_fill_refused(self):
+        state = AssemblyState(_ids(6))
+        partition = state.finalize(np.random.default_rng(0))
+        solos = list(partition.solos)
+        before = state.snapshot()
+        with pytest.raises(AssemblyError, match="after the deadline fill"):
+            state.send_invitation(*solos)
+        for command, args in (
+            (state.record_query, ("a00", {"criteria": []})),
+            (state.record_recommendations, (solos[0], _shown(solos[1]))),
+            (state.finalize, (np.random.default_rng(1),)),
+        ):
+            with pytest.raises(AssemblyError, match="after the deadline fill"):
+                command(*args)
+        assert state.snapshot() == before
+        assert state.partition() == partition
+
+    def test_replay_refuses_events_after_fill(self):
+        fill = Event(1, "deadline_fill", {"teams": [["a00", "a01", "a02", "a03"]], "solos": ["a04", "a05"]})
+        # the two solos would merge if the invitation were accepted
+        sent = Event(1, "invitation_sent", {
+            "invitation_id": "inv-00001", "sender_id": "a04", "target_id": "a05",
+            "sender_group": ["a04"], "recipient_group": ["a05"],
+        })
+        assert replay(_ids(6), [fill]).partition().solos == ("a04", "a05")
+        with pytest.raises(AssemblyError, match="invitation_sent event after the deadline fill"):
+            replay(_ids(6), [fill, sent])
+
+
+class TestRecommendationsShown:
+    def _state(self) -> AssemblyState:
+        state = AssemblyState(_ids(8))
+        _merge(state, "a00", "a01")
+        _merge(state, "a02", "a03")
+        _merge(state, "a02", "a04")  # a02-a04 is a trio
+        return state
+
+    def test_eligible_page_recorded(self):
+        state = self._state()
+        state.record_recommendations("a00", _shown("a05", "a06", "a07"))
+        state.record_recommendations("a05", _shown("a02", "a00"))
+        state.record_recommendations("a00", [])
+        assert [e.kind for e in state.event_log[-3:]] == ["recommendations_shown"] * 3
+
+    @pytest.mark.parametrize(
+        "searcher, shown, message",
+        [
+            ("a00", _shown("a05", "a01"), "in the searcher's group"),
+            ("a00", _shown("zz9"), "unknown member"),
+            ("a00", _shown("a02"), "no room"),
+            ("a00", _shown("a05", "a05"), "repeats"),
+            ("a00", [{"candidate_id": "a05", "rank": 2}], "1..k"),
+            ("a00", [{"candidate_id": "a05", "rank": 1}, {"candidate_id": "a06", "rank": 1}], "1..k"),
+            ("zz9", _shown("a05"), "unknown member"),
+        ],
+        ids=["teammate", "non_member", "no_room", "repeat", "rank_gap", "rank_tie", "searcher"],
+    )
+    def test_ineligible_page_refused(self, searcher, shown, message):
+        state = self._state()
+        before = state.snapshot()
+        with pytest.raises(AssemblyError, match=message):
+            state.record_recommendations(searcher, shown)
+        assert state.snapshot() == before
+
+
 class TestRoundsAndLog:
     def test_rounds_monotone_in_log(self):
         state = AssemblyState(_ids(4))
@@ -362,6 +432,20 @@ class AssemblyMachine(RuleBasedStateMachine):
             member = inv.recipient_group[pick % len(inv.recipient_group)]
             closed = inv.status != "open" or inv.responses[member] != "pending"
             assert self._refused(self.state.respond, inv.id, member, response) == closed
+
+    @rule(
+        searcher=st.sampled_from(_MACHINE_MEMBERS),
+        candidates=st.lists(st.sampled_from(_MACHINE_MEMBERS + ["zz9"]), max_size=4),
+    )
+    def show(self, searcher, candidates):
+        group = self.state.group_of(searcher)
+        room = self.state.team_size - len(group)
+        eligible = len(set(candidates)) == len(candidates) and all(
+            c in _MACHINE_MEMBERS and c not in group and len(self.state.group_of(c)) <= room
+            for c in candidates
+        )
+        shown = _shown(*candidates)
+        assert self._refused(self.state.record_recommendations, searcher, shown) != eligible
 
     @rule(member=st.sampled_from(_MACHINE_MEMBERS))
     def leave(self, member):

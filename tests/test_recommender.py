@@ -40,6 +40,21 @@ class TestCriterionValidation:
         with pytest.raises(ValueError):
             Criterion(kind="skill", importance=2, skill=6)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"kind": "same_gender", "importance": 2.5},
+            {"kind": "same_gender", "importance": 2.0},
+            {"kind": "same_gender", "importance": True},
+            {"kind": "skill", "importance": 2, "skill": 1.0},
+            {"kind": "skill", "importance": 2, "skill": False},
+        ],
+    )
+    def test_numbers_must_be_integers(self, kwargs):
+        # a float skill index would otherwise fail later, as an IndexError inside rank_candidates
+        with pytest.raises(ValueError, match="integer"):
+            Criterion(**kwargs)
+
     def test_non_skill_takes_no_index(self):
         with pytest.raises(ValueError):
             Criterion(kind="same_race", importance=2, skill=1)
