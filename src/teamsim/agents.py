@@ -15,9 +15,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import NUM_SKILLS, Participant, _is_int
+from .core import NUM_SKILLS, TEAM_SIZE, Participant, _is_int
 from .protocol import AssemblyState
-from .recommender import DEMOGRAPHIC_KINDS, Criterion, Query, rank_candidates
+from .recommender import DEMOGRAPHIC_KINDS, PAGE_SIZE, Criterion, Query, rank_candidates
 
 # The choice model's fixed effects, in design-matrix column order.
 FIXED_EFFECTS = ("intercept", "rank", "same_gender", "diversity", "treatment", "interaction")
@@ -196,16 +196,6 @@ def gen_query(searcher_id: str, policy: AgentPolicy, rng: np.random.Generator) -
     return Query(searcher_id=searcher_id, criteria=tuple(criteria))
 
 
-def query_payload(query: Query) -> dict:
-    return {
-        "searcher_id": query.searcher_id,
-        "criteria": [
-            {"kind": c.kind, "skill": c.skill, "importance": c.importance}
-            for c in query.criteria
-        ],
-    }
-
-
 def agent_step(
     agent_id: str,
     state: AssemblyState,
@@ -217,21 +207,20 @@ def agent_step(
     mode: str,
     u: float,
     rng: np.random.Generator,
-    page_size: int = 10,
 ) -> list[Exposure]:
     """One search-and-invite turn for an agent.
 
     Walks the first recommendation page in rank order and invites the
     first candidate whose choice-model draw succeeds; recipients then
     answer immediately with per-member acceptance draws. Agents whose
-    group already holds the state's team_size do nothing. Returns the
-    walked exposures.
+    group already holds TEAM_SIZE members do nothing. Returns the walked
+    exposures.
     """
     group = state.group_of(agent_id)
-    if len(group) >= state.team_size:
+    if len(group) >= TEAM_SIZE:
         return []
     query = gen_query(agent_id, policy, rng)
-    state.record_query(agent_id, query_payload(query))
+    state.record_query(agent_id, query.to_payload())
     recs = rank_candidates(
         query,
         state.members,
@@ -239,9 +228,7 @@ def agent_step(
         mode=mode,
         searcher_team=group,
         team_of=state.group_of,
-        team_size=state.team_size,
         page=1,
-        page_size=page_size,
     )
     state.record_recommendations(
         agent_id,
@@ -308,7 +295,6 @@ class ExposureBatch:
         return design_matrix(self.rank_z, self.same_gender, self.diversity_z, self.treatment)
 
 
-SIMULATED_PAGE_SIZE = 10
 SIMULATED_SEARCHERS = 200
 
 
@@ -322,7 +308,7 @@ def simulate_exposures(
 ) -> ExposureBatch:
     """Draw n independent recommendation exposures straight from the model.
 
-    Raw ranks are uniform over a page of SIMULATED_PAGE_SIZE, raw diversity
+    Raw ranks are uniform over a page of PAGE_SIZE, raw diversity
     uniform on (0, 1); both are standardized against the batch's own moments
     before entering the linear predictor, mirroring the live pipeline. The
     exposures come from SIMULATED_SEARCHERS searchers.
@@ -334,7 +320,7 @@ def simulate_exposures(
         else np.zeros(SIMULATED_SEARCHERS)
     )
     treat_by_searcher = (rng.random(SIMULATED_SEARCHERS) < treatment_share).astype(int)
-    raw_rank = rng.integers(1, SIMULATED_PAGE_SIZE + 1, size=n).astype(float)
+    raw_rank = rng.integers(1, PAGE_SIZE + 1, size=n).astype(float)
     raw_div = rng.random(n)
     same_gender = rng.integers(0, 2, size=n)
     rank_z = (raw_rank - raw_rank.mean()) / raw_rank.std()

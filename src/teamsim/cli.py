@@ -70,9 +70,7 @@ def _cmd_assign(args) -> int:
     population = load_population(args.population)
     lookup = population_lookup(population)
     if args.mode == "random":
-        partition = random_partition(
-            population, args.team_size, rng=np.random.default_rng(args.seed)
-        )
+        partition = random_partition(population, rng=np.random.default_rng(args.seed))
     elif args.mode == "ga":
         config = GaConfig(
             generations=args.generations,
@@ -80,9 +78,9 @@ def _cmd_assign(args) -> int:
             swap_attempts=args.swap_attempts,
             rng_seed=args.seed,
         )
-        _, partition = ga_partition(population, config, team_size=args.team_size)
+        _, partition = ga_partition(population, config)
     else:
-        result = brute_force_partition(population, args.team_size)
+        result = brute_force_partition(population)
         partition = result.best_total_partitions[0]
         print(json.dumps({"partitions_enumerated": result.n_partitions}))
     print(json.dumps(_partition_payload(partition, lookup), sort_keys=True))
@@ -118,7 +116,6 @@ def _cmd_recommend(args) -> int:
         mode=args.mode,
         searcher_team=team,
         page=args.page,
-        page_size=args.page_size,
     )
     for rec in recs:
         print(
@@ -243,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assign", help="partition a population into teams")
     p.add_argument("--population", required=True)
     p.add_argument("--mode", choices=("random", "ga", "oracle"), default="random")
-    p.add_argument("--team-size", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--generations", type=int, default=20)
     p.add_argument("--ga-population", type=int, default=50)
@@ -262,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--mode", choices=("fit_only", "fairness"), default="fit_only")
     p.add_argument("--page", type=int, default=1)
-    p.add_argument("--page-size", type=int, default=10)
     p.set_defaults(func=_cmd_recommend)
 
     p = sub.add_parser("run", help="run the full experiment")

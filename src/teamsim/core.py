@@ -54,11 +54,6 @@ def _is_int(value) -> bool:
     return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
-def _check_team_size(team_size: int) -> None:
-    if not _is_int(team_size) or not 1 <= team_size <= TEAM_SIZE:
-        raise ValueError(f"team_size must be an integer in 1..{TEAM_SIZE}, got {team_size!r}")
-
-
 @dataclass(frozen=True)
 class Participant:
     """One person: categorical demographics, age, and six skill levels (1-5)."""
@@ -223,9 +218,13 @@ def blau(categories: Sequence) -> float:
 
 
 def normalized_blau(categories: Sequence, k: int) -> float:
-    """Blau index divided by its theoretical maximum 1 - 1/k."""
-    if k < 2:
-        raise ValueError(f"category count k must be >= 2, got {k}")
+    """Blau index divided by its theoretical maximum 1 - 1/k.
+
+    A k below 2 or below the number of distinct categories is refused: the
+    result would leave [0, 1].
+    """
+    if k < max(2, len(set(categories))):
+        raise ValueError(f"category count k must be >= 2 and >= the distinct categories, got {k}")
     return blau(categories) / (1.0 - 1.0 / k)
 
 

@@ -15,7 +15,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .agents import FIXED_EFFECTS, AgentPolicy, ChoiceModelParams, design_matrix
 from .core import (
     GENDERS,
     RACES,
+    TEAM_SIZE,
     Participant,
     Partition,
     _is_int,
@@ -65,14 +66,14 @@ class ExperimentConfig:
     agents_per_session: int = 32
     rounds: int = 10
     seed: int = 0
-    team_size: int = 4
-    page_size: int = 10
     workers: int = 1
     output_dir: str | None = None
     ga: GaConfig = field(default_factory=GaConfig)
     policy: AgentPolicy = field(default_factory=AgentPolicy)
     choice_params: ChoiceModelParams = field(default_factory=ChoiceModelParams)
     demographics: DemographicSpec = field(default_factory=DemographicSpec)
+    # Not a setting: the benchmark reads the team size from its configs.
+    team_size: ClassVar[int] = TEAM_SIZE
 
     def __post_init__(self) -> None:
         if not self.conditions:
@@ -82,31 +83,32 @@ class ExperimentConfig:
             raise ValueError(f"unknown conditions {unknown}")
         if len(set(self.conditions)) != len(self.conditions):
             raise ValueError("duplicate conditions")
-        for name, low, high in (
-            ("sessions_per_condition", 1, None),
-            ("agents_per_session", 8, None),
-            ("rounds", 1, None),
-            ("seed", 0, None),
-            ("team_size", 2, 4),
-            ("page_size", 1, None),
-            ("workers", 1, None),
+        for name, low in (
+            ("sessions_per_condition", 1),
+            ("agents_per_session", 2 * TEAM_SIZE),
+            ("rounds", 1),
+            ("seed", 0),
+            ("workers", 1),
         ):
             value = getattr(self, name)
-            if not _is_int(value) or value < low or (high is not None and value > high):
-                bounds = f"in {low}..{high}" if high is not None else f">= {low}"
-                raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+            if not _is_int(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.ga.rng_seed != 0:
+            raise ValueError("ga.rng_seed is not a setting: each GA session is seeded from seed")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["conditions"] = list(self.conditions)
+        del d["ga"]["rng_seed"]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Config from JSON data; unknown keys, top-level or nested, are refused,
-        and each nested config must be a mapping."""
+        """Config from JSON data: keys that to_dict does not write, top-level
+        or nested, are refused, and each nested config must be a mapping."""
         kwargs = dict(d)
-        _reject_unknown_keys(cls, kwargs)
+        known = cls().to_dict()
+        _reject_unknown_keys(known, kwargs)
         if "conditions" in kwargs:
             kwargs["conditions"] = tuple(kwargs["conditions"])
         for key, sub in (
@@ -122,7 +124,7 @@ class ExperimentConfig:
                     f"config key {key!r} must be a mapping, got {type(kwargs[key]).__name__}"
                 )
             sub_kwargs = dict(kwargs[key])
-            _reject_unknown_keys(sub, sub_kwargs, f"{key}.")
+            _reject_unknown_keys(known[key], sub_kwargs, f"{key}.")
             for name, value in sub_kwargs.items():
                 if isinstance(value, list):
                     sub_kwargs[name] = tuple(value)
@@ -135,8 +137,7 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
-def _reject_unknown_keys(cls, data: Mapping, prefix: str = "") -> None:
-    known = {f.name for f in dataclasses.fields(cls)}
+def _reject_unknown_keys(known: Mapping, data: Mapping, prefix: str = "") -> None:
     unknown = [prefix + key for key in sorted(data) if key not in known]
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
@@ -166,8 +167,6 @@ def _run_one(args: tuple[ExperimentConfig, str, int, int, int]) -> SessionResult
         policy=config.policy,
         params=config.choice_params,
         rounds=config.rounds,
-        team_size=config.team_size,
-        page_size=config.page_size,
     )
 
 

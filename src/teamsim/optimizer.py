@@ -22,7 +22,6 @@ from .core import (
     TEAM_SIZE,
     Participant,
     Partition,
-    _check_team_size,
     _is_int,
     attribute_table,
     population_lookup,
@@ -115,22 +114,16 @@ class ParetoArchive:
         return len(self.entries)
 
 
-def random_partition(
-    population: Sequence[Participant],
-    team_size: int = TEAM_SIZE,
-    *,
-    rng: np.random.Generator,
-) -> Partition:
-    """Uniformly random teams of team_size; the remainder become solos."""
-    _check_team_size(team_size)
+def random_partition(population: Sequence[Participant], *, rng: np.random.Generator) -> Partition:
+    """Uniformly random teams of TEAM_SIZE; the remainder become solos."""
     if not population:
         raise ValueError("empty population")
     population_lookup(population)  # id uniqueness check
     ids = [p.id for p in population]
     order = [ids[i] for i in rng.permutation(len(ids))]
-    n_teams = len(order) // team_size
-    teams = [order[i * team_size : (i + 1) * team_size] for i in range(n_teams)]
-    solos = order[n_teams * team_size :]
+    n_teams = len(order) // TEAM_SIZE
+    teams = [order[i * TEAM_SIZE : (i + 1) * TEAM_SIZE] for i in range(n_teams)]
+    solos = order[n_teams * TEAM_SIZE :]
     return Partition.build(teams, solos)
 
 
@@ -200,15 +193,13 @@ def _materialize(teams: Sequence[Sequence[int]], solos: Sequence[int], ids: list
     )
 
 
-def _draw_proposals(
-    rng: np.random.Generator, steps: int, climbers: int, n_teams: int, team_size: int
-) -> np.ndarray:
+def _draw_proposals(rng: np.random.Generator, steps: int, climbers: int, n_teams: int) -> np.ndarray:
     """int[steps, climbers, 4] member-swap proposals (ti, tj, mi, mj).
 
     (ti, tj) is uniform over ordered pairs of distinct teams, and mi, mj are
     uniform members of team ti and team tj.
     """
-    draws = rng.integers(0, (n_teams, n_teams - 1, team_size, team_size), size=(steps, climbers, 4))
+    draws = rng.integers(0, (n_teams, n_teams - 1, TEAM_SIZE, TEAM_SIZE), size=(steps, climbers, 4))
     draws[..., 1] = (draws[..., 0] + 1 + draws[..., 1]) % n_teams
     return draws
 
@@ -216,7 +207,6 @@ def _draw_proposals(
 def ga_partition(
     population: Sequence[Participant],
     config: GaConfig = GaConfig(),
-    team_size: int = TEAM_SIZE,
 ) -> tuple[ParetoArchive, Partition]:
     """Two-objective genetic partition search.
 
@@ -228,14 +218,13 @@ def ga_partition(
     step order. Returns the final archive and the elbow-selected
     partition. Deterministic per (population, config).
     """
-    _check_team_size(team_size)
-    if len(population) < 2 * team_size:
+    if len(population) < 2 * TEAM_SIZE:
         raise ValueError("need at least two teams")
     ids = [p.id for p in population]
     population_lookup(population)  # id uniqueness check
     table = attribute_table(population)
     n = len(ids)
-    n_teams = n // team_size
+    n_teams = n // TEAM_SIZE
     n_climbers = config.population_size
     swap_attempts = config.swap_attempts if config.swap_attempts is not None else n
 
@@ -249,9 +238,9 @@ def ga_partition(
 
     rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed).spawn(1)[0])
     orders = np.array([rng.permutation(n) for _ in range(n_climbers)])
-    teams = orders[:, : n_teams * team_size].reshape(n_climbers, n_teams, team_size)
-    solos = orders[:, n_teams * team_size :]
-    team_scores = np.stack(score_teams(table, teams.reshape(-1, team_size)), axis=-1)
+    teams = orders[:, : n_teams * TEAM_SIZE].reshape(n_climbers, n_teams, TEAM_SIZE)
+    solos = orders[:, n_teams * TEAM_SIZE :]
+    team_scores = np.stack(score_teams(table, teams.reshape(-1, TEAM_SIZE)), axis=-1)
     team_scores = team_scores.reshape(n_climbers, n_teams, 2)
     scores = _mean_scores(team_scores)
     for c in range(n_climbers):
@@ -259,7 +248,7 @@ def ga_partition(
 
     climbers = np.arange(n_climbers)
     for _ in range(config.generations):
-        proposals = _draw_proposals(rng, swap_attempts, n_climbers, n_teams, team_size)
+        proposals = _draw_proposals(rng, swap_attempts, n_climbers, n_teams)
         # The archive only grows its dominated region, so a point it does not
         # admit now is refused at replay too; only the rest are kept.
         front = np.array([(e.surface, e.deep) for e in archive.entries])
@@ -304,50 +293,47 @@ class BruteForceResult:
     best_total_partitions: tuple[Partition, ...]
 
 
-def _team_splits(idxs: tuple[int, ...], team_size: int):
-    """Yield every split of idxs into unordered teams of exactly team_size."""
+def _team_splits(idxs: tuple[int, ...]):
+    """Yield every split of idxs into unordered teams of exactly TEAM_SIZE."""
     if not idxs:
         yield ()
         return
     head = idxs[0]
     rest = idxs[1:]
-    for companions in itertools.combinations(rest, team_size - 1):
+    for companions in itertools.combinations(rest, TEAM_SIZE - 1):
         team = (head,) + companions
         remaining = tuple(i for i in rest if i not in companions)
-        for tail in _team_splits(remaining, team_size):
+        for tail in _team_splits(remaining):
             yield (team,) + tail
 
 
 BRUTE_FORCE_MAX_POPULATION = 12
 
 
-def brute_force_partition(
-    population: Sequence[Participant], team_size: int = TEAM_SIZE
-) -> BruteForceResult:
+def brute_force_partition(population: Sequence[Participant]) -> BruteForceResult:
     """Exhaustive search over all partitions; argmax sets per objective.
 
     Guarded to small populations: 35 splits at n=8 and 5,775 at n=12
     teams-of-four; anything above BRUTE_FORCE_MAX_POPULATION is refused.
     """
-    _check_team_size(team_size)
     n = len(population)
-    if n < team_size:
+    if n < TEAM_SIZE:
         raise ValueError("population smaller than one team")
     if n > BRUTE_FORCE_MAX_POPULATION:
         raise ValueError(f"population too large for exhaustive search (max {BRUTE_FORCE_MAX_POPULATION})")
     population_lookup(population)  # id uniqueness check
     ids = [p.id for p in population]
-    # Every split draws its teams from the same C(n, team_size) member sets,
+    # Every split draws its teams from the same C(n, TEAM_SIZE) member sets,
     # each listed in ascending order as _team_splits yields them: score
     # those once and look the scores up per split.
-    teams = list(itertools.combinations(range(n), team_size))
+    teams = list(itertools.combinations(range(n), TEAM_SIZE))
     team_index = {team: i for i, team in enumerate(teams)}
     team_scores = np.stack(score_teams(attribute_table(population), np.array(teams)), axis=-1)
 
     splits = []
-    for solos in itertools.combinations(range(n), n % team_size):
+    for solos in itertools.combinations(range(n), n % TEAM_SIZE):
         team_pool = tuple(i for i in range(n) if i not in solos)
-        splits.extend((split, solos) for split in _team_splits(team_pool, team_size))
+        splits.extend((split, solos) for split in _team_splits(team_pool))
     split_teams = np.array([[team_index[team] for team in split] for split, _ in splits])
     surface, deep = _mean_scores(team_scores[split_teams]).T
 

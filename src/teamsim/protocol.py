@@ -3,28 +3,28 @@
 Participants start as singleton groups and grow by invitation: an
 invitation goes to one target and snapshots both groups; the merge
 happens only when every recipient-group member accepts, and never
-produces a group larger than the team size that the session passes to
-AssemblyState (default TEAM_SIZE). Membership changes void any open
+produces a group larger than TEAM_SIZE. Membership changes void any open
 invitation whose snapshots went stale.
 
 All mutations are event-sourced: commands emit events and apply them
 through one dispatcher, _apply, which checks each event against every
 assembly rule before it changes anything. Replay goes through the same
 dispatcher, so it refuses a log at its first rule-breaking event and
-reproduces the final state of a valid one exactly. Logs do not record
-the team size, so replay caps groups at TEAM_SIZE. The deadline fill is
+reproduces the final state of a valid one exactly. The deadline fill is
 the last event of a session: nothing is accepted after it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TEAM_SIZE, Partition, _check_team_size
+from .core import TEAM_SIZE, Partition
+from .recommender import Query
 
 RESPONSES = ("accepted", "declined", "ignored")
 LOG_SCHEMA = "teamsim.assembly-log.v1"
@@ -37,6 +37,11 @@ class AssemblyError(ValueError):
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise AssemblyError(message)
+
+
+def _is_real(value) -> bool:
+    """A finite int or float; bools, strings and numpy scalars are refused."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -66,17 +71,15 @@ class Invitation:
 
 
 class AssemblyState:
-    """Single-writer assembly session state; groups hold at most team_size."""
+    """Single-writer assembly session state; groups hold at most TEAM_SIZE."""
 
-    def __init__(self, member_ids: Iterable[str], team_size: int = TEAM_SIZE):
-        _check_team_size(team_size)
+    def __init__(self, member_ids: Iterable[str]):
         members = list(member_ids)
         if len(set(members)) != len(members):
             raise ValueError("duplicate member ids")
         if not members:
             raise ValueError("empty session")
         self.members: tuple[str, ...] = tuple(members)
-        self.team_size = team_size
         self._groups: dict[str, tuple[str, ...]] = {m: (m,) for m in members}
         self._group_key: dict[str, str] = {m: m for m in members}
         self.invitations: dict[str, Invitation] = {}
@@ -156,17 +159,15 @@ class AssemblyState:
     def finalize(self, rng: np.random.Generator) -> Partition:
         """Expire open invitations, keep full groups, randomly pack the rest.
 
-        Members of groups below the state's team_size (set at construction)
-        are pooled and shuffled into fresh teams of team_size; the leftover
-        become solos. The packing is recorded in the deadline_fill event, so
-        replay needs no rng.
+        Members of groups below TEAM_SIZE are pooled and shuffled into fresh
+        teams of TEAM_SIZE; the leftover become solos. The packing is
+        recorded in the deadline_fill event, so replay needs no rng.
         """
-        size = self.team_size
-        full = [list(g) for g in self.groups() if len(g) == size]
-        pool = sorted(m for g in self.groups() if len(g) < size for m in g)
+        full = [list(g) for g in self.groups() if len(g) == TEAM_SIZE]
+        pool = sorted(m for g in self.groups() if len(g) < TEAM_SIZE for m in g)
         shuffled = [pool[i] for i in rng.permutation(len(pool))] if pool else []
-        cut = len(shuffled) // size * size
-        packed = [shuffled[i : i + size] for i in range(0, cut, size)]
+        cut = len(shuffled) // TEAM_SIZE * TEAM_SIZE
+        packed = [shuffled[i : i + TEAM_SIZE] for i in range(0, cut, TEAM_SIZE)]
         self._emit("deadline_fill", {"teams": full + packed, "solos": sorted(shuffled[cut:])})
         return self.partition()
 
@@ -195,6 +196,11 @@ class AssemblyState:
         if self._filled:
             raise AssemblyError(f"{kind} event after the deadline fill")
         if kind == "query_issued":
+            try:
+                query = Query.from_payload(p["query"])
+            except ValueError as exc:
+                raise AssemblyError(f"invalid query: {exc}") from exc
+            _require(query.searcher_id == p["searcher_id"], "query is not the searcher's")
             self.group_of(p["searcher_id"])
         elif kind == "recommendations_shown":
             self._check_shown(p["searcher_id"], p["shown"])
@@ -205,7 +211,7 @@ class AssemblyState:
             recipient_group = self.group_of(p["target_id"])
             _require(sender_group != recipient_group, "already teammates")
             _require(
-                len(sender_group) + len(recipient_group) <= self.team_size,
+                len(sender_group) + len(recipient_group) <= TEAM_SIZE,
                 "merge would exceed team size",
             )
             _require(
@@ -260,7 +266,7 @@ class AssemblyState:
             placed = sorted(m for g in groups for m in g)
             _require(placed == sorted(self.members), "deadline fill must place each member once")
             _require(
-                all(1 <= len(g) <= self.team_size for g in groups),
+                all(1 <= len(g) <= TEAM_SIZE for g in groups),
                 "deadline fill team is empty or exceeds team size",
             )
             for inv in self.open_invitations():
@@ -274,9 +280,10 @@ class AssemblyState:
 
     def _check_shown(self, searcher_id: str, shown: list[dict]) -> None:
         """A shown page lists distinct members outside the searcher's group,
-        each in a group that fits the room left, ranked 1..k in order."""
+        each in a group that fits the room left, ranked 1..k in order, with
+        finite real scores."""
         group = self.group_of(searcher_id)
-        room = self.team_size - len(group)
+        room = TEAM_SIZE - len(group)
         seen = set()
         # Not _require: its messages would be formatted for every candidate.
         for rank, row in enumerate(shown, 1):
@@ -289,6 +296,9 @@ class AssemblyState:
                 raise AssemblyError(f"shown candidate {cid!r} repeats")
             if len(self.group_of(cid)) > room:
                 raise AssemblyError(f"shown candidate {cid!r} has no room to join")
+            for score in ("fit", "diversity", "combined", "match_percent"):
+                if not _is_real(row[score]):
+                    raise AssemblyError(f"shown {score} of {cid!r} is not a finite number: {row[score]!r}")
             seen.add(cid)
 
     def _open_invitation(self, invitation_id: str) -> Invitation:
@@ -316,9 +326,9 @@ class AssemblyState:
 
     def check_invariants(self) -> None:
         """Check that the group maps partition the members into groups of
-        1..team_size. The event rules in _apply keep everything else true."""
+        1..TEAM_SIZE. The event rules in _apply keep everything else true."""
         for key, group in self._groups.items():
-            if not 1 <= len(group) <= self.team_size:
+            if not 1 <= len(group) <= TEAM_SIZE:
                 raise AssertionError(f"group size out of bounds: {group}")
             if key != min(group) or any(self._group_key.get(m) != key for m in group):
                 raise AssertionError(f"member map out of sync for group {group}")

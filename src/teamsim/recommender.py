@@ -20,7 +20,6 @@ from .core import (
     NUM_SKILLS,
     TEAM_SIZE,
     Participant,
-    _check_team_size,
     _is_int,
     attribute_table,
     profile_for_members,
@@ -31,6 +30,8 @@ CRITERION_KINDS = ("skill", "similar_age", "same_gender", "same_race", "same_int
 DEMOGRAPHIC_KINDS = ("similar_age", "same_gender", "same_race", "same_international")
 MODES = ("fit_only", "fairness")
 DIVERSITY_FLOOR = 0.01
+# Candidates on one page of recommendations.
+PAGE_SIZE = 10
 
 # attribute_row columns read by the criteria.
 _SAME_COLUMN = {"same_gender": 0, "same_race": 1, "same_international": 3}
@@ -77,6 +78,25 @@ class Query:
         keys = [c.key for c in self.criteria]
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate criteria in query")
+
+    def to_payload(self) -> dict:
+        """The query as a query_issued event logs it."""
+        return {
+            "searcher_id": self.searcher_id,
+            "criteria": [
+                {"kind": c.kind, "skill": c.skill, "importance": c.importance}
+                for c in self.criteria
+            ],
+        }
+
+    @classmethod
+    def from_payload(cls, d) -> "Query":
+        """Inverse of to_payload; a payload that is not a valid query raises ValueError."""
+        try:
+            criteria = tuple(Criterion(c["kind"], c["importance"], c["skill"]) for c in d["criteria"])
+            return cls(searcher_id=d["searcher_id"], criteria=criteria)
+        except (TypeError, KeyError) as exc:
+            raise ValueError(f"malformed query payload: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -151,11 +171,6 @@ def _criterion_column(searcher: np.ndarray, candidates: np.ndarray, criterion: C
     return (candidates[:, column] == searcher[column]).astype(float)
 
 
-def _check_page_size(page_size: int) -> None:
-    if not _is_int(page_size) or page_size < 1:
-        raise ValueError(f"page_size must be an integer >= 1, got {page_size!r}")
-
-
 def rank_candidates(
     query: Query,
     pool: Sequence[str],
@@ -164,19 +179,16 @@ def rank_candidates(
     mode: str,
     searcher_team: Sequence[str] | None = None,
     team_of: Callable[[str], Sequence[str]] | None = None,
-    team_size: int = TEAM_SIZE,
     page: int | None = None,
-    page_size: int = 10,
 ) -> list[Recommendation]:
     """Rank pool candidates for the query's searcher.
 
     fit_only sorts by fit score, fairness by fit x diversity; ties break
     by candidate id. Candidates in the searcher's own group, and those
-    whose group merge would exceed team_size, are dropped before scoring.
-    Returns the requested page (1-based), or the whole ranking when page
-    is None. An empty pool yields an empty list. Duplicate ids in pool or
-    searcher_team, a team_size outside 1..TEAM_SIZE and a page_size below 1
-    are refused.
+    whose group merge would exceed TEAM_SIZE, are dropped before scoring.
+    Returns the requested page (1-based) of PAGE_SIZE candidates, or the
+    whole ranking when page is None. An empty pool yields an empty list.
+    Duplicate ids in pool or searcher_team are refused.
 
     The whole pool is scored at once, bit for bit as the scalar
     definitions score each candidate: fit_score adds the criteria in
@@ -186,10 +198,8 @@ def rank_candidates(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    _check_team_size(team_size)
     if page is not None and page < 1:
         raise ValueError("page is 1-based")
-    _check_page_size(page_size)
     team_ids = list(searcher_team) if searcher_team is not None else [query.searcher_id]
     if query.searcher_id not in team_ids:
         raise ValueError("searcher_team must include the searcher")
@@ -200,7 +210,7 @@ def rank_candidates(
         raise ValueError("duplicate ids in pool")
     team_members = [lookup[mid] for mid in team_ids]
 
-    room = team_size - len(team_ids)
+    room = TEAM_SIZE - len(team_ids)
     eligible = [cid for cid in pool if cid not in in_team]
     if team_of is not None:
         eligible = [cid for cid in eligible if len(team_of(cid)) <= room]
@@ -234,7 +244,7 @@ def rank_candidates(
     order = np.asarray(by_id)[np.argsort(-combined[by_id], kind="stable")].tolist()
     ranked = list(enumerate(order, 1))
     if page is not None:
-        ranked = ranked[(page - 1) * page_size : page * page_size]
+        ranked = ranked[(page - 1) * PAGE_SIZE : page * PAGE_SIZE]
     fit_l, div_l, combined_l, match_l = (a.tolist() for a in (fit, diversity, combined, match))
     return [
         Recommendation(

@@ -34,7 +34,7 @@ from .core import (
 )
 from .optimizer import GaConfig, ga_partition, random_partition
 from .protocol import AssemblyState, Event
-from .recommender import _check_page_size, rank_candidates
+from .recommender import rank_candidates
 
 CONDITIONS = ("random", "algorithmic_diverse", "self_assembled", "fairness_aware")
 AGENCY_MODES = {"self_assembled": "fit_only", "fairness_aware": "fairness"}
@@ -59,27 +59,22 @@ def pilot_moments(
     policy: AgentPolicy,
     mode: str,
     rng: np.random.Generator,
-    *,
-    target: int = PILOT_EXPOSURES,
-    page_size: int = 10,
 ) -> StandardizationMoments:
     """Estimate rank/diversity moments from a pre-session recommendation batch.
 
     Queries are sampled as the live agents would issue them, ranked against
     the all-singleton pool, and the first-page (rank, diversity) pairs are
-    pooled until the target count is reached. Constant columns fall back to
+    pooled until PILOT_EXPOSURES are reached. Constant columns fall back to
     sd 1 so a degenerate population still standardizes (to all-zero scores).
-    A page_size below 1 is refused, as every page would be empty.
     """
-    _check_page_size(page_size)
     lookup = population_lookup(population)
     ids = [p.id for p in population]
     ranks: list[float] = []
     divs: list[float] = []
-    while len(ranks) < target:
+    while len(ranks) < PILOT_EXPOSURES:
         searcher = ids[int(rng.integers(len(ids)))]
         query = gen_query(searcher, policy, rng)
-        recs = rank_candidates(query, ids, lookup=lookup, mode=mode, page=1, page_size=page_size)
+        recs = rank_candidates(query, ids, lookup=lookup, mode=mode, page=1)
         for rec in recs:
             ranks.append(float(rec.rank))
             divs.append(rec.diversity_score)
@@ -103,16 +98,14 @@ def run_assembly(
     policy: AgentPolicy,
     params: ChoiceModelParams,
     rounds: int = 10,
-    team_size: int = TEAM_SIZE,
-    page_size: int = 10,
 ) -> tuple[AssemblyState, Partition, StandardizationMoments, list[Exposure]]:
     """Agent-driven assembly: pilot moments, seeded-order rounds, finalize."""
     lookup = population_lookup(population)
     ids = [p.id for p in population]
-    moments = pilot_moments(population, policy, mode, rng, page_size=page_size)
+    moments = pilot_moments(population, policy, mode, rng)
     sigma = math.sqrt(params.random_intercept_variance)
     u_by_agent = {pid: float(rng.normal(0.0, sigma)) if sigma > 0 else 0.0 for pid in ids}
-    state = AssemblyState(ids, team_size=team_size)
+    state = AssemblyState(ids)
     exposures: list[Exposure] = []
     for _ in range(rounds):
         state.advance_round()
@@ -129,7 +122,6 @@ def run_assembly(
                     mode=mode,
                     u=u_by_agent[agent_id],
                     rng=rng,
-                    page_size=page_size,
                 )
             )
     state.advance_round()
@@ -147,27 +139,23 @@ def run_session(
     policy: AgentPolicy | None = None,
     params: ChoiceModelParams | None = None,
     rounds: int = 10,
-    team_size: int = TEAM_SIZE,
-    page_size: int = 10,
 ) -> SessionResult:
     """Produce a partition plus per-team diversity profiles for one condition."""
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
-    if len(population) < 2 * team_size:
-        raise ValueError(f"population must have at least {2 * team_size} participants")
+    if len(population) < 2 * TEAM_SIZE:
+        raise ValueError(f"population must have at least {2 * TEAM_SIZE} participants")
     lookup = population_lookup(population)
     events: list[Event] = []
     moments = None
     exposures: list[Exposure] = []
 
     if condition == "random":
-        partition = random_partition(population, team_size, rng=rng)
+        partition = random_partition(population, rng=rng)
     elif condition == "algorithmic_diverse":
         ga_config = ga if ga is not None else GaConfig()
         seed = int(rng.integers(2**63 - 1))
-        _, partition = ga_partition(
-            population, dataclasses.replace(ga_config, rng_seed=seed), team_size=team_size
-        )
+        _, partition = ga_partition(population, dataclasses.replace(ga_config, rng_seed=seed))
     else:
         state, partition, moments, exposures = run_assembly(
             population,
@@ -176,8 +164,6 @@ def run_session(
             policy=policy if policy is not None else AgentPolicy(),
             params=params if params is not None else ChoiceModelParams(),
             rounds=rounds,
-            team_size=team_size,
-            page_size=page_size,
         )
         events = state.event_log
 

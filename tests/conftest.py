@@ -5,7 +5,7 @@ import pytest
 
 from teamsim.core import TEAM_SIZE, Participant
 from teamsim.population import synth_population
-from teamsim.recommender import Recommendation, fit_score, marginal_diversity, match_percent
+from teamsim.recommender import PAGE_SIZE, Recommendation, fit_score, marginal_diversity, match_percent
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -79,9 +79,7 @@ def scalar_rank_candidates(
     mode,
     searcher_team=None,
     team_of=None,
-    team_size=TEAM_SIZE,
     page=None,
-    page_size=10,
 ):
     """Reference for rank_candidates: one candidate at a time through the
     scalar definitions, sorted by (-combined, candidate id)."""
@@ -93,7 +91,7 @@ def scalar_rank_candidates(
         if cid in team_ids:
             continue
         group = team_of(cid) if team_of is not None else [cid]
-        if len(team_ids) + len(group) > team_size:
+        if len(team_ids) + len(group) > TEAM_SIZE:
             continue
         candidate = lookup[cid]
         fit = fit_score(searcher, candidate, query)
@@ -107,4 +105,4 @@ def scalar_rank_candidates(
     ]
     if page is None:
         return ranked
-    return ranked[(page - 1) * page_size : page * page_size]
+    return ranked[(page - 1) * PAGE_SIZE : page * PAGE_SIZE]

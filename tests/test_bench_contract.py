@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from teamsim.core import TEAM_SIZE
 from teamsim.experiment import ExperimentConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -63,5 +64,10 @@ def test_tracer_installs_and_restores(tracing):
 
 def test_workload_config_fields_exist():
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    used = {"conditions", "sessions_per_condition", "agents_per_session", "seed", "workers", "output_dir", "team_size"}
+    used = {"conditions", "sessions_per_condition", "agents_per_session", "seed", "workers", "output_dir"}
     assert used <= fields
+
+
+def test_workload_reads_the_team_size():
+    # bench/workloads.py reads configs[0].team_size; it is not a field.
+    assert ExperimentConfig().team_size == TEAM_SIZE

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from teamsim.cli import main
+from teamsim.cli import build_parser, main
 from teamsim.protocol import Event, write_log
+
+from test_protocol import _query, _row
 
 
 def _run(capsys, *argv):
@@ -67,22 +72,6 @@ class TestAssign:
         first, second = stdout.splitlines()
         assert json.loads(first)["partitions_enumerated"] == 35
         assert len(json.loads(second)["teams"]) == 2
-
-    @pytest.mark.parametrize("mode", ["random", "ga", "oracle"])
-    @pytest.mark.parametrize("team_size", ["0", "5"])
-    def test_team_size_out_of_range_is_input_error(self, tmp_path, capsys, mode, team_size):
-        pop = tmp_path / "small.jsonl"
-        main(["synth", "--n", "8", "--seed", "4", "--out", str(pop)])
-        capsys.readouterr()
-        code, stdout, stderr = _run(
-            capsys, "assign", "--population", str(pop), "--mode", mode, "--team-size", team_size
-        )
-        assert code == 3
-        assert stdout == ""
-        (line,) = stderr.splitlines()
-        error = json.loads(line)
-        assert error["error"] == "input"
-        assert "team_size" in error["message"]
 
     @pytest.mark.parametrize("mode", ["random", "ga", "oracle"])
     def test_duplicate_ids_are_input_error(self, tmp_path, capsys, mode):
@@ -202,14 +191,18 @@ def test_run_config_with_non_integer_policy_is_input_error(tmp_path, capsys, pol
     assert not (tmp_path / "o").exists()
 
 
-def test_recommend_page_size_zero_is_input_error(pop_file, capsys):
-    code, _, stderr = _run(
-        capsys,
-        "recommend", "--population", str(pop_file), "--searcher", "p0001",
-        "--criterion", "same_gender=2", "--criterion", "similar_age=1", "--page-size", "0",
-    )
-    assert code == 3
-    assert "page_size" in json.loads(stderr)["message"]
+@pytest.mark.parametrize(
+    "argv",
+    [("assign", "--population", "pop.jsonl", "--team-size", "4"),
+     ("recommend", "--population", "pop.jsonl", "--searcher", "p0001", "--criterion", "same_gender=2",
+      "--criterion", "similar_age=1", "--page-size", "10")],
+    ids=["team_size", "page_size"],
+)
+def test_removed_size_flags_are_usage_errors(argv):
+    # Teams are always four and pages ten: the flags are gone.
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
 
 
 @pytest.fixture(scope="module")
@@ -230,8 +223,15 @@ def run_dir(tmp_path_factory):
 
 
 def test_run_config_with_unknown_key_is_input_error(tmp_path, capsys):
-    # a schema section, as in configs copied from older manifests, is an unknown key
-    for data, key in (({"ga": {"restartz": 2}}, "ga.restartz"), ({"schema": {"gender_k": 3}}, "schema")):
+    # a schema section, a team or page size, or a GA seed, as in configs copied
+    # from older manifests, is an unknown key
+    for data, key in (
+        ({"ga": {"restartz": 2}}, "ga.restartz"),
+        ({"schema": {"gender_k": 3}}, "schema"),
+        ({"team_size": 4}, "team_size"),
+        ({"page_size": 10}, "page_size"),
+        ({"ga": {"rng_seed": 0}}, "ga.rng_seed"),
+    ):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(data))
         code, stdout, stderr = _run(capsys, "run", "--config", str(config), "--out", str(tmp_path / "o"))
@@ -328,6 +328,18 @@ def _pair(n, a, b):
     return [_sent(n, a, b, [a], [b]), _accepted(n, b), _merged(n, [a, b])]
 
 
+def _shown(searcher, *rows):
+    return ("recommendations_shown", {"searcher_id": searcher, "shown": list(rows)})
+
+
+def _queried(searcher, query_searcher, criteria):
+    return ("query_issued", {"searcher_id": searcher,
+                             "query": {"searcher_id": query_searcher, "criteria": criteria}})
+
+
+_CRITERIA = _query()["criteria"]
+
+
 _QUAD = [  # a01..a04 become one full team through three valid merges
     *_pair(1, "a01", "a02"),
     *_pair(2, "a03", "a04"),
@@ -398,14 +410,36 @@ _BAD_LOGS = {
         "after the deadline fill",
     ),
     "shows_teammate": (
-        [*_pair(1, "a00", "a01"),
-         ("recommendations_shown", {"searcher_id": "a00", "shown": [
-             {"candidate_id": "a02", "rank": 1}, {"candidate_id": "a01", "rank": 2}]})],
+        [*_pair(1, "a00", "a01"), _shown("a00", _row("a02", 1), _row("a01", 2))],
         "in the searcher's group",
     ),
     "shows_non_member": (
-        [("recommendations_shown", {"searcher_id": "a00", "shown": [{"candidate_id": "zz9", "rank": 1}]})],
+        [_shown("a00", _row("zz9", 1))],
         "unknown member",
+    ),
+    "shows_string_fit": (
+        [_shown("a00", _row("a01", 1), _row("a02", 2, fit="x"))],
+        "fit of 'a02' is not a finite number",
+    ),
+    "shows_bool_diversity": (
+        [_shown("a00", _row("a01", 1, diversity=False))],
+        "diversity of 'a01' is not a finite number",
+    ),
+    "shows_nan_combined": (
+        [_shown("a00", _row("a01", 1, combined=float("nan")))],
+        "combined of 'a01' is not a finite number",
+    ),
+    "query_without_criteria": (
+        [_queried("a00", "a00", []), _shown("a00", _row("a01", 1))],
+        "two criteria",
+    ),
+    "query_of_another_searcher": (
+        [_queried("a00", "a03", _CRITERIA)],
+        "not the searcher's",
+    ),
+    "query_with_string_weight": (
+        [_queried("a00", "a00", [{**c, "importance": "2"} for c in _CRITERIA])],
+        "importance",
     ),
     "reanchor": (  # a solo joins a full team, then one member leaves again
         [
@@ -439,6 +473,13 @@ class TestReplayRefusesBadLogs:
         assert code == 0
         assert json.loads(stdout)["groups"][1] == ["a01", "a02", "a03", "a04"]
 
+    def test_valid_query_and_page_replay(self, tmp_path, capsys):
+        events = [*_QUAD, _queried("a00", "a00", _CRITERIA), _shown("a00", _row("a05", 1, fit=-3))]
+        log = _write_events(tmp_path / "ok.jsonl", events)
+        code, stdout, _ = _run(capsys, "replay", "--events", str(log))
+        assert code == 0
+        assert json.loads(stdout)["events"] == len(events)
+
     @pytest.mark.parametrize("name", sorted(_BAD_LOGS))
     def test_rule_breaking_log_exits_3(self, tmp_path, capsys, name):
         events, message = _BAD_LOGS[name]
@@ -465,3 +506,20 @@ class TestReplayRefusesBadLogs:
         code, stdout, stderr = _run(capsys, "replay", "--events", str(log))
         assert (code, stdout) == (3, "")
         assert _one_error_line(stderr)["error"] == category
+
+
+def _readme_commands() -> list[str]:
+    """The teamsim commands of the README's CLI block, continuations joined
+    and comments stripped."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines()]
+    return [line for line in lines if line]
+
+
+def test_readme_cli_block_parses():
+    commands = _readme_commands()
+    assert len(commands) >= 8 and all(c.startswith("teamsim ") for c in commands)
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])  # a stale flag exits 2

@@ -84,6 +84,12 @@ class TestNormalizedBlau:
         with pytest.raises(ValueError):
             normalized_blau(["F", "M"], 1)
 
+    def test_k_below_distinct_categories_rejected(self):
+        # Three categories over k=2 would score 1.333.
+        with pytest.raises(ValueError, match="distinct categories"):
+            normalized_blau(["a", "b", "c"], 2)
+        assert normalized_blau(["a", "b", "c"], 3) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestCoefficientOfVariation:
     def test_identical_values(self):

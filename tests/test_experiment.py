@@ -8,6 +8,7 @@ import pytest
 
 import teamsim.stats
 from teamsim.agents import ChoiceModelParams, simulate_exposures
+from teamsim.core import TEAM_SIZE
 from teamsim.experiment import (
     REPORT_METRICS,
     AuditError,
@@ -45,8 +46,11 @@ class TestConfig:
             ExperimentConfig(sessions_per_condition=0)
         with pytest.raises(ValueError):
             ExperimentConfig(agents_per_session=7)
-        with pytest.raises(ValueError):
-            ExperimentConfig(team_size=5)
+        # Teams are always TEAM_SIZE: the team size is not a field.
+        with pytest.raises(TypeError):
+            ExperimentConfig(team_size=TEAM_SIZE)
+        with pytest.raises(ValueError, match="ga.rng_seed is not a setting"):
+            ExperimentConfig(ga=GaConfig(rng_seed=5))
 
     @pytest.mark.parametrize(
         "key, value",
@@ -57,10 +61,6 @@ class TestConfig:
             ("rounds", 0),
             ("rounds", 2.0),
             ("seed", -1),
-            ("team_size", 3.0),
-            ("page_size", 0),
-            ("page_size", -3),
-            ("page_size", True),
             ("workers", 1.0),
         ],
     )
@@ -79,6 +79,16 @@ class TestConfig:
         # The Blau category counts and the age span are fixed, not settings.
         with pytest.raises(ValueError, match="unknown config keys: schema$"):
             ExperimentConfig.from_dict({"schema": {"gender_k": 2}})
+        # Teams of four, pages of ten, and each GA session seeded from seed.
+        with pytest.raises(ValueError, match="unknown config keys: page_size, team_size$"):
+            ExperimentConfig.from_dict({"team_size": 4, "page_size": 10})
+        with pytest.raises(ValueError, match=r"unknown config keys: ga\.rng_seed$"):
+            ExperimentConfig.from_dict({"ga": {"rng_seed": 0}})
+
+    def test_manifest_record_lacks_fixed_values(self):
+        record = ExperimentConfig().to_dict()
+        assert "team_size" not in record and "page_size" not in record
+        assert set(record["ga"]) == {"generations", "population_size", "swap_attempts"}
 
     @pytest.mark.parametrize("key", ["ga", "policy", "choice_params", "demographics"])
     @pytest.mark.parametrize("value", [5, None, [1, 2], "x"])

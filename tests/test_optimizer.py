@@ -194,16 +194,6 @@ class TestGaConfig:
         assert config.generations == 2
 
 
-@pytest.mark.parametrize("team_size", [0, TEAM_SIZE + 1, -1, 2.0, True])
-def test_team_size_outside_range_rejected(small_population, team_size):
-    with pytest.raises(ValueError, match="team_size"):
-        random_partition(small_population, team_size, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError, match="team_size"):
-        ga_partition(small_population, GaConfig(generations=1, population_size=2), team_size=team_size)
-    with pytest.raises(ValueError, match="team_size"):
-        brute_force_partition(small_population, team_size)
-
-
 @pytest.mark.parametrize("seed", range(2, 8))
 def test_duplicate_ids_rejected(seed):
     population = synth_population(8, rng=np.random.default_rng(seed))
@@ -216,13 +206,13 @@ def test_duplicate_ids_rejected(seed):
         brute_force_partition(population)
 
 
-def _reference_ga(population, config: GaConfig, team_size: int):
+def _reference_ga(population, config: GaConfig):
     """The scalar climber loop: each climber's swaps one at a time, scored by
     surface_deep_rows, on the same initial partitions and proposals as ga_partition."""
     ids = [p.id for p in population]
     rows = attribute_rows(population)
     n = len(ids)
-    n_teams = n // team_size
+    n_teams = n // TEAM_SIZE
     swap_attempts = config.swap_attempts if config.swap_attempts is not None else n
     archive = ParetoArchive()
 
@@ -239,14 +229,14 @@ def _reference_ga(population, config: GaConfig, team_size: int):
     candidates = []
     for _ in range(config.population_size):
         order = rng.permutation(n).tolist()
-        teams = [tuple(order[i * team_size : (i + 1) * team_size]) for i in range(n_teams)]
+        teams = [tuple(order[i * TEAM_SIZE : (i + 1) * TEAM_SIZE]) for i in range(n_teams)]
         scores = [surface_deep_rows(rows, team) for team in teams]
-        cand = {"teams": teams, "solos": order[n_teams * team_size :], "scores": scores}
+        cand = {"teams": teams, "solos": order[n_teams * TEAM_SIZE :], "scores": scores}
         cand["surface"], cand["deep"] = mean(scores)
         candidates.append(cand)
         offer(cand)
     for _ in range(config.generations):
-        proposals = _draw_proposals(rng, swap_attempts, config.population_size, n_teams, team_size)
+        proposals = _draw_proposals(rng, swap_attempts, config.population_size, n_teams)
         for c, cand in enumerate(candidates):
             for ti, tj, mi, mj in proposals[:, c].tolist():
                 team_i, team_j = list(cand["teams"][ti]), list(cand["teams"][tj])
@@ -269,24 +259,20 @@ def _front(archive: ParetoArchive) -> list:
     return [(e.surface, e.deep, e.partition) for e in archive.entries]
 
 
+_GA_CASES = [
+    (8, "synth"),
+    (12, "synth"),
+    (33, "synth"),
+    (12, "clones"),
+    (33, "clones"),
+    (12, "two kinds"),
+    (16, "two kinds"),
+]
+
+
 class TestGaMatchesScalarClimbers:
-    @pytest.mark.parametrize(
-        "n, team_size, kind",
-        [
-            (8, 2, "synth"),
-            (8, 4, "synth"),
-            (12, 3, "synth"),
-            (12, 4, "synth"),
-            (33, 2, "synth"),
-            (33, 3, "synth"),
-            (33, 4, "synth"),
-            (12, 3, "clones"),
-            (33, 4, "clones"),
-            (12, 3, "two kinds"),
-            (16, 2, "two kinds"),
-        ],
-    )
-    def test_identical_archive_and_selection(self, n, team_size, kind):
+    @pytest.mark.parametrize("n, kind", _GA_CASES, ids=[f"{n}-{TEAM_SIZE}-{kind}" for n, kind in _GA_CASES])
+    def test_identical_archive_and_selection(self, n, kind):
         if kind == "clones":
             population = clone_population(n)
         elif kind == "two kinds":
@@ -297,23 +283,23 @@ class TestGaMatchesScalarClimbers:
                 for i in range(n)
             ]
         else:
-            population = synth_population(n, rng=np.random.default_rng(100 * n + team_size))
-        config = GaConfig(generations=3, population_size=6, rng_seed=n + team_size)
-        archive, selected = ga_partition(population, config, team_size=team_size)
-        ref_archive, ref_selected = _reference_ga(population, config, team_size)
+            population = synth_population(n, rng=np.random.default_rng(100 * n + TEAM_SIZE))
+        config = GaConfig(generations=3, population_size=6, rng_seed=n + TEAM_SIZE)
+        archive, selected = ga_partition(population, config)
+        ref_archive, ref_selected = _reference_ga(population, config)
         assert _front(archive) == _front(ref_archive)
         assert selected == ref_selected
 
     def test_identical_at_default_config(self, mixed_population):
         archive, selected = ga_partition(mixed_population, GaConfig(rng_seed=3))
-        ref_archive, ref_selected = _reference_ga(mixed_population, GaConfig(rng_seed=3), TEAM_SIZE)
+        ref_archive, ref_selected = _reference_ga(mixed_population, GaConfig(rng_seed=3))
         assert _front(archive) == _front(ref_archive)
         assert selected == ref_selected
 
 
 def test_proposals_uniform_over_team_pairs_and_members():
-    n_teams, team_size = 5, 3
-    draws = _draw_proposals(np.random.default_rng(2024), 400, 50, n_teams, team_size)
+    n_teams = 5
+    draws = _draw_proposals(np.random.default_rng(2024), 400, 50, n_teams)
     ti, tj, mi, mj = draws.reshape(-1, 4).T
     assert draws.shape == (400, 50, 4)
     assert np.all(ti != tj)
@@ -321,7 +307,7 @@ def test_proposals_uniform_over_team_pairs_and_members():
     off_diagonal = pair_counts[~np.eye(n_teams, dtype=bool).ravel()]
     assert chisquare(off_diagonal).pvalue > 1e-3
     for members in (mi, mj):
-        assert chisquare(np.bincount(members, minlength=team_size)).pvalue > 1e-3
+        assert chisquare(np.bincount(members, minlength=TEAM_SIZE)).pvalue > 1e-3
 
 
 class TestGaPartition:
@@ -420,32 +406,31 @@ class TestBruteForce:
             assert surface + deep <= bf.best_total + 1e-12
 
     @pytest.mark.parametrize(
-        "population, team_size",
+        "population",
         [
-            (synth_population(8, rng=np.random.default_rng(31)), 4),
-            (synth_population(8, rng=np.random.default_rng(32)), 2),
-            (synth_population(9, rng=np.random.default_rng(33)), 4),
-            (synth_population(9, rng=np.random.default_rng(34)), 3),
-            (synth_population(12, rng=np.random.default_rng(35)), 4),
-            (clone_population(8), 4),
+            synth_population(8, rng=np.random.default_rng(31)),
+            synth_population(9, rng=np.random.default_rng(33)),
+            synth_population(12, rng=np.random.default_rng(35)),
+            clone_population(8),
         ],
+        ids=["population0-4", "population2-4", "population4-4", "population5-4"],
     )
-    def test_matches_scalar_enumeration(self, population, team_size):
+    def test_matches_scalar_enumeration(self, population):
         """Same count and argmax sets (ties included, in enumeration order) as
         scoring every split team by team with surface_deep_rows."""
         ids = [p.id for p in population]
         rows = attribute_rows(population)
         n = len(population)
         splits = []
-        for solos in itertools.combinations(range(n), n % team_size):
+        for solos in itertools.combinations(range(n), n % TEAM_SIZE):
             pool = tuple(i for i in range(n) if i not in solos)
-            for split in _team_splits(pool, team_size):
+            for split in _team_splits(pool):
                 scores = [surface_deep_rows(rows, team) for team in split]
                 surface = sum(s for s, _ in scores) / len(scores)
                 deep = sum(d for _, d in scores) / len(scores)
                 partition = Partition.build(([ids[i] for i in t] for t in split), [ids[i] for i in solos])
                 splits.append((surface, deep, surface + deep, partition))
-        result = brute_force_partition(population, team_size)
+        result = brute_force_partition(population)
         assert result.n_partitions == len(splits)
         for k, best, partitions in (
             (0, result.best_surface, result.best_surface_partitions),

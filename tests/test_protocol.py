@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from teamsim.core import TEAM_SIZE
 from teamsim.protocol import (
     AssemblyError,
     AssemblyState,
@@ -214,18 +215,6 @@ class TestFinalize:
         assert state.invitations[inv_id].status == "expired"
         state.check_invariants()
 
-    def test_team_size_comes_from_the_state(self):
-        state = AssemblyState(_ids(7), team_size=3)
-        _merge(state, "a00", "a01")
-        _merge(state, "a00", "a02")
-        with pytest.raises(AssemblyError, match="exceed team size"):
-            state.send_invitation("a03", "a00")
-        partition = state.finalize(np.random.default_rng(7))
-        assert sorted(len(t.member_ids) for t in partition.teams) == [3, 3]
-        assert len(partition.solos) == 1
-        with pytest.raises(ValueError, match="team_size"):
-            AssemblyState(_ids(7), team_size=5)
-
     def test_never_splits_full_groups(self):
         rng = np.random.default_rng(4)
         for trial in range(10):
@@ -238,8 +227,22 @@ class TestFinalize:
             partition.validate(_ids(11))
 
 
+def _row(candidate: str, rank: int, **scores) -> dict:
+    """One shown recommendation as agent_step logs it."""
+    return {"candidate_id": candidate, "rank": rank, "fit": 2.0, "diversity": 0.5,
+            "combined": 1.0, "match_percent": 40.0, **scores}
+
+
 def _shown(*candidates: str) -> list[dict]:
-    return [{"candidate_id": c, "rank": r} for r, c in enumerate(candidates, 1)]
+    return [_row(c, r) for r, c in enumerate(candidates, 1)]
+
+
+def _query(searcher: str = "a00") -> dict:
+    """A valid query_issued payload, as Query.to_payload writes it."""
+    return {"searcher_id": searcher, "criteria": [
+        {"kind": "same_gender", "skill": None, "importance": 2},
+        {"kind": "skill", "skill": 3, "importance": -1},
+    ]}
 
 
 class TestDeadlineFillIsLast:
@@ -251,7 +254,7 @@ class TestDeadlineFillIsLast:
         with pytest.raises(AssemblyError, match="after the deadline fill"):
             state.send_invitation(*solos)
         for command, args in (
-            (state.record_query, ("a00", {"criteria": []})),
+            (state.record_query, ("a00", _query())),
             (state.record_recommendations, (solos[0], _shown(solos[1]))),
             (state.finalize, (np.random.default_rng(1),)),
         ):
@@ -294,11 +297,17 @@ class TestRecommendationsShown:
             ("a00", _shown("zz9"), "unknown member"),
             ("a00", _shown("a02"), "no room"),
             ("a00", _shown("a05", "a05"), "repeats"),
-            ("a00", [{"candidate_id": "a05", "rank": 2}], "1..k"),
-            ("a00", [{"candidate_id": "a05", "rank": 1}, {"candidate_id": "a06", "rank": 1}], "1..k"),
+            ("a00", [_row("a05", 2)], "1..k"),
+            ("a00", [_row("a05", 1), _row("a06", 1)], "1..k"),
             ("zz9", _shown("a05"), "unknown member"),
+            ("a00", [_row("a05", 1), _row("a06", 2, fit="x")], "fit of 'a06'"),
+            ("a00", [_row("a05", 1, diversity=True)], "diversity of 'a05'"),
+            ("a00", [_row("a05", 1, combined=float("nan"))], "combined of 'a05'"),
+            ("a00", [_row("a05", 1, match_percent=float("inf"))], "match_percent of 'a05'"),
+            ("a00", [_row("a05", 1, fit=None)], "fit of 'a05'"),
         ],
-        ids=["teammate", "non_member", "no_room", "repeat", "rank_gap", "rank_tie", "searcher"],
+        ids=["teammate", "non_member", "no_room", "repeat", "rank_gap", "rank_tie", "searcher",
+             "fit_string", "diversity_bool", "combined_nan", "match_inf", "fit_none"],
     )
     def test_ineligible_page_refused(self, searcher, shown, message):
         state = self._state()
@@ -306,6 +315,40 @@ class TestRecommendationsShown:
         with pytest.raises(AssemblyError, match=message):
             state.record_recommendations(searcher, shown)
         assert state.snapshot() == before
+
+
+class TestQueryIssued:
+    def test_valid_query_recorded(self):
+        state = AssemblyState(_ids(4))
+        state.record_query("a01", _query("a01"))
+        assert state.event_log[-1].payload == {"searcher_id": "a01", "query": _query("a01")}
+
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ({"criteria": []}, "invalid query"),
+            ({"searcher_id": "a00", "criteria": []}, "two criteria"),
+            ({**_query(), "criteria": _query()["criteria"][:1] * 2}, "duplicate"),
+            ({**_query(), "criteria": [{"kind": "psychic", "skill": None, "importance": 1}] * 2},
+             "unknown criterion kind"),
+            ({**_query(), "criteria": [{**c, "importance": "2"} for c in _query()["criteria"]]},
+             "importance"),
+            ({**_query(), "criteria": [{**c, "importance": True} for c in _query()["criteria"]]},
+             "importance"),
+            ([1, 2], "invalid query"),
+            (_query("a01"), "not the searcher's"),
+        ],
+        ids=["no_searcher", "no_criteria", "duplicate", "unknown_kind", "string_weight",
+             "bool_weight", "list", "other_searcher"],
+    )
+    def test_invalid_query_refused(self, query, message):
+        state = AssemblyState(_ids(4))
+        before = state.snapshot()
+        with pytest.raises(AssemblyError, match=message):
+            state.record_query("a00", query)
+        assert state.snapshot() == before
+        with pytest.raises(AssemblyError, match=message):
+            replay(_ids(4), [Event(0, "query_issued", {"searcher_id": "a00", "query": query})])
 
 
 class TestRoundsAndLog:
@@ -330,7 +373,7 @@ class TestRoundsAndLog:
         state = AssemblyState(_ids(6))
         state.advance_round()
         _merge(state, "a00", "a01")
-        state.record_query("a02", {"criteria": []})
+        state.record_query("a02", _query("a02"))
         state.finalize(np.random.default_rng(5))
         path = tmp_path / "events.jsonl"
         write_log(path, list(state.members), state.event_log)
@@ -352,8 +395,8 @@ class TestRoundsAndLog:
         assert replayed.snapshot() == state.snapshot()
 
     def test_replay_rejects_non_monotone_rounds(self):
-        e1 = Event(round=2, kind="query_issued", payload={"searcher_id": "a00", "query": {}})
-        e2 = Event(round=1, kind="query_issued", payload={"searcher_id": "a00", "query": {}})
+        e1 = Event(round=2, kind="query_issued", payload={"searcher_id": "a00", "query": _query()})
+        e2 = Event(round=1, kind="query_issued", payload={"searcher_id": "a00", "query": _query()})
         with pytest.raises(AssemblyError, match="non-decreasing"):
             replay(_ids(2), [e1, e2])
 
@@ -405,9 +448,9 @@ class AssemblyMachine(RuleBasedStateMachine):
     """Random command traffic: every step keeps the invariants, a refused
     command changes nothing, and the finished log replays to the same state."""
 
-    @initialize(team_size=st.integers(2, 4))
-    def start(self, team_size):
-        self.state = AssemblyState(_MACHINE_MEMBERS, team_size=team_size)
+    @initialize()
+    def start(self):
+        self.state = AssemblyState(_MACHINE_MEMBERS)
 
     def _refused(self, command, *args):
         before = self.state.snapshot()
@@ -422,7 +465,7 @@ class AssemblyMachine(RuleBasedStateMachine):
     def invite(self, a, b):
         ga, gb = self.state.group_of(a), self.state.group_of(b)
         refused = self._refused(self.state.send_invitation, a, b)
-        assert refused == (ga == gb or len(ga) + len(gb) > self.state.team_size)
+        assert refused == (ga == gb or len(ga) + len(gb) > TEAM_SIZE)
 
     @rule(pick=st.integers(0, 2**16), response=st.sampled_from(("accepted", "declined", "ignored")))
     def respond(self, pick, response):
@@ -439,7 +482,7 @@ class AssemblyMachine(RuleBasedStateMachine):
     )
     def show(self, searcher, candidates):
         group = self.state.group_of(searcher)
-        room = self.state.team_size - len(group)
+        room = TEAM_SIZE - len(group)
         eligible = len(set(candidates)) == len(candidates) and all(
             c in _MACHINE_MEMBERS and c not in group and len(self.state.group_of(c)) <= room
             for c in candidates

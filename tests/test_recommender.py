@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from teamsim.core import GENDERS, NUM_SKILLS, RACES, TEAM_SIZE, Participant, population_lookup
+from teamsim.core import GENDERS, NUM_SKILLS, RACES, Participant, population_lookup
 from teamsim.population import synth_population
 from teamsim.recommender import (
     DEMOGRAPHIC_KINDS,
     MODES,
+    PAGE_SIZE,
     Criterion,
     Query,
     criterion_score,
@@ -70,6 +71,34 @@ class TestCriterionValidation:
             )
         with pytest.raises(ValueError, match="duplicate"):
             _query(c1, Criterion(kind="same_gender", importance=1))
+
+    def test_payload_round_trip(self):
+        query = _query(
+            Criterion(kind="skill", importance=-2, skill=5),
+            Criterion(kind="same_race", importance=3),
+            searcher="p7",
+        )
+        payload = query.to_payload()
+        assert payload == {"searcher_id": "p7", "criteria": [
+            {"kind": "skill", "skill": 5, "importance": -2},
+            {"kind": "same_race", "skill": None, "importance": 3},
+        ]}
+        assert Query.from_payload(payload) == query
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            None,
+            [],
+            {"criteria": []},
+            {"searcher_id": "s"},
+            {"searcher_id": "s", "criteria": [1, 2]},
+            {"searcher_id": "s", "criteria": [{"kind": "same_race"}] * 2},
+        ],
+    )
+    def test_malformed_payload_refused(self, payload):
+        with pytest.raises(ValueError, match="malformed query payload"):
+            Query.from_payload(payload)
 
 
 class TestCriterionScore:
@@ -265,25 +294,8 @@ class TestRankCandidates:
         )
         full = rank_candidates(query, [p.id for p in pop], lookup=lookup, mode="fairness")
         assert [r.rank for r in full] == list(range(1, len(full) + 1))
-        page2 = rank_candidates(
-            query, [p.id for p in pop], lookup=lookup, mode="fairness", page=2, page_size=10
-        )
-        assert [r.rank for r in page2] == [r.rank for r in full[10:20]]
-
-    @pytest.mark.parametrize("page_size", [0, -3, 2.0])
-    def test_page_size_below_one_refused(self, page_size):
-        pop, lookup = self._pool()
-        query = _query(
-            Criterion(kind="same_gender", importance=2),
-            Criterion(kind="similar_age", importance=2),
-            searcher=pop[0].id,
-        )
-        for page in (1, None):
-            with pytest.raises(ValueError, match="page_size"):
-                rank_candidates(
-                    query, [p.id for p in pop], lookup=lookup, mode="fit_only",
-                    page=page, page_size=page_size,
-                )
+        page2 = rank_candidates(query, [p.id for p in pop], lookup=lookup, mode="fairness", page=2)
+        assert [r.rank for r in page2] == [r.rank for r in full[PAGE_SIZE : 2 * PAGE_SIZE]]
 
     def test_never_recommends_overfull_merge(self):
         pop, lookup = self._pool(12)
@@ -395,7 +407,6 @@ class TestRankCandidates:
         [
             ({"pool": ["p0002", "p0003"] * 2}, "duplicate ids in pool"),
             ({"searcher_team": ["p0001"] * 4}, "duplicate ids in searcher_team"),
-            *(({"team_size": size}, "team_size") for size in (0, TEAM_SIZE + 1, -1, 2.0, True)),
         ],
     )
     def test_misuse_rejected(self, misuse, message):
@@ -460,9 +471,7 @@ def _ranking_cases(draw):
         "mode": draw(st.sampled_from(MODES)),
         "searcher_team": team,
         "team_of": draw(st.sampled_from([None, groups.__getitem__])),
-        "team_size": draw(st.integers(1, TEAM_SIZE)),
         "page": draw(st.sampled_from([None, 1, 2])),
-        "page_size": draw(st.sampled_from([1, 3, 10])),
     }
     return query, draw(st.permutations(ids)), kwargs
 

@@ -30,17 +30,6 @@ class TestPilotMoments:
         assert moments.diversity_mean == pytest.approx(0.01)
 
 
-    @pytest.mark.parametrize("page_size", [0, -3])
-    def test_page_size_below_one_refused(self, mixed_population, page_size):
-        # target=0 never enters the sampling loop, so only the up-front check
-        # can raise: empty pages would otherwise loop forever
-        with pytest.raises(ValueError, match="page_size"):
-            pilot_moments(
-                mixed_population, AgentPolicy(), "fit_only", np.random.default_rng(4),
-                target=0, page_size=page_size,
-            )
-
-
 class TestRunSession:
     def test_unknown_condition_rejected(self, mixed_population):
         with pytest.raises(ValueError, match="unknown condition"):
