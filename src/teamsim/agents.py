@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import NUM_SKILLS, TEAM_SIZE, Participant, _is_int
+from .core import NUM_SKILLS, TEAM_SIZE, Participant, _is_int, _is_real
 from .protocol import AssemblyState
 from .recommender import DEMOGRAPHIC_KINDS, PAGE_SIZE, Criterion, Query, rank_candidates
 
@@ -36,6 +36,9 @@ class ChoiceModelParams:
     random_intercept_variance: float = 0.42
 
     def __post_init__(self) -> None:
+        for name in (*FIXED_EFFECTS, "random_intercept_variance"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite real number, got {getattr(self, name)!r}")
         if self.random_intercept_variance < 0:
             raise ValueError("random_intercept_variance must be >= 0")
 
@@ -222,13 +225,7 @@ def agent_step(
     query = gen_query(agent_id, policy, rng)
     state.record_query(agent_id, query.to_payload())
     recs = rank_candidates(
-        query,
-        state.members,
-        lookup=lookup,
-        mode=mode,
-        searcher_team=group,
-        team_of=state.group_of,
-        page=1,
+        query, state.candidates(agent_id), lookup=lookup, mode=mode, searcher_team=group, page=1
     )
     state.record_recommendations(
         agent_id,

@@ -54,6 +54,13 @@ def _is_int(value) -> bool:
     return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
+def _is_real(value) -> bool:
+    """A finite int, float or numpy real; bools and strings are refused."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        return False
+    return math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class Participant:
     """One person: categorical demographics, age, and six skill levels (1-5)."""
@@ -65,8 +72,8 @@ class Participant:
     international: bool
     age: int
     skills: tuple[int, ...]
-    # attribute_row codes, computed once: participants are immutable and the
-    # recommender codes every candidate on every search.
+    # Integer attribute codes for team scoring, computed once: participants
+    # are immutable and the recommender codes every candidate on every search.
     _row: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -241,15 +248,6 @@ def normalize_cv(cv: float) -> float:
     return cv / (cv + 1.0)
 
 
-def attribute_row(p: Participant) -> tuple:
-    """Integer-coded attribute tuple for fast repeated team scoring."""
-    return p._row
-
-
-def attribute_rows(participants: Sequence[Participant]) -> list[tuple]:
-    return [attribute_row(p) for p in participants]
-
-
 def _blau_from_codes(codes: Sequence[int], n: int) -> float:
     counts: dict = {}
     for c in codes:
@@ -311,7 +309,7 @@ def profile_for_rows(rows: Sequence[tuple]) -> DiversityProfile:
 
 
 def profile_for_members(members: Sequence[Participant]) -> DiversityProfile:
-    return profile_for_rows(attribute_rows(members))
+    return profile_for_rows([p._row for p in members])
 
 
 def surface_deep_rows(rows: Sequence[tuple], idxs: Sequence[int]) -> tuple[float, float]:
@@ -324,12 +322,12 @@ def surface_deep_rows(rows: Sequence[tuple], idxs: Sequence[int]) -> tuple[float
 
 
 def attribute_table(participants: Sequence[Participant]) -> np.ndarray:
-    """int64[n, METRIC_COUNT] table of attribute_row codes, one row per participant.
+    """int64[n, METRIC_COUNT] table of Participant._row codes, one row per participant.
 
-    Columns follow attribute_row: gender, race, hispanic, international,
+    Columns follow Participant._row: gender, race, hispanic, international,
     age, then the six skills; each column yields one metric component.
     """
-    return np.array(attribute_rows(participants), dtype=np.int64).reshape(len(participants), METRIC_COUNT)
+    return np.array([p._row for p in participants], dtype=np.int64).reshape(len(participants), METRIC_COUNT)
 
 
 # (first, second) member positions of the t(t-1)/2 unordered member pairs.

@@ -32,7 +32,7 @@ from .core import (
     team_diversity_profile,
 )
 from .optimizer import GaConfig
-from .population import DemographicSpec, synth_population
+from .population import DemographicSpec, save_population, synth_population
 from .protocol import replay, write_log
 from .session import CONDITIONS, SessionResult, run_session
 from .stats import LogisticFit, anova_f_by_metric, chi2_independence, logistic_fit, pairwise_diffs_by_metric
@@ -103,33 +103,39 @@ class ExperimentConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Config from JSON data: keys that to_dict does not write, top-level
-        or nested, are refused, and each nested config must be a mapping."""
+    def from_dict(cls, d) -> "ExperimentConfig":
+        """Config from JSON data: a mapping with mappings as nested configs,
+        refusing keys that to_dict does not write. A value of the wrong type
+        raises ValueError, as a malformed event does in replay."""
+        if not isinstance(d, Mapping):
+            raise ValueError(f"a config must be a mapping, got {type(d).__name__}")
         kwargs = dict(d)
         known = cls().to_dict()
         _reject_unknown_keys(known, kwargs)
-        if "conditions" in kwargs:
-            kwargs["conditions"] = tuple(kwargs["conditions"])
-        for key, sub in (
-            ("ga", GaConfig),
-            ("policy", AgentPolicy),
-            ("choice_params", ChoiceModelParams),
-            ("demographics", DemographicSpec),
-        ):
-            if key not in kwargs:
-                continue
-            if not isinstance(kwargs[key], Mapping):
-                raise ValueError(
-                    f"config key {key!r} must be a mapping, got {type(kwargs[key]).__name__}"
-                )
-            sub_kwargs = dict(kwargs[key])
-            _reject_unknown_keys(known[key], sub_kwargs, f"{key}.")
-            for name, value in sub_kwargs.items():
-                if isinstance(value, list):
-                    sub_kwargs[name] = tuple(value)
-            kwargs[key] = sub(**sub_kwargs)
-        return cls(**kwargs)
+        try:
+            if "conditions" in kwargs:
+                kwargs["conditions"] = tuple(kwargs["conditions"])
+            for key, sub in (
+                ("ga", GaConfig),
+                ("policy", AgentPolicy),
+                ("choice_params", ChoiceModelParams),
+                ("demographics", DemographicSpec),
+            ):
+                if key not in kwargs:
+                    continue
+                if not isinstance(kwargs[key], Mapping):
+                    raise ValueError(
+                        f"config key {key!r} must be a mapping, got {type(kwargs[key]).__name__}"
+                    )
+                sub_kwargs = dict(kwargs[key])
+                _reject_unknown_keys(known[key], sub_kwargs, f"{key}.")
+                for name, value in sub_kwargs.items():
+                    if isinstance(value, list):
+                        sub_kwargs[name] = tuple(value)
+                kwargs[key] = sub(**sub_kwargs)
+            return cls(**kwargs)
+        except TypeError as exc:
+            raise ValueError(f"malformed config value: {exc}") from exc
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -216,14 +222,13 @@ def _team_rows(sessions: Sequence[SessionResult]) -> list[dict]:
     return rows
 
 
-def _summary_rows(team_rows: Sequence[dict], conditions: Sequence[str]) -> list[dict]:
+def _summary_rows(
+    groups_by_metric: Mapping[str, Mapping[str, list[float]]], conditions: Sequence[str]
+) -> list[dict]:
     rows = []
     for condition in conditions:
-        values_by_metric = {
-            m: np.asarray([r[m] for r in team_rows if r["condition"] == condition])
-            for m in REPORT_METRICS
-        }
-        for metric, values in values_by_metric.items():
+        for metric, groups in groups_by_metric.items():
+            values = np.asarray(groups[condition])
             rows.append(
                 {
                     "condition": condition,
@@ -333,10 +338,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         sessions = [_run_one(job) for job in jobs]
 
     team_rows = _team_rows(sessions)
-    summary_rows = _summary_rows(team_rows, config.conditions)
-    anova_rows, pairwise_rows = stats_tables(
-        metric_groups(team_rows, config.conditions, REPORT_METRICS), config.seed
-    )
+    groups_by_metric = metric_groups(team_rows, config.conditions, REPORT_METRICS)
+    summary_rows = _summary_rows(groups_by_metric, config.conditions)
+    anova_rows, pairwise_rows = stats_tables(groups_by_metric, config.seed)
     balance_rows = _balance_tables(sessions, config.conditions)
 
     exposure_rows = []
@@ -403,24 +407,7 @@ def write_report(report: ExperimentReport, out_dir: Path) -> None:
     if report.balance_rows:
         write_csv(out_dir / "balance.csv", report.balance_rows, ["attribute", "chi2", "df", "p_value"])
     if report.exposure_rows:
-        write_csv(
-            out_dir / "exposures.csv",
-            report.exposure_rows,
-            [
-                "condition",
-                "session",
-                "searcher",
-                "candidate",
-                "round",
-                "rank",
-                "rank_z",
-                "same_gender",
-                "diversity",
-                "diversity_z",
-                "treatment",
-                "selected",
-            ],
-        )
+        write_csv(out_dir / "exposures.csv", report.exposure_rows, list(report.exposure_rows[0]))
 
     with open(out_dir / "manifest.jsonl", "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"kind": "version", "teamsim": __version__}, sort_keys=True) + "\n")
@@ -444,10 +431,7 @@ def write_report(report: ExperimentReport, out_dir: Path) -> None:
 
     for s in report.sessions:
         stem = f"{s.condition}_{s.session_index:03d}"
-        pop_path = out_dir / "populations" / f"{stem}.jsonl"
-        with open(pop_path, "w", encoding="utf-8") as fh:
-            for p in s.population:
-                fh.write(json.dumps(p.to_dict(), sort_keys=True) + "\n")
+        save_population(out_dir / "populations" / f"{stem}.jsonl", s.population)
         partition_path = out_dir / "partitions" / f"{stem}.json"
         partition_path.write_text(
             json.dumps(

@@ -2,9 +2,10 @@
 
 Participants start as singleton groups and grow by invitation: an
 invitation goes to one target and snapshots both groups; the merge
-happens only when every recipient-group member accepts, and never
-produces a group larger than TEAM_SIZE. Membership changes void any open
-invitation whose snapshots went stale.
+happens only when every recipient-group member accepts. join_refusal,
+the join rule of invitations, shown pages and AssemblyState.candidates,
+lets two distinct groups merge only if the merged team fits TEAM_SIZE.
+Membership changes void any open invitation whose snapshots went stale.
 
 All mutations are event-sourced: commands emit events and apply them
 through one dispatcher, _apply, which checks each event against every
@@ -17,13 +18,12 @@ the last event of a session: nothing is accepted after it.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TEAM_SIZE, Partition
+from .core import TEAM_SIZE, Partition, _is_real
 from .recommender import Query
 
 RESPONSES = ("accepted", "declined", "ignored")
@@ -39,9 +39,13 @@ def _require(ok: bool, message: str) -> None:
         raise AssemblyError(message)
 
 
-def _is_real(value) -> bool:
-    """A finite int or float; bools, strings and numpy scalars are refused."""
-    return type(value) is int or (type(value) is float and math.isfinite(value))
+def join_refusal(group: tuple[str, ...], other: tuple[str, ...]) -> str | None:
+    """Why group may not join other, or None when it may: the join rule."""
+    if group == other:
+        return "already teammates"
+    if len(group) + len(other) > TEAM_SIZE:
+        return "merge would exceed team size"
+    return None
 
 
 @dataclass(frozen=True)
@@ -80,8 +84,8 @@ class AssemblyState:
         if not members:
             raise ValueError("empty session")
         self.members: tuple[str, ...] = tuple(members)
-        self._groups: dict[str, tuple[str, ...]] = {m: (m,) for m in members}
-        self._group_key: dict[str, str] = {m: m for m in members}
+        # Each member's group: a sorted tuple shared by all its members.
+        self._group: dict[str, tuple[str, ...]] = {m: (m,) for m in members}
         self.invitations: dict[str, Invitation] = {}
         self.round: int = 0
         self.event_log: list[Event] = []
@@ -92,12 +96,18 @@ class AssemblyState:
     # -- read side ---------------------------------------------------------
 
     def group_of(self, member_id: str) -> tuple[str, ...]:
-        if member_id not in self._group_key:  # not _require: called once per candidate
+        if member_id not in self._group:  # not _require: called for every shown candidate
             raise AssemblyError(f"unknown member {member_id!r}")
-        return self._groups[self._group_key[member_id]]
+        return self._group[member_id]
 
     def groups(self) -> list[tuple[str, ...]]:
-        return [self._groups[k] for k in sorted(self._groups)]
+        return sorted(set(self._group.values()))
+
+    def candidates(self, searcher_id: str) -> list[str]:
+        """Members, in member order, whose groups the searcher's group may join."""
+        group = self.group_of(searcher_id)
+        by_member = self._group
+        return [m for m in self.members if join_refusal(group, by_member[m]) is None]
 
     def open_invitations(self) -> list[Invitation]:
         return [inv for inv in self.invitations.values() if inv.status == "open"]
@@ -209,11 +219,8 @@ class AssemblyState:
             _require(p["invitation_id"] == inv_id, f"invitation id is not the next, {inv_id!r}")
             sender_group = self.group_of(p["sender_id"])
             recipient_group = self.group_of(p["target_id"])
-            _require(sender_group != recipient_group, "already teammates")
-            _require(
-                len(sender_group) + len(recipient_group) <= TEAM_SIZE,
-                "merge would exceed team size",
-            )
+            refusal = join_refusal(sender_group, recipient_group)
+            _require(refusal is None, f"{inv_id!r} refused: {refusal}")
             _require(
                 tuple(p["sender_group"]) == sender_group
                 and tuple(p["recipient_group"]) == recipient_group,
@@ -248,7 +255,6 @@ class AssemblyState:
             members = sorted(inv.sender_group + inv.recipient_group)
             _require(list(p["members"]) == members, f"merge of {inv.id!r} must join its two groups")
             inv.status = "merged"
-            del self._groups[inv.sender_group[0]], self._groups[inv.recipient_group[0]]
             self._set_group(tuple(members))
             self._merges += 1
             self._void_stale()
@@ -257,7 +263,6 @@ class AssemblyState:
             group = self.group_of(member)
             _require(len(group) > 1, f"{member!r} is solo and cannot leave")
             _require(tuple(p["old_group"]) == group, f"old_group of {member!r} is not live")
-            del self._groups[group[0]]
             self._set_group(tuple(m for m in group if m != member))
             self._set_group((member,))
             self._void_stale()
@@ -271,7 +276,7 @@ class AssemblyState:
             )
             for inv in self.open_invitations():
                 inv.status = "expired"
-            self._groups, self._group_key = {}, {}
+            self._group = {}
             for g in groups:
                 self._set_group(g)
             self._filled = True
@@ -279,23 +284,20 @@ class AssemblyState:
             raise ValueError(f"unknown event kind {kind!r}")
 
     def _check_shown(self, searcher_id: str, shown: list[dict]) -> None:
-        """A shown page lists distinct members outside the searcher's group,
-        each in a group that fits the room left, ranked 1..k in order, with
-        finite real scores."""
+        """A shown page lists distinct members whose groups the searcher's
+        group may join, ranked 1..k in order, with finite real scores."""
         group = self.group_of(searcher_id)
-        room = TEAM_SIZE - len(group)
         seen = set()
         # Not _require: its messages would be formatted for every candidate.
         for rank, row in enumerate(shown, 1):
             cid = row["candidate_id"]
             if row["rank"] != rank:
                 raise AssemblyError(f"shown ranks must run 1..k in order, got {row['rank']!r} at {rank}")
-            if cid in group:
-                raise AssemblyError(f"shown candidate {cid!r} is in the searcher's group")
             if cid in seen:
                 raise AssemblyError(f"shown candidate {cid!r} repeats")
-            if len(self.group_of(cid)) > room:
-                raise AssemblyError(f"shown candidate {cid!r} has no room to join")
+            refusal = join_refusal(group, self.group_of(cid))
+            if refusal is not None:
+                raise AssemblyError(f"shown candidate {cid!r} cannot join: {refusal}")
             for score in ("fit", "diversity", "combined", "match_percent"):
                 if not _is_real(row[score]):
                     raise AssemblyError(f"shown {score} of {cid!r} is not a finite number: {row[score]!r}")
@@ -308,14 +310,13 @@ class AssemblyState:
         return inv
 
     def _set_group(self, group: tuple[str, ...]) -> None:
-        """Store a sorted, non-empty group under its first (least) member."""
-        self._groups[group[0]] = group
+        """Make a sorted, non-empty group the group of each of its members."""
         for m in group:
-            self._group_key[m] = group[0]
+            self._group[m] = group
 
     def _void_stale(self) -> None:
         """Void open invitations whose group snapshots no longer exist."""
-        live = set(self._groups.values())
+        live = set(self._group.values())
         for inv in self.invitations.values():
             if inv.status != "open":
                 continue
@@ -325,21 +326,22 @@ class AssemblyState:
     # -- validation and replay ----------------------------------------------
 
     def check_invariants(self) -> None:
-        """Check that the group maps partition the members into groups of
-        1..TEAM_SIZE. The event rules in _apply keep everything else true."""
-        for key, group in self._groups.items():
+        """Check that the group map partitions the members into sorted groups
+        of 1..TEAM_SIZE. The event rules in _apply keep everything else true."""
+        if self._group.keys() != set(self.members):
+            raise AssertionError("groups do not partition the members")
+        for member, group in self._group.items():
             if not 1 <= len(group) <= TEAM_SIZE:
                 raise AssertionError(f"group size out of bounds: {group}")
-            if key != min(group) or any(self._group_key.get(m) != key for m in group):
+            if member not in group or list(group) != sorted(set(group)) or any(
+                self._group.get(m) != group for m in group
+            ):
                 raise AssertionError(f"member map out of sync for group {group}")
-        placed = sum(len(g) for g in self._groups.values())
-        if placed != len(self.members) or self._group_key.keys() != set(self.members):
-            raise AssertionError("groups do not partition the members")
 
     def snapshot(self) -> dict:
         """Comparable view of the full state (used by replay tests)."""
         return {
-            "groups": sorted(self._groups.values()),
+            "groups": self.groups(),
             "round": self.round,
             "invitations": {
                 iid: (inv.sender_id, inv.sender_group, inv.recipient_group,

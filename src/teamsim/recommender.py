@@ -10,7 +10,7 @@ candidate) before ranking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ DIVERSITY_FLOOR = 0.01
 # Candidates on one page of recommendations.
 PAGE_SIZE = 10
 
-# attribute_row columns read by the criteria.
+# Participant._row columns read by the criteria.
 _SAME_COLUMN = {"same_gender": 0, "same_race": 1, "same_international": 3}
 _AGE_COLUMN = 4
 _SKILL_COLUMN = 5
@@ -178,17 +178,17 @@ def rank_candidates(
     lookup: Mapping[str, Participant],
     mode: str,
     searcher_team: Sequence[str] | None = None,
-    team_of: Callable[[str], Sequence[str]] | None = None,
     page: int | None = None,
 ) -> list[Recommendation]:
     """Rank pool candidates for the query's searcher.
 
     fit_only sorts by fit score, fairness by fit x diversity; ties break
-    by candidate id. Candidates in the searcher's own group, and those
-    whose group merge would exceed TEAM_SIZE, are dropped before scoring.
-    Returns the requested page (1-based) of PAGE_SIZE candidates, or the
-    whole ranking when page is None. An empty pool yields an empty list.
-    Duplicate ids in pool or searcher_team are refused.
+    by candidate id. Each pool member is scored as joining searcher_team
+    alone; members of searcher_team are dropped and a full team gets none
+    (a live search's pool is AssemblyState.candidates). Returns the
+    requested page (1-based) of PAGE_SIZE candidates, or the whole ranking
+    when page is None. An empty pool yields an empty list. Duplicate ids
+    in pool or searcher_team are refused.
 
     The whole pool is scored at once, bit for bit as the scalar
     definitions score each candidate: fit_score adds the criteria in
@@ -210,12 +210,7 @@ def rank_candidates(
         raise ValueError("duplicate ids in pool")
     team_members = [lookup[mid] for mid in team_ids]
 
-    room = TEAM_SIZE - len(team_ids)
-    eligible = [cid for cid in pool if cid not in in_team]
-    if team_of is not None:
-        eligible = [cid for cid in eligible if len(team_of(cid)) <= room]
-    elif room < 1:  # each candidate is a group of one
-        eligible = []
+    eligible = [cid for cid in pool if cid not in in_team] if len(team_ids) < TEAM_SIZE else []
     if not eligible:
         return []
     k, m = len(team_ids), len(eligible)

@@ -45,40 +45,20 @@ import numpy as np
 from scipy.special import expit, gammaincc
 
 
-@dataclass(frozen=True)
-class GroupSamples:
-    """Named groups of finite observations; at least two groups, none empty."""
-
-    groups: dict[str, np.ndarray]
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Sequence[float]]) -> "GroupSamples":
-        groups = {str(k): np.asarray(v, dtype=float) for k, v in mapping.items()}
-        if len(groups) < 2:
-            raise ValueError("need at least two groups")
-        for label, values in groups.items():
-            if values.size == 0:
-                raise ValueError(f"group {label!r} is empty")
-            if values.ndim != 1:
-                raise ValueError(f"group {label!r} must be one-dimensional")
-            if not np.isfinite(values).all():
-                raise ValueError(f"group {label!r} has non-finite values")
-        return cls(groups=groups)
-
-    @property
-    def labels(self) -> list[str]:
-        return list(self.groups)
-
-    def pooled(self) -> tuple[np.ndarray, list[int]]:
-        values = np.concatenate([self.groups[k] for k in self.groups])
-        sizes = [len(self.groups[k]) for k in self.groups]
-        return values, sizes
-
-
-def _as_groups(groups) -> GroupSamples:
-    if isinstance(groups, GroupSamples):
-        return groups
-    return GroupSamples.from_mapping(groups)
+def _checked_groups(mapping: Mapping[str, Sequence[float]]) -> dict[str, np.ndarray]:
+    """Label -> float array; at least two groups, each one-dimensional,
+    non-empty and finite."""
+    groups = {str(k): np.asarray(v, dtype=float) for k, v in mapping.items()}
+    if len(groups) < 2:
+        raise ValueError("need at least two groups")
+    for label, values in groups.items():
+        if values.size == 0:
+            raise ValueError(f"group {label!r} is empty")
+        if values.ndim != 1:
+            raise ValueError(f"group {label!r} must be one-dimensional")
+        if not np.isfinite(values).all():
+            raise ValueError(f"group {label!r} has non-finite values")
+    return groups
 
 
 def _f_statistic(pooled: np.ndarray, sizes: Sequence[int]) -> float:
@@ -144,22 +124,15 @@ def _permutation_hits_each(
     return [n_permutations - miss for miss in misses]
 
 
-def _permutation_hits(
-    n: int, statistic, tol: float, n_permutations: int, rng: np.random.Generator
-) -> int:
-    """_permutation_hits_each for a single statistic."""
-    return _permutation_hits_each(n, [statistic], [tol], n_permutations, rng)[0]
-
-
-def _families(samples: Mapping[str, GroupSamples]) -> list[list[str]]:
+def _families(samples: Mapping[str, Mapping[str, np.ndarray]]) -> list[list[str]]:
     """Metric names grouped by (labels in order, group sizes), in first-seen order.
 
     The metrics of a family put the same labels at the same positions of
     their pooled values, so one permutation draw serves all of them.
     """
     families: dict[tuple, list[str]] = {}
-    for metric, gs in samples.items():
-        key = tuple((label, values.size) for label, values in gs.groups.items())
+    for metric, groups in samples.items():
+        key = tuple((label, values.size) for label, values in groups.items())
         families.setdefault(key, []).append(metric)
     return list(families.values())
 
@@ -184,11 +157,11 @@ def anova_f_by_metric(
     with seed, and evaluates it on every member metric. Each result equals
     anova_f(groups_by_metric[metric], n_permutations=..., seed=seed).
     """
-    samples = {metric: _as_groups(groups) for metric, groups in groups_by_metric.items()}
+    samples = {metric: _checked_groups(groups) for metric, groups in groups_by_metric.items()}
     results: dict[str, AnovaResult] = {}
     for family in _families(samples):
-        sizes = [values.size for values in samples[family[0]].groups.values()]
-        pooled = [samples[metric].pooled()[0] for metric in family]
+        sizes = [values.size for values in samples[family[0]].values()]
+        pooled = [np.concatenate(list(samples[metric].values())) for metric in family]
         hits = _permutation_hits_each(
             pooled[0].size,
             [lambda idx, v=v: _square_sums(v[idx], sizes) for v in pooled],
@@ -264,15 +237,15 @@ def pairwise_diffs_by_metric(
     the BH adjustment stay per metric, so each result equals
     pairwise_diffs(groups_by_metric[metric], n_permutations=..., seed=seed).
     """
-    samples = {metric: _as_groups(groups) for metric, groups in groups_by_metric.items()}
+    samples = {metric: _checked_groups(groups) for metric, groups in groups_by_metric.items()}
     results: dict[str, list[PairwiseDiff]] = {}
     for family in _families(samples):
-        labels = sorted(samples[family[0]].labels)
+        labels = sorted(samples[family[0]])
         rng = np.random.default_rng(seed)
         rows: dict[str, list[tuple[str, str, float, float]]] = {metric: [] for metric in family}
         for i, a in enumerate(labels):
             for b in labels[i + 1 :]:
-                pairs = [(samples[metric].groups[a], samples[metric].groups[b]) for metric in family]
+                pairs = [(samples[metric][a], samples[metric][b]) for metric in family]
                 statistics, tols = zip(*(_pair_statistic(va, vb) for va, vb in pairs))
                 hits = _permutation_hits_each(
                     pairs[0][0].size + pairs[0][1].size, statistics, tols, n_permutations, rng

@@ -78,7 +78,6 @@ def scalar_rank_candidates(
     lookup,
     mode,
     searcher_team=None,
-    team_of=None,
     page=None,
 ):
     """Reference for rank_candidates: one candidate at a time through the
@@ -88,10 +87,7 @@ def scalar_rank_candidates(
     team_members = [lookup[mid] for mid in team_ids]
     scored = []
     for cid in pool:
-        if cid in team_ids:
-            continue
-        group = team_of(cid) if team_of is not None else [cid]
-        if len(team_ids) + len(group) > TEAM_SIZE:
+        if cid in team_ids or len(team_ids) + 1 > TEAM_SIZE:
             continue
         candidate = lookup[cid]
         fit = fit_score(searcher, candidate, query)

@@ -140,7 +140,7 @@ class TestRecommend:
 
 
 @pytest.mark.parametrize(
-    "ga, field", [({"generations": 2.5}, "generations"), ({"rng_seed": -1}, "rng_seed")]
+    "ga, field", [({"generations": 2.5}, "generations"), ({"population_size": 0}, "population_size")]
 )
 def test_run_config_with_invalid_ga_value_is_input_error(tmp_path, capsys, ga, field):
     config = tmp_path / "config.json"
@@ -157,7 +157,7 @@ def test_run_config_with_invalid_ga_value_is_input_error(tmp_path, capsys, ga, f
 
 @pytest.mark.parametrize(
     "key, value",
-    [("page_size", 0), ("page_size", -3), ("rounds", -1), ("sessions_per_condition", 1.5),
+    [("workers", 0), ("seed", -3), ("rounds", -1), ("sessions_per_condition", 1.5),
      ("agents_per_session", 8.0)],
 )
 def test_run_config_with_invalid_size_is_input_error(tmp_path, capsys, key, value):
@@ -242,6 +242,32 @@ def test_run_config_with_unknown_key_is_input_error(tmp_path, capsys):
         assert error["error"] == "input"
         assert key in error["message"]
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"conditions": 5}',
+        "[1, 2]",
+        '{"policy": {"criteria_counts": 3}}',
+        '{"policy": {"accept_probability": "0.5"}}',
+        '{"demographics": {"hispanic_rate": "0.1"}}',
+        '{"demographics": {"gender_weights": [1, "a", 2]}}',
+        '{"demographics": {"age_min": 18.5}}',
+        '{"demographics": {"skill_min": 2.5}}',
+        '{"choice_params": {"intercept": "x"}}',
+        '{"choice_params": {"random_intercept_variance": NaN}}',
+    ],
+)
+def test_run_config_with_malformed_value_is_input_error(tmp_path, capsys, text):
+    # each used to exit 1 with a traceback, or to run with the bad value
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    code, stdout, stderr = _run(capsys, "run", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert (code, stdout) == (3, "")
+    (line,) = stderr.splitlines()
+    assert json.loads(line)["error"] == "input"
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_config_with_non_mapping_section_is_input_error(tmp_path, capsys):
@@ -411,7 +437,7 @@ _BAD_LOGS = {
     ),
     "shows_teammate": (
         [*_pair(1, "a00", "a01"), _shown("a00", _row("a02", 1), _row("a01", 2))],
-        "in the searcher's group",
+        "cannot join: already teammates",
     ),
     "shows_non_member": (
         [_shown("a00", _row("zz9", 1))],

@@ -27,8 +27,6 @@ from teamsim.core import (
     profile_for_rows,
     score_teams,
     surface_deep_rows,
-    attribute_row,
-    attribute_rows,
     attribute_table,
     team_diversity_profile,
 )
@@ -173,9 +171,9 @@ class TestParticipantValidation:
 
     def test_attribute_row_follows_replace(self):
         p = make_participant(gender="Male", race="Asian", international=True, age=30)
-        assert attribute_row(p) == (0, 1, 0, 1, 30, 3, 3, 3, 3, 3, 3)
+        assert p._row == (0, 1, 0, 1, 30, 3, 3, 3, 3, 3, 3)
         q = dataclasses.replace(p, gender="NonBinary", hispanic=True, age=41, skills=(1, 2, 3, 4, 5, 5))
-        assert attribute_row(q) == (2, 1, 1, 1, 41, 1, 2, 3, 4, 5, 5)
+        assert q._row == (2, 1, 1, 1, 41, 1, 2, 3, 4, 5, 5)
 
 
 class TestTeamAndPartition:
@@ -281,7 +279,7 @@ class TestDiversityProfile:
     def test_fast_path_agrees_with_profile(self):
         rng = np.random.default_rng(8)
         members = synth_population(4, rng=rng)
-        rows = attribute_rows(members)
+        rows = [p._row for p in members]
         surface, deep = surface_deep_rows(rows, range(4))
         profile = profile_for_members(members)
         assert surface == pytest.approx(profile.surface_score, abs=1e-12)
@@ -303,7 +301,7 @@ class TestDiversityProfile:
         assert 0 < normalize_cv(3.0) < 1
 
 
-# One attribute row: codes in the ranges attribute_row produces, ages that
+# One attribute row: codes in the ranges Participant._row holds, ages that
 # reach the bounds 18 and 80 of the similar_age span.
 _attribute_rows = st.tuples(
     st.integers(0, 2),
@@ -370,7 +368,7 @@ class TestScoreTeams:
     def test_table_matches_rows(self, mixed_population):
         table = attribute_table(mixed_population)
         assert table.dtype == np.int64
-        assert table.tolist() == [list(row) for row in attribute_rows(mixed_population)]
+        assert table.tolist() == [list(p._row) for p in mixed_population]
 
     @pytest.mark.parametrize("t", [0, TEAM_SIZE + 1])
     def test_team_size_out_of_range_rejected(self, mixed_population, t):

@@ -98,11 +98,33 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "ga",
-        [{"generations": 2.5}, {"population_size": True}, {"swap_attempts": 0.5}, {"rng_seed": -3}],
+        [{"generations": 2.5}, {"population_size": True}, {"swap_attempts": 0.5}, {"generations": -3}],
     )
     def test_invalid_ga_values_rejected(self, ga):
         with pytest.raises(ValueError, match=next(iter(ga))):
             ExperimentConfig.from_dict({"ga": ga})
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([1, 2], "a config must be a mapping, got list"),
+            ({"conditions": 5}, "malformed config value"),
+            ({"policy": {"criteria_counts": 3}}, "malformed config value"),
+            ({"policy": {"accept_probability": "0.5"}}, "malformed config value"),
+            ({"demographics": {"hispanic_rate": "0.1"}}, "malformed config value"),
+            ({"demographics": {"gender_weights": [1, "a", 2]}}, "malformed config value"),
+            ({"demographics": {"age_min": 18.5}}, "invalid age range"),
+            ({"demographics": {"age_max": 40.0}}, "invalid age range"),
+            ({"demographics": {"skill_min": 2.5}}, "invalid skill range"),
+            ({"choice_params": {"intercept": "x"}}, "intercept must be a finite real"),
+            ({"choice_params": {"rank": True}}, "rank must be a finite real"),
+            ({"choice_params": {"random_intercept_variance": float("nan")}}, "random_intercept_variance"),
+            ({"choice_params": {"interaction": float("inf")}}, "interaction must be a finite real"),
+        ],
+    )
+    def test_malformed_values_rejected(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(data)
 
     def test_json_round_trip(self, tmp_path):
         config = _tiny_config(output_dir="somewhere")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from scipy.stats import chisquare
 
-from teamsim.core import TEAM_SIZE, Partition, attribute_rows, population_lookup, surface_deep_rows
+from teamsim.core import TEAM_SIZE, Partition, population_lookup, surface_deep_rows
 from teamsim.optimizer import (
     ArchiveEntry,
     BruteForceResult,
@@ -210,7 +210,7 @@ def _reference_ga(population, config: GaConfig):
     """The scalar climber loop: each climber's swaps one at a time, scored by
     surface_deep_rows, on the same initial partitions and proposals as ga_partition."""
     ids = [p.id for p in population]
-    rows = attribute_rows(population)
+    rows = [p._row for p in population]
     n = len(ids)
     n_teams = n // TEAM_SIZE
     swap_attempts = config.swap_attempts if config.swap_attempts is not None else n
@@ -419,7 +419,7 @@ class TestBruteForce:
         """Same count and argmax sets (ties included, in enumeration order) as
         scoring every split team by team with surface_deep_rows."""
         ids = [p.id for p in population]
-        rows = attribute_rows(population)
+        rows = [p._row for p in population]
         n = len(population)
         splits = []
         for solos in itertools.combinations(range(n), n % TEAM_SIZE):

@@ -36,6 +36,31 @@ def _merge(state: AssemblyState, a: str, b: str) -> None:
     _accept_all(state, state.send_invitation(a, b))
 
 
+class TestCandidates:
+    def test_members_the_searchers_group_may_join_in_member_order(self):
+        members = ["a05", "a00", "a03", "a01", "a02", "a04", "a06"]
+        state = AssemblyState(members)
+        assert state.candidates("a00") == ["a05", "a03", "a01", "a02", "a04", "a06"]
+        _merge(state, "a00", "a01")  # pair
+        _merge(state, "a02", "a03")
+        _merge(state, "a02", "a04")  # trio: a pair cannot join it
+        assert state.candidates("a00") == ["a05", "a06"]
+        assert state.candidates("a03") == ["a05", "a06"]
+        assert state.candidates("a05") == ["a00", "a03", "a01", "a02", "a04", "a06"]
+
+    def test_full_group_has_none(self):
+        state = AssemblyState(_ids(6))
+        _merge(state, "a00", "a01")
+        _merge(state, "a02", "a03")
+        _merge(state, "a00", "a02")
+        assert state.candidates("a03") == []
+        assert state.candidates("a04") == ["a05"]
+
+    def test_unknown_searcher_refused(self):
+        with pytest.raises(AssemblyError, match="unknown member"):
+            AssemblyState(_ids(3)).candidates("zz9")
+
+
 class TestSendInvitation:
     def test_solo_to_solo_opens(self):
         state = AssemblyState(_ids(4))
@@ -293,9 +318,9 @@ class TestRecommendationsShown:
     @pytest.mark.parametrize(
         "searcher, shown, message",
         [
-            ("a00", _shown("a05", "a01"), "in the searcher's group"),
+            ("a00", _shown("a05", "a01"), "cannot join: already teammates"),
             ("a00", _shown("zz9"), "unknown member"),
-            ("a00", _shown("a02"), "no room"),
+            ("a00", _shown("a02"), "cannot join: merge would exceed team size"),
             ("a00", _shown("a05", "a05"), "repeats"),
             ("a00", [_row("a05", 2)], "1..k"),
             ("a00", [_row("a05", 1), _row("a06", 1)], "1..k"),
@@ -481,14 +506,19 @@ class AssemblyMachine(RuleBasedStateMachine):
         candidates=st.lists(st.sampled_from(_MACHINE_MEMBERS + ["zz9"]), max_size=4),
     )
     def show(self, searcher, candidates):
-        group = self.state.group_of(searcher)
-        room = TEAM_SIZE - len(group)
-        eligible = len(set(candidates)) == len(candidates) and all(
-            c in _MACHINE_MEMBERS and c not in group and len(self.state.group_of(c)) <= room
-            for c in candidates
-        )
+        joinable = self.state.candidates(searcher)
+        eligible = len(set(candidates)) == len(candidates) and all(c in joinable for c in candidates)
         shown = _shown(*candidates)
         assert self._refused(self.state.record_recommendations, searcher, shown) != eligible
+
+    @rule(searcher=st.sampled_from(_MACHINE_MEMBERS))
+    def candidates_are_what_pages_and_invitations_may_name(self, searcher):
+        # Pages and invitations change no group, so each try sees the same groups.
+        candidates = self.state.candidates(searcher)
+        everyone = _MACHINE_MEMBERS + ["zz9"]
+        shown = [m for m in everyone if not self._refused(self.state.record_recommendations, searcher, _shown(m))]
+        invited = [m for m in everyone if not self._refused(self.state.send_invitation, searcher, m)]
+        assert candidates == shown == invited
 
     @rule(member=st.sampled_from(_MACHINE_MEMBERS))
     def leave(self, member):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from teamsim.core import GENDERS, NUM_SKILLS, RACES, Participant, population_lookup
+from teamsim.core import GENDERS, NUM_SKILLS, RACES, TEAM_SIZE, Participant, population_lookup
 from teamsim.population import synth_population
+from teamsim.protocol import AssemblyState
 from teamsim.recommender import (
     DEMOGRAPHIC_KINDS,
     MODES,
@@ -300,19 +301,12 @@ class TestRankCandidates:
     def test_never_recommends_overfull_merge(self):
         pop, lookup = self._pool(12)
         ids = [p.id for p in pop]
-        groups = {
-            ids[0]: tuple(ids[0:2]),
-            ids[1]: tuple(ids[0:2]),
-            ids[2]: tuple(ids[2:6]),  # full team
-            ids[3]: tuple(ids[2:6]),
-            ids[4]: tuple(ids[2:6]),
-            ids[5]: tuple(ids[2:6]),
-            ids[6]: tuple(ids[6:9]),  # trio: merge with pair would be 5
-        }
-        for other in ids[7:]:
-            groups.setdefault(other, (other,))
-        groups[ids[7]] = tuple(ids[6:9])
-        groups[ids[8]] = tuple(ids[6:9])
+        state = AssemblyState(ids)
+        for group in (ids[0:2], ids[2:6], ids[6:9]):  # pair, full team, trio
+            for member in group[1:]:
+                inv_id = state.send_invitation(group[0], member)
+                for recipient in state.invitations[inv_id].recipient_group:
+                    state.respond(inv_id, recipient, "accepted")
         query = _query(
             Criterion(kind="same_gender", importance=1),
             Criterion(kind="similar_age", importance=1),
@@ -320,11 +314,10 @@ class TestRankCandidates:
         )
         recs = rank_candidates(
             query,
-            ids,
+            state.candidates(ids[0]),
             lookup=lookup,
             mode="fit_only",
-            searcher_team=groups[ids[0]],
-            team_of=lambda cid: groups[cid],
+            searcher_team=state.group_of(ids[0]),
         )
         recommended = {r.candidate_id for r in recs}
         assert recommended == set(ids[9:])  # only singletons fit with a pair
@@ -448,9 +441,9 @@ _criteria = st.lists(
 def _ranking_cases(draw):
     """(query, pool, keyword arguments) of one rank_candidates call.
 
-    The searcher's team has 1-3 members in drawn order; the other
-    participants form groups of 1-3 under team_of. Clone pools tie every
-    score, so the id tiebreak decides the order.
+    The searcher's team has 1-TEAM_SIZE members in drawn order, and the pool
+    is every participant. Clone pools tie every score, so the id tiebreak
+    decides the order.
     """
     n = draw(st.integers(2, 14))
     attributes = draw(st.lists(_attributes, min_size=n, max_size=n))
@@ -458,19 +451,12 @@ def _ranking_cases(draw):
         attributes = [attributes[0]] * n
     ids = draw(st.permutations([f"p{i:02d}" for i in range(n)]))
     population = [Participant(pid, *attrs) for pid, attrs in zip(ids, attributes)]
-    k = draw(st.integers(1, min(3, n - 1)))
-    team, rest = list(ids[:k]), list(ids[k:])
-    groups = {member: tuple(team) for member in team}
-    while rest:
-        size = draw(st.integers(1, min(3, len(rest))))
-        group, rest = tuple(rest[:size]), rest[size:]
-        groups.update((member, group) for member in group)
+    team = list(ids[: draw(st.integers(1, min(TEAM_SIZE, n - 1)))])
     query = Query(searcher_id=draw(st.sampled_from(team)), criteria=tuple(draw(_criteria)))
     kwargs = {
         "lookup": population_lookup(population),
         "mode": draw(st.sampled_from(MODES)),
         "searcher_team": team,
-        "team_of": draw(st.sampled_from([None, groups.__getitem__])),
         "page": draw(st.sampled_from([None, 1, 2])),
     }
     return query, draw(st.permutations(ids)), kwargs

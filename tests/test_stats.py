@@ -11,8 +11,7 @@ from scipy import stats as sps
 
 from teamsim.stats import (
     PERMUTATION_BLOCK,
-    GroupSamples,
-    _permutation_hits,
+    _permutation_hits_each,
     _square_sums,
     anova_f,
     anova_f_by_metric,
@@ -82,10 +81,13 @@ _n_permutations = st.sampled_from([1, 999, 1000, 1001, 2500])
 
 class TestGroupSamples:
     def test_needs_two_nonempty_groups(self):
-        with pytest.raises(ValueError):
-            GroupSamples.from_mapping({"a": [1.0]})
-        with pytest.raises(ValueError):
-            GroupSamples.from_mapping({"a": [1.0], "b": []})
+        for test in (anova_f, pairwise_diffs):
+            with pytest.raises(ValueError, match="at least two groups"):
+                test({"a": [1.0]}, n_permutations=10)
+            with pytest.raises(ValueError, match="'b' is empty"):
+                test({"a": [1.0], "b": []}, n_permutations=10)
+            with pytest.raises(ValueError, match="one-dimensional"):
+                test({"a": [1.0], "b": [[2.0]]}, n_permutations=10)
 
 
 class TestAnova:
@@ -133,7 +135,7 @@ class TestAnova:
             batched.append(np.atleast_1d(stats))
             return stats
 
-        _permutation_hits(pooled.size, recording, 0.0, n_permutations, np.random.default_rng(seed))
+        _permutation_hits_each(pooled.size, [recording], [0.0], n_permutations, np.random.default_rng(seed))
         # batched[0] is the observed statistic
         assert np.concatenate(batched[1:]) == pytest.approx(oracle_stats, rel=1e-12, abs=1e-12)
 
@@ -233,7 +235,7 @@ def test_permutation_blocks_follow_sequential_stream(n):
         return np.zeros(np.atleast_2d(idx).shape[0])
 
     blocked = np.random.default_rng(9)
-    _permutation_hits(n, recording, 0.0, n_permutations, blocked)
+    _permutation_hits_each(n, [recording], [0.0], n_permutations, blocked)
     sequential = np.random.default_rng(9)
     expected = np.array([sequential.permutation(n) for _ in range(n_permutations)])
     assert [b.shape[0] for b in blocks[1:]] == [PERMUTATION_BLOCK, PERMUTATION_BLOCK, 1]
