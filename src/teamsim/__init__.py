@@ -19,7 +19,15 @@ from .core import (
     normalized_blau,
     team_diversity_profile,
 )
-from .optimizer import GaConfig, ParetoArchive, brute_force_partition, elbow_select, ga_partition, random_partition
+from .optimizer import (
+    GaConfig,
+    ParetoArchive,
+    brute_force_partition,
+    elbow_select,
+    ga_partition,
+    ga_partition_many,
+    random_partition,
+)
 from .recommender import Criterion, Query, Recommendation, fit_score, marginal_diversity, rank_candidates
 from .protocol import AssemblyError, AssemblyState, Event, replay
 from .agents import AgentPolicy, ChoiceModelParams, StandardizationMoments, choice_probability, gen_query
@@ -60,6 +68,7 @@ __all__ = [
     "elbow_select",
     "fit_score",
     "ga_partition",
+    "ga_partition_many",
     "gen_query",
     "load_population",
     "logistic_fit",

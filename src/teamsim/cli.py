@@ -50,8 +50,7 @@ def _fail(category: str, message: str, code: int) -> int:
 def _partition_payload(partition, lookup) -> dict:
     surface, deep = objectives(partition, lookup)
     return {
-        "teams": [list(t.sorted_ids()) for t in partition.teams],
-        "solos": list(partition.solos),
+        **partition.to_dict(),
         "surface_objective": surface,
         "deep_objective": deep,
         "total_objective": surface + deep,

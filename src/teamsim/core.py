@@ -42,8 +42,11 @@ _RACE_INDEX = {r: i for i, r in enumerate(RACES)}
 # Maximum Blau index 1 - 1/k of gender, race, Hispanic and international,
 # k being each attribute's category count.
 BLAU_MAX = tuple(1.0 - 1.0 / k for k in (len(GENDERS), len(RACES), 2, 2))
-_BLAU_MAX = np.array(BLAU_MAX)
+_BLAU_MAX = np.array(BLAU_MAX)[:, None]
 AGE_MIN = 18
+# The oldest age accepted. It bounds a team's integer age sums, so that the
+# GA's exact team statistics neither wrap in int64 nor round in float64.
+AGE_MAX = 120
 # The age span 18..80 over which the similar_age criterion scales age gaps.
 AGE_SPAN = 80 - AGE_MIN
 
@@ -83,8 +86,8 @@ class Participant:
             raise ValueError(f"unknown gender {self.gender!r}")
         if self.race not in _RACE_INDEX:
             raise ValueError(f"unknown race {self.race!r}")
-        if not _is_int(self.age) or self.age < AGE_MIN:
-            raise ValueError(f"age must be an integer >= {AGE_MIN}, got {self.age!r}")
+        if not _is_int(self.age) or not AGE_MIN <= self.age <= AGE_MAX:
+            raise ValueError(f"age must be an integer in {AGE_MIN}..{AGE_MAX}, got {self.age!r}")
         if len(self.skills) != NUM_SKILLS:
             raise ValueError(f"expected {NUM_SKILLS} skills, got {len(self.skills)}")
         if any(not _is_int(s) or not 1 <= s <= 5 for s in self.skills):
@@ -175,6 +178,15 @@ class Partition:
             missing = expected - seen
             extra = seen - expected
             raise ValueError(f"partition does not cover population (missing={sorted(missing)}, extra={sorted(extra)})")
+
+    def to_dict(self) -> dict:
+        """{"teams": member id lists, "solos": id list}, each sorted: the
+        partition file format."""
+        return {"teams": [list(t.sorted_ids()) for t in self.teams], "solos": list(self.solos)}
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "Partition":
+        return cls.build(d["teams"], d["solos"])
 
     def canonical(self) -> tuple:
         return (tuple(t.sorted_ids() for t in self.teams), self.solos)
@@ -352,19 +364,33 @@ def score_teams(table: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndar
     codes = members[:, :, :4]
     first, second = _MEMBER_PAIRS[t]
     equal_pairs = t + 2 * (codes[first] == codes[second]).sum(axis=0)
-    blaus = (1.0 - equal_pairs / (t * t)) / _BLAU_MAX  # [m, 4]
     values = members[:, :, 4:]  # age and skills, [t, m, 7]
     mean = values.sum(axis=0) / t
     squares = (values - mean) ** 2
     sum_squares = squares[0]
     for k in range(1, t):
         sum_squares = sum_squares + squares[k]
+    return _score_from_stats(equal_pairs.T, mean.T, sum_squares.T, t)
+
+
+def _score_from_stats(
+    equal_pairs: np.ndarray, mean: np.ndarray, sum_squares: np.ndarray, t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(surface[m], deep[m]) of m teams of t members from their statistics,
+    one row per attribute column: the equal-code member pairs equal_pairs[4, m]
+    that score_teams counts, and the mean mean[7, m] and the sum of squared
+    deviations from it sum_squares[7, m] of age and each skill.
+
+    The float tail of score_teams; the GA scores its exact integer team sums
+    through it too, so both take the same rounding steps.
+    """
+    blaus = (1.0 - equal_pairs / (t * t)) / _BLAU_MAX
     cvs = np.sqrt(sum_squares / t) / mean
     normalized = cvs / (cvs + 1.0)  # normalize_cv
-    surface = blaus[:, 0] + blaus[:, 1] + blaus[:, 2] + blaus[:, 3] + normalized[:, 0]
-    deep = normalized[:, 1]
+    surface = blaus[0] + blaus[1] + blaus[2] + blaus[3] + normalized[0]
+    deep = normalized[1]
     for k in range(2, 1 + NUM_SKILLS):
-        deep = deep + normalized[:, k]
+        deep = deep + normalized[k]
     return surface, deep / NUM_SKILLS
 
 

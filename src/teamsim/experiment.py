@@ -34,7 +34,7 @@ from .core import (
 from .optimizer import GaConfig
 from .population import DemographicSpec, save_population, synth_population
 from .protocol import replay, write_log
-from .session import CONDITIONS, SessionResult, run_session
+from .session import CONDITIONS, SessionResult, run_ga_sessions, run_session
 from .stats import LogisticFit, anova_f_by_metric, chi2_independence, logistic_fit, pairwise_diffs_by_metric
 
 OUTPUT_DIR_ENV = "TEAMSIM_OUTPUT_DIR"
@@ -157,22 +157,41 @@ def _session_spec(config: ExperimentConfig) -> list[tuple[str, int]]:
     ]
 
 
-def _run_one(args: tuple[ExperimentConfig, str, int, int, int]) -> SessionResult:
-    config, condition, index, spawn_index, total = args
+def _session_inputs(
+    config: ExperimentConfig, spawn_index: int, total: int
+) -> tuple[list[Participant], np.random.Generator]:
+    """(population, session generator) of the session at spawn_index."""
     child = np.random.SeedSequence(config.seed).spawn(total)[spawn_index]
     pop_seq, run_seq = child.spawn(2)
     population = synth_population(
         config.agents_per_session, config.demographics, rng=np.random.default_rng(pop_seq)
     )
+    return population, np.random.default_rng(run_seq)
+
+
+def _run_one(args: tuple[ExperimentConfig, str, int, int, int]) -> SessionResult:
+    config, condition, index, spawn_index, total = args
+    population, rng = _session_inputs(config, spawn_index, total)
     return run_session(
         condition,
         population,
-        rng=np.random.default_rng(run_seq),
+        rng=rng,
         session_index=index,
         ga=config.ga,
         policy=config.policy,
         params=config.choice_params,
         rounds=config.rounds,
+    )
+
+
+def _run_ga(jobs: Sequence[tuple[ExperimentConfig, str, int, int, int]]) -> list[SessionResult]:
+    """The algorithmic_diverse sessions of jobs, their GA searches stepped together."""
+    inputs = [_session_inputs(config, spawn_index, total) for config, _, _, spawn_index, total in jobs]
+    return run_ga_sessions(
+        [population for population, _ in inputs],
+        [rng for _, rng in inputs],
+        session_indices=[index for _, _, index, _, _ in jobs],
+        ga=jobs[0][0].ga,
     )
 
 
@@ -331,11 +350,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         (config, condition, index, spawn_index, total)
         for spawn_index, (condition, index) in enumerate(spec)
     ]
+    ga_jobs = [job for job in jobs if job[1] == "algorithmic_diverse"]
+    other_jobs = [job for job in jobs if job[1] != "algorithmic_diverse"]
+    # Each worker steps its share of the GA sessions together, in one search.
+    shares = [ga_jobs[k :: config.workers] for k in range(min(config.workers, len(ga_jobs)))]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            sessions = list(pool.map(_run_one, jobs))
+            ga_runs = [pool.submit(_run_ga, share) for share in shares]
+            results = list(pool.map(_run_one, other_jobs))
+            results += [session for run in ga_runs for session in run.result()]
     else:
-        sessions = [_run_one(job) for job in jobs]
+        results = [_run_one(job) for job in other_jobs]
+        results += [session for share in shares for session in _run_ga(share)]
+    spawn_indices = [job[3] for job in other_jobs] + [job[3] for share in shares for job in share]
+    sessions = [session for _, session in sorted(zip(spawn_indices, results), key=lambda pair: pair[0])]
 
     team_rows = _team_rows(sessions)
     groups_by_metric = metric_groups(team_rows, config.conditions, REPORT_METRICS)
@@ -433,17 +461,7 @@ def write_report(report: ExperimentReport, out_dir: Path) -> None:
         stem = f"{s.condition}_{s.session_index:03d}"
         save_population(out_dir / "populations" / f"{stem}.jsonl", s.population)
         partition_path = out_dir / "partitions" / f"{stem}.json"
-        partition_path.write_text(
-            json.dumps(
-                {
-                    "teams": [list(t.sorted_ids()) for t in s.partition.teams],
-                    "solos": list(s.partition.solos),
-                },
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        partition_path.write_text(json.dumps(s.partition.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
         if s.events:
             write_log(out_dir / "events" / f"{stem}.jsonl", [p.id for p in s.population], s.events)
 
@@ -585,8 +603,7 @@ def regenerate_team_rows(run_dir) -> list[dict]:
             state.check_invariants()
             partition = state.partition()
         else:
-            data = json.loads((run_dir / "partitions" / f"{stem}.json").read_text())
-            partition = Partition.build(data["teams"], data["solos"])
+            partition = Partition.from_dict(json.loads((run_dir / "partitions" / f"{stem}.json").read_text()))
         partition.validate(lookup)
         sessions.append(
             SessionResult(

@@ -3,14 +3,16 @@
 random_partition draws uniform teams of four. ga_partition runs a
 two-objective genetic search (surface-level and deep-level diversity,
 both maximized) built on member-swap mutations, keeps a non-dominated
-archive, and picks one front entry with the elbow rule; its climbers step
-together, each step scored in one batched score_teams call.
-brute_force_partition enumerates every partition of a small population
+archive, and picks one front entry with the elbow rule. ga_partition_many
+runs several such searches with the climbers of all of them stepping
+together, each step scoring only the two teams a swap changes, from exact
+integer team sums. brute_force_partition enumerates every partition of a small population
 and serves as the validation oracle.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -19,10 +21,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
+    GENDERS,
+    RACES,
     TEAM_SIZE,
     Participant,
     Partition,
     _is_int,
+    _score_from_stats,
     attribute_table,
     population_lookup,
     score_teams,
@@ -137,17 +142,14 @@ def objectives(partition: Partition, lookup: Mapping[str, Participant]) -> tuple
 
 
 def _mean_scores(team_scores: np.ndarray) -> np.ndarray:
-    """Partition objectives: scores[..., n_teams, 2] of (surface, deep) per team
-    -> their means [..., 2].
+    """Partition objectives: team_scores[n_teams, ...] of (surface, deep) per
+    team -> their means over the teams.
 
-    Adds team by team in order, so a batch of partitions gets bit for bit
-    the means each partition gets on its own.
+    One reduction over the outer team axis, which numpy adds team by team in
+    order, so a batch of partitions gets bit for bit the means each
+    partition gets on its own.
     """
-    n = team_scores.shape[-2]
-    total = team_scores[..., 0, :]
-    for k in range(1, n):
-        total = total + team_scores[..., k, :]
-    return total / n
+    return team_scores.sum(axis=0) / team_scores.shape[0]
 
 
 def elbow_select(archive: ParetoArchive) -> Partition:
@@ -212,74 +214,200 @@ def ga_partition(
 
     Starts population_size climbers from random partitions. At each step
     every climber proposes a swap of two members between two teams and
-    replaces its partition whenever the mutant is not dominated by it; the
-    steps of all climbers are scored in one score_teams call. Every
-    accepted candidate is offered to the archive, climber by climber in
-    step order. Returns the final archive and the elbow-selected
-    partition. Deterministic per (population, config).
+    replaces its partition whenever the mutant is not dominated by it.
+    Every accepted candidate is offered to the archive, climber by climber
+    in step order. Returns the final archive and the elbow-selected
+    partition. Deterministic per (population, config); the one-session
+    case of ga_partition_many.
     """
-    if len(population) < 2 * TEAM_SIZE:
+    return ga_partition_many([population], [config])[0]
+
+
+def ga_partition_many(
+    populations: Sequence[Sequence[Participant]],
+    configs: Sequence[GaConfig],
+) -> list[tuple[ParetoArchive, Partition]]:
+    """ga_partition of each (population, config) pair, the climbers of every
+    session stepped together in one array.
+
+    Each session keeps its own generator, archive and offer order, so its
+    result is the one ga_partition gives it alone. The populations must
+    have one size and the configs may differ only in rng_seed.
+
+    Each team keeps exact int64 statistics: the sums S of age and the six
+    skills, the sums Q of their squares, and its category counts. A swap
+    moves them by the rows of the two members it exchanges, and only the
+    two changed teams are scored, from their equal-code pairs, S and
+    Q - S * (S / 4). With TEAM_SIZE 4 and integer attributes up to AGE_MAX
+    every intermediate of the scalar definition is exact, so these scores
+    equal score_teams' bit for bit.
+    """
+    if len(populations) != len(configs) or not populations:
+        raise ValueError("need one config per population, and at least one population")
+    sizes = {len(population) for population in populations}
+    if len(sizes) != 1:
+        raise ValueError(f"populations must have one size, got sizes {sorted(sizes)}")
+    if len({dataclasses.replace(config, rng_seed=0) for config in configs}) != 1:
+        raise ValueError("configs may differ only in rng_seed")
+    (n,) = sizes
+    if n < 2 * TEAM_SIZE:
         raise ValueError("need at least two teams")
-    ids = [p.id for p in population]
-    population_lookup(population)  # id uniqueness check
-    table = attribute_table(population)
-    n = len(ids)
+    config = configs[0]
     n_teams = n // TEAM_SIZE
-    n_climbers = config.population_size
+    per_session = config.population_size
+    n_climbers = len(populations) * per_session
     swap_attempts = config.swap_attempts if config.swap_attempts is not None else n
+    ids = []
+    for population in populations:
+        population_lookup(population)  # id uniqueness check
+        ids.append([p.id for p in population])
 
-    archive = ParetoArchive()
+    # The rows of all populations in one table; members hold rows of it.
+    moments = _team_moments(np.concatenate([attribute_table(p) for p in populations]))
+    session_of = np.repeat(np.arange(len(populations)), per_session)
+    climbers = np.arange(n_climbers)
 
-    def offer(teams: np.ndarray, solos: np.ndarray, surface: float, deep: float) -> None:
+    rngs = [np.random.default_rng(np.random.SeedSequence(c.rng_seed).spawn(1)[0]) for c in configs]
+    orders = np.array([rng.permutation(n) for rng in rngs for _ in range(per_session)])
+    solos = orders[:, n_teams * TEAM_SIZE :]
+    # members[team, position, climber], the team statistics
+    # stats[team * climbers + climber] and team_scores[team, objective, climber].
+    teamed = orders[:, : n_teams * TEAM_SIZE] + n * session_of[:, None]
+    members = np.ascontiguousarray(teamed.T.reshape(n_teams, TEAM_SIZE, n_climbers))
+    stats = moments[members].sum(axis=1).reshape(n_teams * n_climbers, -1)
+    team_scores = np.reshape(_score_moments(stats), (2, n_teams, n_climbers)).transpose(1, 0, 2).copy()
+    scores = _mean_scores(team_scores)
+
+    archives = [ParetoArchive() for _ in populations]
+
+    def offer(c: int, teams: np.ndarray, surface: float, deep: float) -> None:
         # Partitions are built only for admitted points, a small share of offers.
+        session = session_of[c]
+        archive = archives[session]
         if archive.admits(surface, deep):
-            partition = _materialize(teams.tolist(), solos.tolist(), ids)
+            local = (teams - n * session).tolist()
+            partition = _materialize(local, solos[c].tolist(), ids[session])
             archive.insert(ArchiveEntry(partition, surface, deep))
 
-    rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed).spawn(1)[0])
-    orders = np.array([rng.permutation(n) for _ in range(n_climbers)])
-    teams = orders[:, : n_teams * TEAM_SIZE].reshape(n_climbers, n_teams, TEAM_SIZE)
-    solos = orders[:, n_teams * TEAM_SIZE :]
-    team_scores = np.stack(score_teams(table, teams.reshape(-1, TEAM_SIZE)), axis=-1)
-    team_scores = team_scores.reshape(n_climbers, n_teams, 2)
-    scores = _mean_scores(team_scores)
     for c in range(n_climbers):
-        offer(teams[c], solos[c], *scores[c].tolist())
+        offer(c, members[:, :, c], *scores[:, c].tolist())
 
-    climbers = np.arange(n_climbers)
+    member_flat = members.reshape(-1)
     for _ in range(config.generations):
-        proposals = _draw_proposals(rng, swap_attempts, n_climbers, n_teams)
+        proposals = np.concatenate(
+            [_draw_proposals(rng, swap_attempts, per_session, n_teams) for rng in rngs], axis=1
+        )
+        ti, tj, mi, mj = proposals.transpose(2, 0, 1)  # each [steps, climbers]
+        # Positions, in member_flat, of the two members a swap exchanges; of
+        # the two teams, in stats; and of their surface and deep scores, in
+        # team_scores.
+        slot_i = (ti * TEAM_SIZE + mi) * n_climbers + climbers
+        slot_j = (tj * TEAM_SIZE + mj) * n_climbers + climbers
+        changed = np.concatenate([ti, tj], axis=1)
+        team_rows = changed * n_climbers + np.tile(climbers, 2)
+        surface_slots = changed * 2 * n_climbers + np.tile(climbers, 2)
+        score_slots = np.concatenate([surface_slots, surface_slots + n_climbers], axis=1)
         # The archive only grows its dominated region, so a point it does not
         # admit now is refused at replay too; only the rest are kept.
-        front = np.array([(e.surface, e.deep) for e in archive.entries])
+        fronts = _Fronts(archives)
         kept: list[tuple[int, int, np.ndarray, float, float]] = []
-        for step, (ti, tj, mi, mj) in enumerate(proposals.transpose(0, 2, 1)):
-            new_i = teams[climbers, ti]
-            new_j = teams[climbers, tj]
-            moved_i = new_i[climbers, mi]
-            new_i[climbers, mi] = new_j[climbers, mj]
-            new_j[climbers, mj] = moved_i
-            scored = np.stack(score_teams(table, np.concatenate([new_i, new_j])), axis=-1)
+        for step in range(len(proposals)):
+            a = member_flat[slot_i[step]]
+            b = member_flat[slot_j[step]]
+            delta = moments.take(b, axis=0) - moments.take(a, axis=0)
+            trial_stats = stats.take(team_rows[step], axis=0)
+            trial_stats[:n_climbers] += delta
+            trial_stats[n_climbers:] -= delta
             trial_team_scores = team_scores.copy()
-            trial_team_scores[climbers, ti] = scored[:n_climbers]
-            trial_team_scores[climbers, tj] = scored[n_climbers:]
+            np.put(trial_team_scores, score_slots[step], np.concatenate(_score_moments(trial_stats)))
             trial = _mean_scores(trial_team_scores)
-            accepted = ~_dominates(scores[:, 0], scores[:, 1], trial[:, 0], trial[:, 1])
+            accepted = ~_dominates(scores[0], scores[1], trial[0], trial[1])
             moving = climbers[accepted]
-            teams[moving, ti[accepted]] = new_i[accepted]
-            teams[moving, tj[accepted]] = new_j[accepted]
-            team_scores[accepted] = trial_team_scores[accepted]
-            scores[accepted] = trial[accepted]
-            covered = (front[None, :, :] >= trial[:, None, :]).all(axis=2).any(axis=1)
-            for c in np.flatnonzero(accepted & ~covered):
-                kept.append((c, step, teams[c].copy(), *scores[c].tolist()))
+            if not moving.size:
+                continue
+            member_flat[slot_i[step]] = np.where(accepted, b, a)
+            member_flat[slot_j[step]] = np.where(accepted, a, b)
+            both_moving = np.concatenate([moving, moving + n_climbers])
+            stats[team_rows[step, both_moving]] = trial_stats.take(both_moving, axis=0)
+            team_scores = np.where(accepted, trial_team_scores, team_scores)
+            scores = np.where(accepted, trial, scores)
+            offered = moving[~fronts.cover(session_of[moving], *trial[:, moving])]
+            for c in offered.tolist():
+                kept.append((c, step, members[:, :, c].copy(), *trial[:, c].tolist()))
         kept.sort(key=lambda k: k[:2])
         for c, _, kept_teams, kept_surface, kept_deep in kept:
-            offer(kept_teams, solos[c], kept_surface, kept_deep)
+            offer(c, kept_teams, kept_surface, kept_deep)
 
-    archive.entries.sort(key=lambda e: (e.surface, e.deep))
-    selected = elbow_select(archive)
-    return archive, selected
+    results = []
+    for archive in archives:
+        archive.entries.sort(key=lambda e: (e.surface, e.deep))
+        results.append((archive, elbow_select(archive)))
+    return results
+
+
+# Each categorical column of an attribute row, by its category count k,
+# adds one row to _team_moments: a member of category c adds _COUNT_BASE**c,
+# so a team's sum holds its category counts as base-_COUNT_BASE digits.
+_CATEGORIES = (len(GENDERS), len(RACES), 2, 2)
+_COUNT_BASE = TEAM_SIZE + 1
+
+
+def _squared_digit_sums(digits: int) -> np.ndarray:
+    """int64[_COUNT_BASE**digits]: the sum of the squared base-_COUNT_BASE
+    digits of each index."""
+    sums = np.zeros(1, dtype=np.int64)
+    for _ in range(digits):
+        sums = (sums + np.arange(_COUNT_BASE)[:, None] ** 2).ravel()
+    return sums
+
+
+# _SQUARED_COUNTS[_COUNT_OFFSETS[col] + counts] is column col's sum of
+# squared category counts: the ordered equal-code member pairs (self-pairs
+# included) that score_teams counts.
+_COUNT_OFFSETS = np.cumsum((0,) + tuple(_COUNT_BASE**k for k in _CATEGORIES[:-1]))[:, None]
+_SQUARED_COUNTS = np.concatenate([_squared_digit_sums(k) for k in _CATEGORIES])
+
+
+def _team_moments(table: np.ndarray) -> np.ndarray:
+    """int64[rows, 18] of attribute_table rows whose sum over a team's
+    members holds the team's statistics: the age and skill sums S, the sums
+    Q of their squares, and the category counts of each categorical column."""
+    values = table[:, 4:]
+    return np.concatenate([values, values * values, _COUNT_BASE ** table[:, :4]], axis=1)
+
+
+def _score_moments(stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(surface[m], deep[m]) of m teams of TEAM_SIZE from their summed
+    _team_moments rows stats[m, 18]."""
+    equal_pairs = _SQUARED_COUNTS[stats[:, 14:].T + _COUNT_OFFSETS]
+    values = stats[:, :14].T.astype(np.float64, order="C")
+    sums, squares = values[:7], values[7:]
+    mean = sums / TEAM_SIZE
+    return _score_from_stats(equal_pairs, mean, squares - sums * mean, TEAM_SIZE)
+
+
+class _Fronts:
+    """The archives' points at one moment, to test many points against at once.
+
+    deeps[k, r] is the highest deep score among archive k's points whose
+    surface is at least the r-th smallest surface of all archives' points
+    (-inf if none), so archive k covers a point (some entry is >= on both)
+    exactly when deeps[k, r] >= its deep, r being the count of those
+    surfaces below its surface.
+    """
+
+    def __init__(self, archives: Sequence[ParetoArchive]):
+        points = [(k, e.surface, e.deep) for k, archive in enumerate(archives) for e in archive.entries]
+        archive_of, surfaces, deeps = np.array(points).T
+        self.surfaces = np.unique(surfaces)
+        self.deeps = np.full((len(archives), len(self.surfaces) + 1), -np.inf)
+        self.deeps[archive_of.astype(np.intp), np.searchsorted(self.surfaces, surfaces)] = deeps
+        self.deeps = np.maximum.accumulate(self.deeps[:, ::-1], axis=1)[:, ::-1].ravel()
+
+    def cover(self, archive: np.ndarray, surface: np.ndarray, deep: np.ndarray) -> np.ndarray:
+        """bool[m]: whether archive[m]'s points cover the points (surface[m], deep[m])."""
+        ranks = np.searchsorted(self.surfaces, surface)
+        return self.deeps.take(archive * (len(self.surfaces) + 1) + ranks) >= deep
 
 
 @dataclass(frozen=True)
@@ -335,7 +463,7 @@ def brute_force_partition(population: Sequence[Participant]) -> BruteForceResult
         team_pool = tuple(i for i in range(n) if i not in solos)
         splits.extend((split, solos) for split in _team_splits(team_pool))
     split_teams = np.array([[team_index[team] for team in split] for split, _ in splits])
-    surface, deep = _mean_scores(team_scores[split_teams]).T
+    surface, deep = _mean_scores(team_scores[split_teams.T]).T
 
     def _best(values: np.ndarray) -> tuple[float, tuple[Partition, ...]]:
         best = values.max()

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AGE_MIN, GENDERS, NUM_SKILLS, RACES, SKILL_NAMES, Participant, _is_int
+from .core import AGE_MAX, AGE_MIN, GENDERS, NUM_SKILLS, RACES, SKILL_NAMES, Participant, _is_int
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class DemographicSpec:
         for rate in (self.hispanic_rate, self.international_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError("rates must be in [0, 1]")
-        if not (_is_int(self.age_min) and _is_int(self.age_max) and AGE_MIN <= self.age_min <= self.age_max):
-            raise ValueError(f"invalid age range: need integers {AGE_MIN} <= age_min <= age_max")
+        if not (_is_int(self.age_min) and _is_int(self.age_max) and AGE_MIN <= self.age_min <= self.age_max <= AGE_MAX):
+            raise ValueError(f"invalid age range: need integers {AGE_MIN} <= age_min <= age_max <= {AGE_MAX}")
         if not (_is_int(self.skill_min) and _is_int(self.skill_max) and 1 <= self.skill_min <= self.skill_max <= 5):
             raise ValueError("invalid skill range: need integers 1 <= skill_min <= skill_max <= 5")
 

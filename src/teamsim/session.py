@@ -5,6 +5,8 @@ conditions (self_assembled, fairness_aware) run invitation rounds over
 the assembly state machine with synthetic agents and finish with the
 deadline fill. Standardization moments for the agents' choice model are
 estimated from a pilot batch of recommendations before the live rounds.
+run_ga_sessions runs several algorithmic_diverse sessions at once, their
+GA searches stepped together, each with the result it gets alone.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .core import (
     population_lookup,
     team_diversity_profile,
 )
-from .optimizer import GaConfig, ga_partition, random_partition
+from .optimizer import GaConfig, ga_partition_many, random_partition
 from .protocol import AssemblyState, Event
 from .recommender import rank_candidates
 
@@ -145,17 +147,15 @@ def run_session(
         raise ValueError(f"unknown condition {condition!r}")
     if len(population) < 2 * TEAM_SIZE:
         raise ValueError(f"population must have at least {2 * TEAM_SIZE} participants")
-    lookup = population_lookup(population)
+    if condition == "algorithmic_diverse":
+        (result,) = run_ga_sessions([population], [rng], session_indices=[session_index], ga=ga)
+        return result
     events: list[Event] = []
     moments = None
     exposures: list[Exposure] = []
 
     if condition == "random":
         partition = random_partition(population, rng=rng)
-    elif condition == "algorithmic_diverse":
-        ga_config = ga if ga is not None else GaConfig()
-        seed = int(rng.integers(2**63 - 1))
-        _, partition = ga_partition(population, dataclasses.replace(ga_config, rng_seed=seed))
     else:
         state, partition, moments, exposures = run_assembly(
             population,
@@ -166,7 +166,41 @@ def run_session(
             rounds=rounds,
         )
         events = state.event_log
+    return _session_result(condition, population, partition, session_index, events, moments, exposures)
 
+
+def run_ga_sessions(
+    populations: Sequence[Sequence[Participant]],
+    rngs: Sequence[np.random.Generator],
+    *,
+    session_indices: Sequence[int],
+    ga: GaConfig | None = None,
+) -> list[SessionResult]:
+    """algorithmic_diverse sessions, one per (population, rng, session index),
+    their GA searches stepped together in one ga_partition_many call.
+
+    Each session draws its GA seed from its rng, so each gets the result
+    run_session gives it alone. The populations must have one size.
+    """
+    ga_config = ga if ga is not None else GaConfig()
+    configs = [dataclasses.replace(ga_config, rng_seed=int(rng.integers(2**63 - 1))) for rng in rngs]
+    searches = ga_partition_many(populations, configs)
+    return [
+        _session_result("algorithmic_diverse", population, partition, index, [], None, [])
+        for population, (_, partition), index in zip(populations, searches, session_indices)
+    ]
+
+
+def _session_result(
+    condition: str,
+    population: Sequence[Participant],
+    partition: Partition,
+    session_index: int,
+    events: list[Event],
+    moments: StandardizationMoments | None,
+    exposures: list[Exposure],
+) -> SessionResult:
+    lookup = population_lookup(population)
     partition.validate(lookup)
     profiles = [team_diversity_profile(team, lookup) for team in partition.teams]
     return SessionResult(

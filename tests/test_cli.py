@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from teamsim.cli import build_parser, main
+from teamsim.core import AGE_MAX
 from teamsim.protocol import Event, write_log
 
 from test_protocol import _query, _row
@@ -86,6 +87,21 @@ class TestAssign:
         assert stdout == ""
         (line,) = stderr.splitlines()
         assert json.loads(line)["error"] == "input"
+
+    def test_age_above_max_is_input_error(self, tmp_path, capsys):
+        pop = tmp_path / "old.jsonl"
+        main(["synth", "--n", "8", "--seed", "4", "--out", str(pop)])
+        capsys.readouterr()
+        lines = pop.read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), "age": AGE_MAX + 1})
+        pop.write_text("\n".join(lines) + "\n")
+        code, stdout, stderr = _run(capsys, "assign", "--population", str(pop), "--mode", "ga")
+        assert code == 3
+        assert stdout == ""
+        (line,) = stderr.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "input"
+        assert "age" in error["message"]
 
     def test_missing_population_file(self, tmp_path, capsys):
         code, _, stderr = _run(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import statistics
 from collections import Counter
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teamsim.core import (
+    AGE_MAX,
     AGE_SPAN,
     BLAU_MAX,
     TEAM_SIZE,
@@ -139,6 +141,14 @@ class TestParticipantValidation:
         with pytest.raises(ValueError, match="age"):
             make_participant(age=17)
 
+    def test_age_ceiling(self):
+        assert make_participant(age=AGE_MAX).age == AGE_MAX
+        with pytest.raises(ValueError, match="age"):
+            make_participant(age=AGE_MAX + 1)
+        # An age that would wrap a team's int64 sum of squares.
+        with pytest.raises(ValueError, match="age"):
+            Participant.from_dict({**make_participant().to_dict(), "age": 2 * 10**9})
+
     def test_skill_bounds(self):
         with pytest.raises(ValueError, match="skill"):
             make_participant(skills=(0, 3, 3, 3, 3, 3))
@@ -192,6 +202,13 @@ class TestTeamAndPartition:
             part.validate(["a", "b", "c", "d"])
         with pytest.raises(ValueError):
             Partition.build([["a", "b"], ["b", "c"]]).validate(["a", "b", "c"])
+
+    def test_dict_round_trip(self):
+        part = Partition.build([["d", "c", "b", "a"], ["h", "e", "g", "f"]], ["j", "i"])
+        data = part.to_dict()
+        assert data == {"teams": [["a", "b", "c", "d"], ["e", "f", "g", "h"]], "solos": ["i", "j"]}
+        assert Partition.from_dict(data) == part
+        assert Partition.from_dict(json.loads(json.dumps(data))) == part
 
     def test_content_hash_is_canonical(self):
         p1 = Partition.build([["a", "b"], ["c", "d"]])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -12,6 +13,7 @@ from teamsim.core import TEAM_SIZE
 from teamsim.experiment import (
     REPORT_METRICS,
     AuditError,
+    _run_one,
     ExperimentConfig,
     choice_audit,
     load_exposure_rows,
@@ -276,6 +278,20 @@ class TestReportFiles:
         assert files1 == files2
         for rel in files1:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+    def test_ga_sessions_stepped_together_match_sessions_run_alone(self, tmp_path):
+        # Three GA sessions: one search at workers 1, one per worker at 3.
+        config = _tiny_config(conditions=("algorithmic_diverse", "random"), sessions_per_condition=3)
+        together = run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "one")))
+        spread = run_experiment(dataclasses.replace(config, workers=3, output_dir=str(tmp_path / "three")))
+        files = sorted(p.relative_to(tmp_path / "one") for p in (tmp_path / "one").rglob("*") if p.is_file())
+        for rel in files:
+            assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "three" / rel).read_bytes(), rel
+        assert spread.sessions == together.sessions
+        total = len(together.sessions)
+        for spawn_index, session in enumerate(together.sessions):
+            job = (config, session.condition, session.session_index, spawn_index, total)
+            assert _run_one(job) == session
 
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"

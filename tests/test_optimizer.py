@@ -10,23 +10,48 @@ from hypothesis import strategies as st
 
 from scipy.stats import chisquare
 
-from teamsim.core import TEAM_SIZE, Partition, population_lookup, surface_deep_rows
+from teamsim.core import (
+    AGE_MAX,
+    AGE_MIN,
+    GENDERS,
+    NUM_SKILLS,
+    RACES,
+    TEAM_SIZE,
+    Participant,
+    Partition,
+    attribute_table,
+    population_lookup,
+    score_teams,
+    surface_deep_rows,
+)
 from teamsim.optimizer import (
     ArchiveEntry,
     BruteForceResult,
     GaConfig,
     ParetoArchive,
     _draw_proposals,
+    _mean_scores,
+    _score_moments,
+    _team_moments,
     _team_splits,
     brute_force_partition,
     elbow_select,
     ga_partition,
+    ga_partition_many,
     objectives,
     random_partition,
 )
 from teamsim.population import synth_population
 
 from conftest import clone_population, make_participant
+
+
+def _left_to_right_mean(values) -> float:
+    """The mean of values added in order, as _mean_scores adds team scores."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def _entry(surface: float, deep: float, tag: str) -> ArchiveEntry:
@@ -217,7 +242,7 @@ def _reference_ga(population, config: GaConfig):
     archive = ParetoArchive()
 
     def mean(scores):
-        return sum(s for s, _ in scores) / len(scores), sum(d for _, d in scores) / len(scores)
+        return _left_to_right_mean([s for s, _ in scores]), _left_to_right_mean([d for _, d in scores])
 
     def offer(cand):
         if archive.admits(cand["surface"], cand["deep"]):
@@ -426,8 +451,8 @@ class TestBruteForce:
             pool = tuple(i for i in range(n) if i not in solos)
             for split in _team_splits(pool):
                 scores = [surface_deep_rows(rows, team) for team in split]
-                surface = sum(s for s, _ in scores) / len(scores)
-                deep = sum(d for _, d in scores) / len(scores)
+                surface = _left_to_right_mean([s for s, _ in scores])
+                deep = _left_to_right_mean([d for _, d in scores])
                 partition = Partition.build(([ids[i] for i in t] for t in split), [ids[i] for i in solos])
                 splits.append((surface, deep, surface + deep, partition))
         result = brute_force_partition(population)
@@ -446,3 +471,142 @@ class TestBruteForce:
         ids = [p.id for p in small_population]
         for part in result.best_total_partitions:
             part.validate(ids)
+
+
+class TestMeanScores:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.sampled_from([(2,), (2, 1), (2, 7), (5, 2), (2, 100)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_adds_teams_left_to_right(self, n_teams, trailing, seed):
+        # Scores spread over magnitudes, so that another order of additions
+        # would round differently.
+        rng = np.random.default_rng(seed)
+        scores = rng.random((n_teams, *trailing)) * 10.0 ** rng.integers(-3, 4, size=(n_teams, *trailing))
+        means = _mean_scores(scores)
+        assert means.shape == trailing
+        expected = [_left_to_right_mean(scores[(slice(None), *k)].tolist()) for k in np.ndindex(*trailing)]
+        assert means.ravel().tolist() == expected
+
+
+# Attribute rows that reach the extremes of the exact sums: ages AGE_MIN and
+# AGE_MAX, skills 1 and 5.
+_extreme_participants = st.builds(
+    lambda gender, race, hispanic, international, age, skills: dict(
+        gender=gender, race=race, hispanic=hispanic, international=international, age=age, skills=tuple(skills)
+    ),
+    st.sampled_from(GENDERS),
+    st.sampled_from(RACES),
+    st.booleans(),
+    st.booleans(),
+    st.one_of(st.sampled_from([AGE_MIN, AGE_MAX]), st.integers(AGE_MIN, AGE_MAX)),
+    st.lists(st.one_of(st.sampled_from([1, 5]), st.integers(1, 5)), min_size=NUM_SKILLS, max_size=NUM_SKILLS),
+)
+
+
+def _people(attributes: list[dict]) -> list[Participant]:
+    return [Participant(id=f"q{i:03d}", **a) for i, a in enumerate(attributes)]
+
+
+class TestExactTeamSums:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_extreme_participants, min_size=1, max_size=12),
+        st.lists(st.lists(st.integers(0, 11), min_size=TEAM_SIZE, max_size=TEAM_SIZE), min_size=1, max_size=20),
+    )
+    def test_equal_to_score_teams_at_the_extremes(self, attributes, teams):
+        rows = _people(attributes + [attributes[0]] * TEAM_SIZE)  # plus a clone team
+        n = len(attributes)
+        idx = np.array([[i % n for i in team] for team in teams] + [list(range(n, n + TEAM_SIZE))])
+        table = attribute_table(rows)
+        surface, deep = _score_moments(_team_moments(table)[idx].sum(axis=1))
+        expected_surface, expected_deep = score_teams(table, idx)
+        assert surface.tolist() == expected_surface.tolist()
+        assert deep.tolist() == expected_deep.tolist()
+
+    @pytest.mark.parametrize(
+        "ages", [(AGE_MAX,) * 4, (AGE_MIN,) * 4, (AGE_MIN, AGE_MAX) * 2, (AGE_MAX, AGE_MAX, AGE_MAX, AGE_MIN)]
+    )
+    @pytest.mark.parametrize("skill", [1, 5])
+    def test_corner_teams(self, ages, skill):
+        rows = [make_participant(pid=f"m{k}", age=age, skills=(skill, 6 - skill) * 3) for k, age in enumerate(ages)]
+        table = attribute_table(rows)
+        idx = np.arange(TEAM_SIZE)[None, :]
+        surface, deep = _score_moments(_team_moments(table)[idx].sum(axis=1))
+        expected_surface, expected_deep = score_teams(table, idx)
+        assert (surface.tolist(), deep.tolist()) == (expected_surface.tolist(), expected_deep.tolist())
+
+
+@st.composite
+def _sessions(draw):
+    """(populations, configs): k sessions of one size n, random or clones,
+    with configs that differ only in rng_seed."""
+    n = draw(st.integers(2 * TEAM_SIZE, 4 * TEAM_SIZE + 1))
+    k = draw(st.integers(1, 4))
+    populations = []
+    for _ in range(k):
+        if draw(st.booleans()):
+            populations.append(clone_population(n))
+        else:
+            populations.append(_people(draw(st.lists(_extreme_participants, min_size=n, max_size=n))))
+    base = GaConfig(
+        generations=draw(st.integers(1, 3)),
+        population_size=draw(st.integers(1, 4)),
+        swap_attempts=draw(st.one_of(st.none(), st.integers(1, 6))),
+    )
+    seeds = draw(st.lists(st.integers(0, 2**63 - 1), min_size=k, max_size=k))
+    return populations, [dataclasses.replace(base, rng_seed=seed) for seed in seeds]
+
+
+class TestGaPartitionMany:
+    @settings(max_examples=60, deadline=None)
+    @given(_sessions())
+    def test_equal_to_separate_sessions(self, sessions):
+        populations, configs = sessions
+        together = ga_partition_many(populations, configs)
+        assert len(together) == len(populations)
+        for population, config, (archive, selected) in zip(populations, configs, together):
+            alone_archive, alone_selected = ga_partition(population, config)
+            assert _front(archive) == _front(alone_archive)
+            assert selected == alone_selected
+
+    def test_equal_to_scalar_climbers(self, mixed_population):
+        populations = [mixed_population, synth_population(32, rng=np.random.default_rng(8)), clone_population(32)]
+        configs = [GaConfig(generations=2, population_size=5, rng_seed=seed) for seed in (4, 5, 6)]
+        for population, config, (archive, selected) in zip(
+            populations, configs, ga_partition_many(populations, configs)
+        ):
+            ref_archive, ref_selected = _reference_ga(population, config)
+            assert _front(archive) == _front(ref_archive)
+            assert selected == ref_selected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2 * TEAM_SIZE, 20), st.integers(1, 3), st.data())
+    def test_mixed_population_sizes_refused(self, n, extra, data):
+        sizes = [n, n + extra]
+        populations = [
+            synth_population(size, rng=np.random.default_rng(size)) for size in data.draw(st.permutations(sizes))
+        ]
+        with pytest.raises(ValueError, match="one size"):
+            ga_partition_many(populations, [GaConfig(generations=1, rng_seed=s) for s in (0, 1)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["generations", "population_size", "swap_attempts"]),
+        st.integers(1, 5),
+        st.integers(0, 2**63 - 1),
+    )
+    def test_mixed_configs_refused(self, name, value, seed):
+        population = synth_population(12, rng=np.random.default_rng(3))
+        base = GaConfig(generations=6, population_size=6, swap_attempts=6, rng_seed=seed)
+        other = dataclasses.replace(base, **{name: value})
+        with pytest.raises(ValueError, match="only in rng_seed"):
+            ga_partition_many([population, population], [base, other])
+
+    def test_one_config_per_population(self, small_population):
+        with pytest.raises(ValueError, match="one config per population"):
+            ga_partition_many([small_population, small_population], [GaConfig()])
+        with pytest.raises(ValueError, match="one config per population"):
+            ga_partition_many([], [])

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from teamsim.core import GENDERS, RACES
+from teamsim.core import AGE_MAX, GENDERS, RACES
 from teamsim.population import (
     DEFAULT_DEMOGRAPHICS,
     DemographicSpec,
@@ -30,6 +32,34 @@ class TestSpecValidation:
             DemographicSpec(hispanic_rate=1.5)
         with pytest.raises(ValueError):
             DemographicSpec(age_min=17)
+
+    def test_age_max_bounded(self):
+        assert DemographicSpec(age_max=AGE_MAX).age_max == AGE_MAX
+        with pytest.raises(ValueError, match="age"):
+            DemographicSpec(age_max=AGE_MAX + 1)
+
+
+def _write_with_first_age(path, age) -> None:
+    """Save a population file whose first participant has the given age."""
+    save_population(path, synth_population(8, rng=np.random.default_rng(4)))
+    lines = path.read_text().splitlines()
+    if path.suffix == ".jsonl":
+        lines[0] = json.dumps({**json.loads(lines[0]), "age": age})
+    else:
+        header, first = lines[0].split(","), lines[1].split(",")
+        first[header.index("age")] = str(age)
+        lines[1] = ",".join(first)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_population_file_age_above_max_refused(tmp_path, suffix):
+    path = tmp_path / f"pop{suffix}"
+    _write_with_first_age(path, AGE_MAX)
+    assert load_population(path)[0].age == AGE_MAX
+    _write_with_first_age(path, AGE_MAX + 1)
+    with pytest.raises(ValueError, match="age"):
+        load_population(path)
 
 
 class TestSynthPopulation:
