@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Mapping, Sequence
@@ -355,6 +354,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     # Each worker steps its share of the GA sessions together, in one search.
     shares = [ga_jobs[k :: config.workers] for k in range(min(config.workers, len(ga_jobs)))]
     if config.workers > 1:
+        # Imported here: the process pool and multiprocessing cost an import
+        # that a one-worker run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             ga_runs = [pool.submit(_run_ga, share) for share in shares]
             results = list(pool.map(_run_one, other_jobs))

@@ -85,6 +85,9 @@ def _dominates(a_surface, a_deep, b_surface, b_deep):
 class ParetoArchive:
     """Non-dominated set of (partition, surface, deep) entries, one per point.
 
+    Only the entries' surface and deep are read, so a search may hold
+    lighter entries while it runs and build ArchiveEntry values at the end.
+
     The first partition seen at an objective point represents it, so flat
     fitness landscapes (for example clone populations, where every swap
     ties) cannot flood the front with equal-objective duplicates.
@@ -281,13 +284,10 @@ def ga_partition_many(
     archives = [ParetoArchive() for _ in populations]
 
     def offer(c: int, teams: np.ndarray, surface: float, deep: float) -> None:
-        # Partitions are built only for admitted points, a small share of offers.
+        # The archives hold _Climb entries while the search runs; only the
+        # survivors become Partitions, at the end.
         session = session_of[c]
-        archive = archives[session]
-        if archive.admits(surface, deep):
-            local = (teams - n * session).tolist()
-            partition = _materialize(local, solos[c].tolist(), ids[session])
-            archive.insert(ArchiveEntry(partition, surface, deep))
+        archives[session].insert(_Climb(surface, deep, teams - n * session, solos[c]))
 
     for c in range(n_climbers):
         offer(c, members[:, :, c], *scores[:, c].tolist())
@@ -339,10 +339,24 @@ def ga_partition_many(
             offer(c, kept_teams, kept_surface, kept_deep)
 
     results = []
-    for archive in archives:
-        archive.entries.sort(key=lambda e: (e.surface, e.deep))
+    for archive, session_ids in zip(archives, ids):
+        archive.entries = [
+            ArchiveEntry(_materialize(e.teams.tolist(), e.solos.tolist(), session_ids), e.surface, e.deep)
+            for e in sorted(archive.entries, key=lambda e: (e.surface, e.deep))
+        ]
         results.append((archive, elbow_select(archive)))
     return results
+
+
+@dataclass(frozen=True)
+class _Climb:
+    """An archive entry during ga_partition_many: a climber's partition as
+    team rows teams[team, position] and solos, of its session's population."""
+
+    surface: float
+    deep: float
+    teams: np.ndarray
+    solos: np.ndarray
 
 
 # Each categorical column of an attribute row, by its category count k,

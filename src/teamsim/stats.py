@@ -34,15 +34,23 @@ tie-heavy data such as Blau indices produce many of them. The tolerance
 is TIE_ULPS * n * eps times a scale of the data (sum x^2 for T, sum |x|
 for S_B), not of the statistic, which can be exactly zero. A nan from
 overflowing sums is never below the threshold, so it counts as a tie.
+
+The module needs numpy alone. chi2_sf gives the chi-squared tail
+Q(df/2, stat/2) for integer df in closed form (Abramowitz & Stegun
+26.4.4 and 26.4.5): for even df, exp(-x) times the Poisson partial sum;
+for odd df, erfc(sqrt(x)) plus the half-integer terms. Each term is
+exponentiated from its logarithm, so none overflows at any df, and the
+terms, all positive, are added with math.fsum. expit is the logistic
+function on numpy's exp in the sign-split form that never overflows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit, gammaincc
 
 
 def _checked_groups(mapping: Mapping[str, Sequence[float]]) -> dict[str, np.ndarray]:
@@ -294,8 +302,30 @@ def chi2_independence(table) -> Chi2Result:
     expected = np.outer(row, col) / total
     stat = float(((counts - expected) ** 2 / expected).sum())
     df = (counts.shape[0] - 1) * (counts.shape[1] - 1)
-    p = float(gammaincc(df / 2.0, stat / 2.0))
-    return Chi2Result(statistic=stat, df=df, p_value=p)
+    return Chi2Result(statistic=stat, df=df, p_value=chi2_sf(stat, df))
+
+
+def chi2_sf(stat: float, df: int) -> float:
+    """P(X >= stat) for X chi-squared with integer df >= 1: the regularized
+    upper incomplete gamma Q(df/2, stat/2)."""
+    x = stat / 2.0
+    if x == 0.0:
+        return 1.0
+    log_x = math.log(x)
+    if df % 2 == 0:
+        head = 0.0
+        logs = [i * log_x - x - math.lgamma(i + 1) for i in range(df // 2)]
+    else:
+        head = math.erfc(math.sqrt(x))
+        logs = [(i - 0.5) * log_x - x - math.lgamma(i + 0.5) for i in range(1, df // 2 + 1)]
+    return min(1.0, math.fsum([head, *map(math.exp, logs)]))
+
+
+def expit(eta: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-eta)), as e^eta / (1 + e^eta) for
+    negative eta so that exp never overflows."""
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)

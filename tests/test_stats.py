@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy import stats as sps
 
+from teamsim import stats
+from teamsim.agents import ChoiceModelParams, simulate_exposures
 from teamsim.stats import (
     PERMUTATION_BLOCK,
     _permutation_hits_each,
@@ -17,6 +21,8 @@ from teamsim.stats import (
     anova_f_by_metric,
     bh_adjust,
     chi2_independence,
+    chi2_sf,
+    expit,
     logistic_fit,
     pairwise_diffs,
     pairwise_diffs_by_metric,
@@ -384,7 +390,24 @@ class TestChi2:
         ref_stat, ref_p, ref_df, _ = sps.chi2_contingency(table, correction=False)
         assert ours.statistic == pytest.approx(ref_stat, rel=1e-12)
         assert ours.df == ref_df
-        assert ours.p_value == pytest.approx(ref_p, rel=1e-10)
+        assert ours.p_value == pytest.approx(ref_p, rel=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda r: st.integers(2, 5).flatmap(
+                lambda c: st.lists(
+                    st.lists(st.integers(1, 200), min_size=c, max_size=c), min_size=r, max_size=r
+                )
+            )
+        )
+    )
+    def test_matches_scipy_contingency(self, table):
+        ours = chi2_independence(table)
+        ref_stat, ref_p, ref_df, _ = sps.chi2_contingency(table, correction=False)
+        assert ours.statistic == pytest.approx(ref_stat, rel=1e-12, abs=1e-12)
+        assert ours.df == ref_df
+        assert ours.p_value == pytest.approx(ref_p, rel=1e-12)
 
     def test_zero_marginal_rejected(self):
         with pytest.raises(ValueError, match="zero marginal"):
@@ -393,6 +416,58 @@ class TestChi2:
     def test_too_small_table_rejected(self):
         with pytest.raises(ValueError):
             chi2_independence([[1, 2]])
+
+
+class TestChi2Tail:
+    def test_small_df_matches_scipy(self):
+        for df in range(1, 31):
+            for stat in np.linspace(0.0, 200.0, 401):
+                assert chi2_sf(float(stat), df) == pytest.approx(sps.chi2.sf(stat, df), rel=1e-12, abs=0)
+
+    def test_large_df_matches_scipy(self):
+        rng = np.random.default_rng(7)
+        for df in [*range(31, 1001, 13), 999, 1000]:
+            for stat in [*rng.uniform(0.0, 1e4, 8), *np.linspace(0.0, 3.0 * df, 8), 1e4]:
+                ours, ref = chi2_sf(float(stat), df), sps.chi2.sf(stat, df)
+                if ours < 1e-300 and ref < 1e-300:
+                    continue
+                assert ours == pytest.approx(ref, rel=1e-9, abs=0), (df, stat)
+
+    def test_zero_statistic_is_exactly_one(self):
+        for df in (1, 2, 3, 10, 999, 1000):
+            assert chi2_sf(0.0, df) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2000), st.floats(0.0, 1e5))
+    def test_finite_probability(self, df, stat):
+        p = chi2_sf(stat, df)
+        assert math.isfinite(p)
+        assert 0.0 <= p <= 1.0
+
+
+class TestExpit:
+    def test_matches_scipy(self):
+        eta = np.concatenate([np.linspace(-700.0, 700.0, 200_001), [-700.0, -1e-300, 0.0, 1e-300, 700.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = expit(eta)
+        ref = special.expit(eta)
+        assert np.all(np.abs(ours - ref) <= 1e-15 * ref)
+
+    def test_no_overflow_far_out(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert expit(np.array([-1e4, 1e4])).tolist() == [0.0, 1.0]
+
+    def test_logistic_fit_matches_scipy_expit(self, monkeypatch):
+        batch = simulate_exposures(ChoiceModelParams(), 10_000, np.random.default_rng(123))
+        X, y = batch.design_matrix(), batch.selected
+        ours = logistic_fit(X, y)
+        monkeypatch.setattr(stats, "expit", special.expit)
+        ref = logistic_fit(X, y)
+        assert ours.converged and ref.converged
+        assert ours.coefficients == pytest.approx(ref.coefficients, rel=1e-12, abs=0)
+        assert ours.standard_errors == pytest.approx(ref.standard_errors, rel=1e-12, abs=0)
 
 
 class TestLogisticFit:
