@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .agents import ChoiceModelParams
 from .core import SKILL_NAMES, population_lookup
 from .experiment import (
     ANOVA_COLUMNS,
@@ -194,7 +193,15 @@ def _cmd_audit(args) -> int:
     if path.is_dir():
         path = path / "exposures.csv"
     rows = load_exposure_rows(path)
-    report = choice_audit(rows, ChoiceModelParams())
+    # A run's manifest beside its exposures names the coefficients that generated them.
+    params = {}
+    manifest = path.parent / "manifest.jsonl"
+    if manifest.is_file():
+        with open(manifest, "r", encoding="utf-8") as fh:
+            for record in map(json.loads, fh):
+                if record["kind"] == "config":
+                    params = record["config"].get("choice_params", {})
+    report = choice_audit(rows, ExperimentConfig.from_dict({"choice_params": params}).choice_params)
     for warning in report.warnings:
         print(f"warning: {warning}")
     print(f"n_exposures={report.n_exposures} converged={report.fit.converged}")

@@ -1,8 +1,10 @@
 """End-to-end 2x2 experiment runner, reporting, and the choice-model audit.
 
-Sessions are independent work units seeded from a master seed through a
-splittable SeedSequence, so the report is byte-identical at any
-parallelism degree. Team-level metrics feed permutation ANOVA, pairwise
+Sessions are independent and seeded from one master seed: session k of
+the spec (conditions in config order, then session index) draws its
+population and its generator from SeedSequence(seed).spawn(total)[k].spawn(2),
+and k is the manifest's spawn_index. So the report is byte-identical at
+any worker count. Team-level metrics feed permutation ANOVA, pairwise
 comparisons with Benjamini-Hochberg adjustment, and chi-squared
 demographic balance checks.
 """
@@ -10,6 +12,7 @@ demographic balance checks.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -27,13 +30,11 @@ from .core import (
     Participant,
     Partition,
     _is_int,
-    population_lookup,
-    team_diversity_profile,
 )
 from .optimizer import GaConfig
 from .population import DemographicSpec, save_population, synth_population
 from .protocol import replay, write_log
-from .session import CONDITIONS, SessionResult, run_ga_sessions, run_session
+from .session import CONDITIONS, SessionResult, run_ga_sessions, run_session, session_result
 from .stats import LogisticFit, anova_f_by_metric, chi2_independence, logistic_fit, pairwise_diffs_by_metric
 
 OUTPUT_DIR_ENV = "TEAMSIM_OUTPUT_DIR"
@@ -148,50 +149,42 @@ def _reject_unknown_keys(known: Mapping, data: Mapping, prefix: str = "") -> Non
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
 
 
-def _session_spec(config: ExperimentConfig) -> list[tuple[str, int]]:
-    return [
-        (condition, index)
-        for condition in config.conditions
-        for index in range(config.sessions_per_condition)
-    ]
-
-
 def _session_inputs(
-    config: ExperimentConfig, spawn_index: int, total: int
+    config: ExperimentConfig, seed: np.random.SeedSequence
 ) -> tuple[list[Participant], np.random.Generator]:
-    """(population, session generator) of the session at spawn_index."""
-    child = np.random.SeedSequence(config.seed).spawn(total)[spawn_index]
-    pop_seq, run_seq = child.spawn(2)
+    """(population, session generator) of the session seeded by seed."""
+    pop_seq, run_seq = seed.spawn(2)
     population = synth_population(
         config.agents_per_session, config.demographics, rng=np.random.default_rng(pop_seq)
     )
     return population, np.random.default_rng(run_seq)
 
 
-def _run_one(args: tuple[ExperimentConfig, str, int, int, int]) -> SessionResult:
-    config, condition, index, spawn_index, total = args
-    population, rng = _session_inputs(config, spawn_index, total)
-    return run_session(
-        condition,
-        population,
-        rng=rng,
-        session_index=index,
-        ga=config.ga,
-        policy=config.policy,
-        params=config.choice_params,
-        rounds=config.rounds,
-    )
-
-
-def _run_ga(jobs: Sequence[tuple[ExperimentConfig, str, int, int, int]]) -> list[SessionResult]:
-    """The algorithmic_diverse sessions of jobs, their GA searches stepped together."""
-    inputs = [_session_inputs(config, spawn_index, total) for config, _, _, spawn_index, total in jobs]
-    return run_ga_sessions(
-        [population for population, _ in inputs],
-        [rng for _, rng in inputs],
-        session_indices=[index for _, _, index, _, _ in jobs],
-        ga=jobs[0][0].ga,
-    )
+def _run_sessions(
+    config: ExperimentConfig, condition: str, units: Sequence[tuple[int, np.random.SeedSequence]]
+) -> list[SessionResult]:
+    """The sessions of condition, one per (session index, seed): GA sessions
+    stepped together in one search, the others one at a time."""
+    inputs = [_session_inputs(config, seed) for _, seed in units]
+    if condition == "algorithmic_diverse":
+        return run_ga_sessions(
+            [population for population, _ in inputs],
+            [rng for _, rng in inputs],
+            session_indices=[index for index, _ in units],
+            ga=config.ga,
+        )
+    return [
+        run_session(
+            condition,
+            population,
+            rng=rng,
+            session_index=index,
+            policy=config.policy,
+            params=config.choice_params,
+            rounds=config.rounds,
+        )
+        for (index, _), (population, rng) in zip(units, inputs)
+    ]
 
 
 @dataclass
@@ -343,30 +336,33 @@ def _balance_tables(sessions: Sequence[SessionResult], conditions: Sequence[str]
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every configured session, aggregate metrics, run the stats suite,
     and (when an output directory is configured) persist the full report."""
-    spec = _session_spec(config)
-    total = len(spec)
-    jobs = [
-        (config, condition, index, spawn_index, total)
-        for spawn_index, (condition, index) in enumerate(spec)
-    ]
-    ga_jobs = [job for job in jobs if job[1] == "algorithmic_diverse"]
-    other_jobs = [job for job in jobs if job[1] != "algorithmic_diverse"]
-    # Each worker steps its share of the GA sessions together, in one search.
-    shares = [ga_jobs[k :: config.workers] for k in range(min(config.workers, len(ga_jobs)))]
+    n = config.sessions_per_condition
+    seeds = np.random.SeedSequence(config.seed).spawn(len(config.conditions) * n)
+    units = []
+    for position, condition in enumerate(config.conditions):
+        indexed_seeds = list(enumerate(seeds[position * n : (position + 1) * n]))
+        if condition == "algorithmic_diverse":
+            # Each worker steps its share of the GA sessions together, in one
+            # search. The shares go first: they run longest.
+            units[:0] = [(condition, indexed_seeds[w :: config.workers]) for w in range(min(config.workers, n))]
+        else:
+            units += [(condition, [indexed_seed]) for indexed_seed in indexed_seeds]
+    conditions, shares = zip(*units)
+    run = functools.partial(_run_sessions, config)
     if config.workers > 1:
         # Imported here: the process pool and multiprocessing cost an import
         # that a one-worker run never uses.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            ga_runs = [pool.submit(_run_ga, share) for share in shares]
-            results = list(pool.map(_run_one, other_jobs))
-            results += [session for run in ga_runs for session in run.result()]
+            runs = list(pool.map(run, conditions, shares))
     else:
-        results = [_run_one(job) for job in other_jobs]
-        results += [session for share in shares for session in _run_ga(share)]
-    spawn_indices = [job[3] for job in other_jobs] + [job[3] for share in shares for job in share]
-    sessions = [session for _, session in sorted(zip(spawn_indices, results), key=lambda pair: pair[0])]
+        runs = map(run, conditions, shares)
+    order = {condition: position for position, condition in enumerate(config.conditions)}
+    sessions = sorted(
+        (session for run_sessions in runs for session in run_sessions),
+        key=lambda s: (order[s.condition], s.session_index),
+    )
 
     team_rows = _team_rows(sessions)
     groups_by_metric = metric_groups(team_rows, config.conditions, REPORT_METRICS)
@@ -598,7 +594,6 @@ def regenerate_team_rows(run_dir) -> list[dict]:
     for record in manifest_sessions:
         stem = f"{record['condition']}_{record['index']:03d}"
         population = load_population(run_dir / "populations" / f"{stem}.jsonl")
-        lookup = population_lookup(population)
         log_path = run_dir / "events" / f"{stem}.jsonl"
         if log_path.exists():
             members, events = read_log(log_path)
@@ -607,14 +602,5 @@ def regenerate_team_rows(run_dir) -> list[dict]:
             partition = state.partition()
         else:
             partition = Partition.from_dict(json.loads((run_dir / "partitions" / f"{stem}.json").read_text()))
-        partition.validate(lookup)
-        sessions.append(
-            SessionResult(
-                condition=record["condition"],
-                session_index=record["index"],
-                population=population,
-                partition=partition,
-                profiles=[team_diversity_profile(t, lookup) for t in partition.teams],
-            )
-        )
+        sessions.append(session_result(record["condition"], population, partition, record["index"]))
     return _team_rows(sessions)

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TEAM_SIZE, Partition, _is_real
+from .core import TEAM_SIZE, Partition, _is_int, _is_real
 from .recommender import Query
 
 RESPONSES = ("accepted", "declined", "ignored")
@@ -61,7 +61,9 @@ class Event:
     def from_dict(cls, d: dict) -> "Event":
         if not isinstance(d, dict) or not isinstance(d.get("payload"), dict):
             raise ValueError(f"an event must be a JSON object with an object payload: {d!r}")
-        return cls(round=int(d["round"]), kind=d["kind"], payload=d["payload"])
+        if not _is_int(d.get("round")):
+            raise ValueError(f"an event round must be an integer: {d!r}")
+        return cls(round=d["round"], kind=d["kind"], payload=d["payload"])
 
 
 @dataclass

@@ -137,9 +137,9 @@ def run_session(
     *,
     rng: np.random.Generator,
     session_index: int = 0,
-    ga: GaConfig | None = None,
-    policy: AgentPolicy | None = None,
-    params: ChoiceModelParams | None = None,
+    ga: GaConfig = GaConfig(),
+    policy: AgentPolicy = AgentPolicy(),
+    params: ChoiceModelParams = ChoiceModelParams(),
     rounds: int = 10,
 ) -> SessionResult:
     """Produce a partition plus per-team diversity profiles for one condition."""
@@ -150,23 +150,12 @@ def run_session(
     if condition == "algorithmic_diverse":
         (result,) = run_ga_sessions([population], [rng], session_indices=[session_index], ga=ga)
         return result
-    events: list[Event] = []
-    moments = None
-    exposures: list[Exposure] = []
-
     if condition == "random":
-        partition = random_partition(population, rng=rng)
-    else:
-        state, partition, moments, exposures = run_assembly(
-            population,
-            AGENCY_MODES[condition],
-            rng,
-            policy=policy if policy is not None else AgentPolicy(),
-            params=params if params is not None else ChoiceModelParams(),
-            rounds=rounds,
-        )
-        events = state.event_log
-    return _session_result(condition, population, partition, session_index, events, moments, exposures)
+        return session_result(condition, population, random_partition(population, rng=rng), session_index)
+    state, partition, moments, exposures = run_assembly(
+        population, AGENCY_MODES[condition], rng, policy=policy, params=params, rounds=rounds
+    )
+    return session_result(condition, population, partition, session_index, state.event_log, moments, exposures)
 
 
 def run_ga_sessions(
@@ -174,7 +163,7 @@ def run_ga_sessions(
     rngs: Sequence[np.random.Generator],
     *,
     session_indices: Sequence[int],
-    ga: GaConfig | None = None,
+    ga: GaConfig = GaConfig(),
 ) -> list[SessionResult]:
     """algorithmic_diverse sessions, one per (population, rng, session index),
     their GA searches stepped together in one ga_partition_many call.
@@ -182,24 +171,25 @@ def run_ga_sessions(
     Each session draws its GA seed from its rng, so each gets the result
     run_session gives it alone. The populations must have one size.
     """
-    ga_config = ga if ga is not None else GaConfig()
-    configs = [dataclasses.replace(ga_config, rng_seed=int(rng.integers(2**63 - 1))) for rng in rngs]
+    configs = [dataclasses.replace(ga, rng_seed=int(rng.integers(2**63 - 1))) for rng in rngs]
     searches = ga_partition_many(populations, configs)
     return [
-        _session_result("algorithmic_diverse", population, partition, index, [], None, [])
+        session_result("algorithmic_diverse", population, partition, index)
         for population, (_, partition), index in zip(populations, searches, session_indices)
     ]
 
 
-def _session_result(
+def session_result(
     condition: str,
     population: Sequence[Participant],
     partition: Partition,
     session_index: int,
-    events: list[Event],
-    moments: StandardizationMoments | None,
-    exposures: list[Exposure],
+    events: Sequence[Event] = (),
+    moments: StandardizationMoments | None = None,
+    exposures: Sequence[Exposure] = (),
 ) -> SessionResult:
+    """The session's result: its partition validated against the population
+    and each team's diversity profile."""
     lookup = population_lookup(population)
     partition.validate(lookup)
     profiles = [team_diversity_profile(team, lookup) for team in partition.teams]
@@ -209,7 +199,7 @@ def _session_result(
         population=list(population),
         partition=partition,
         profiles=profiles,
-        events=events,
+        events=list(events),
         moments=moments,
-        exposures=exposures,
+        exposures=list(exposures),
     )

@@ -335,6 +335,25 @@ class TestRunAnalyzeAuditReplay:
         else:
             assert code == 3
 
+    def test_audit_compares_against_the_runs_own_coefficients(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "conditions": ["self_assembled", "fairness_aware"],
+            "sessions_per_condition": 1,
+            "agents_per_session": 16,
+            "choice_params": {"rank": -0.5, "interaction": 0.0},
+        }))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config), "--out", str(out), "--seed", "3"]) == 0
+        for exposures in (out, out / "exposures.csv"):
+            code, stdout, _ = _run(capsys, "audit", "--exposures", str(exposures))
+            assert code == 0
+            generating = dict(re.findall(r"^  (\w+) +generating=(\S+)", stdout, re.M))
+            assert generating == {
+                "intercept": "-3.170", "rank": "-0.500", "same_gender": "+0.260",
+                "diversity": "-0.110", "treatment": "-0.330", "interaction": "+0.000",
+            }
+
     def test_replay(self, run_dir, capsys):
         log = sorted((run_dir / "events").glob("*.jsonl"))[0]
         code, stdout, _ = _run(capsys, "replay", "--events", str(log))
@@ -496,9 +515,9 @@ _BAD_LOGS = {
 }
 
 
-def _write_events(path, events):
+def _write_events(path, events, round=1):
     members = [f"a{i:02d}" for i in range(6)]
-    write_log(path, members, [Event(round=1, kind=kind, payload=p) for kind, p in events])
+    write_log(path, members, [Event(round=round, kind=kind, payload=p) for kind, p in events])
     return path
 
 
@@ -534,17 +553,20 @@ class TestReplayRefusesBadLogs:
         assert message in error["message"]
 
     @pytest.mark.parametrize(
-        "event, category",
+        "event, round, category",
         [
             (("invitation_sent", {**_sent(1, "a00", "a01", ["a00"], ["a01"])[1],
-                                  "invitation_id": "x"}), "protocol"),
-            (("member_left", {"member_id": ["a00"], "old_group": ["a00"]}), "protocol"),
-            (("query_issued", ["a00"]), "input"),
+                                  "invitation_id": "x"}), 1, "protocol"),
+            (("member_left", {"member_id": ["a00"], "old_group": ["a00"]}), 1, "protocol"),
+            (("query_issued", ["a00"]), 1, "input"),
+            (_sent(1, "a00", "a01", ["a00"], ["a01"]), 1.7, "input"),
+            (_sent(1, "a00", "a01", ["a00"], ["a01"]), True, "input"),
+            (_sent(1, "a00", "a01", ["a00"], ["a01"]), "1", "input"),
         ],
-        ids=["invitation_id", "unhashable_member", "list_payload"],
+        ids=["invitation_id", "unhashable_member", "list_payload", "float_round", "bool_round", "string_round"],
     )
-    def test_malformed_event_exits_3(self, tmp_path, capsys, event, category):
-        log = _write_events(tmp_path / "bad.jsonl", [event])
+    def test_malformed_event_exits_3(self, tmp_path, capsys, event, round, category):
+        log = _write_events(tmp_path / "bad.jsonl", [event], round=round)
         code, stdout, stderr = _run(capsys, "replay", "--events", str(log))
         assert (code, stdout) == (3, "")
         assert _one_error_line(stderr)["error"] == category

@@ -13,7 +13,6 @@ from teamsim.core import TEAM_SIZE
 from teamsim.experiment import (
     REPORT_METRICS,
     AuditError,
-    _run_one,
     ExperimentConfig,
     choice_audit,
     load_exposure_rows,
@@ -22,6 +21,8 @@ from teamsim.experiment import (
     stats_tables,
 )
 from teamsim.optimizer import GaConfig
+from teamsim.population import synth_population
+from teamsim.session import run_session
 from teamsim.stats import PERMUTATION_BLOCK, anova_f, pairwise_diffs
 
 
@@ -269,15 +270,17 @@ class TestRunExperiment:
 
 class TestReportFiles:
     def test_written_report_is_reproducible_and_parallel_invariant(self, tmp_path):
+        # Two GA sessions: at workers 4 two workers have no GA share.
+        config = _tiny_config(conditions=("random", "algorithmic_diverse", "self_assembled"))
         out1 = tmp_path / "run1"
-        out2 = tmp_path / "run2"
-        run_experiment(_tiny_config(output_dir=str(out1)))
-        run_experiment(_tiny_config(output_dir=str(out2), workers=2))
+        run_experiment(dataclasses.replace(config, output_dir=str(out1)))
         files1 = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
-        files2 = sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
-        assert files1 == files2
-        for rel in files1:
-            assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+        for workers in (2, 4):
+            out = tmp_path / f"run{workers}"
+            run_experiment(dataclasses.replace(config, output_dir=str(out), workers=workers))
+            assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == files1
+            for rel in files1:
+                assert (out1 / rel).read_bytes() == (out / rel).read_bytes(), (workers, rel)
 
     def test_ga_sessions_stepped_together_match_sessions_run_alone(self, tmp_path):
         # Three GA sessions: one search at workers 1, one per worker at 3.
@@ -288,10 +291,39 @@ class TestReportFiles:
         for rel in files:
             assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "three" / rel).read_bytes(), rel
         assert spread.sessions == together.sessions
-        total = len(together.sessions)
-        for spawn_index, session in enumerate(together.sessions):
-            job = (config, session.condition, session.session_index, spawn_index, total)
-            assert _run_one(job) == session
+        # Session k of the spec is seeded by SeedSequence(seed).spawn(total)[k] alone.
+        seeds = np.random.SeedSequence(config.seed).spawn(len(together.sessions))
+        for seed, session in zip(seeds, together.sessions):
+            pop_seq, run_seq = seed.spawn(2)
+            population = synth_population(
+                config.agents_per_session, config.demographics, rng=np.random.default_rng(pop_seq)
+            )
+            alone = run_session(
+                session.condition,
+                population,
+                rng=np.random.default_rng(run_seq),
+                session_index=session.session_index,
+                ga=config.ga,
+                policy=config.policy,
+                params=config.choice_params,
+                rounds=config.rounds,
+            )
+            assert alone == session
+
+    def test_master_seed_is_spawned_once(self, monkeypatch):
+        config = _tiny_config(conditions=("algorithmic_diverse", "random"), sessions_per_condition=3)
+        master_spawns = []
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                # The GA seeds its own root sequences from other entropy.
+                if not self.spawn_key and self.entropy == config.seed:
+                    master_spawns.append(n_children)
+                return super().spawn(n_children)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        report = run_experiment(config)
+        assert master_spawns == [len(report.sessions)] == [6]
 
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
