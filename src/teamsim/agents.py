@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .core import NUM_SKILLS, TEAM_SIZE, Participant, _is_int, _is_real
+from .core import NUM_SKILLS, TEAM_SIZE, _is_int, _is_real
 from .protocol import AssemblyState
-from .recommender import DEMOGRAPHIC_KINDS, PAGE_SIZE, Criterion, Query, rank_candidates
+from .recommender import _SAME_COLUMN, DEMOGRAPHIC_KINDS, PAGE_SIZE, CodedPool, Criterion, Query
 
 # The choice model's fixed effects, in design-matrix column order.
 FIXED_EFFECTS = ("intercept", "rank", "same_gender", "diversity", "treatment", "interaction")
@@ -203,7 +202,7 @@ def agent_step(
     agent_id: str,
     state: AssemblyState,
     *,
-    lookup: Mapping[str, Participant],
+    pool: CodedPool,
     policy: AgentPolicy,
     params: ChoiceModelParams,
     moments: StandardizationMoments,
@@ -217,15 +216,19 @@ def agent_step(
     first candidate whose choice-model draw succeeds; recipients then
     answer immediately with per-member acceptance draws. Agents whose
     group already holds TEAM_SIZE members do nothing. Returns the walked
-    exposures.
+    exposures. pool codes the session's members in state.members order, so
+    a member's row in pool is its position in state.
     """
+    if pool.ids != state.members:
+        raise ValueError("pool must code the session's members in member order")
     group = state.group_of(agent_id)
     if len(group) >= TEAM_SIZE:
         return []
     query = gen_query(agent_id, policy, rng)
     state.record_query(agent_id, query.to_payload())
-    recs = rank_candidates(
-        query, state.candidates(agent_id), lookup=lookup, mode=mode, searcher_team=group, page=1
+    searcher_row = pool.row[agent_id]
+    recs = pool.rank(
+        query, [pool.row[m] for m in group], searcher_row, state.eligible_rows(agent_id), mode, page=1
     )
     state.record_recommendations(
         agent_id,
@@ -242,11 +245,11 @@ def agent_step(
         ],
     )
     treatment = 1 if mode == "fairness" else 0
-    searcher = lookup[agent_id]
+    genders = pool.table[:, _SAME_COLUMN["same_gender"]]
     exposures: list[Exposure] = []
     for rec in recs:
         rank_z, div_z = standardize(moments, rec.rank, rec.diversity_score)
-        same_gender = int(lookup[rec.candidate_id].gender == searcher.gender)
+        same_gender = int(genders[pool.row[rec.candidate_id]] == genders[searcher_row])
         p = choice_probability(params, rank_z, same_gender, div_z, treatment, u)
         selected = int(rng.random() < p)
         exposures.append(

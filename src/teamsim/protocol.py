@@ -3,9 +3,14 @@
 Participants start as singleton groups and grow by invitation: an
 invitation goes to one target and snapshots both groups; the merge
 happens only when every recipient-group member accepts. join_refusal,
-the join rule of invitations, shown pages and AssemblyState.candidates,
-lets two distinct groups merge only if the merged team fits TEAM_SIZE.
-Membership changes void any open invitation whose snapshots went stale.
+the join rule of invitations and shown pages, lets two distinct groups
+merge only if the merged team fits TEAM_SIZE. Membership changes void any
+open invitation whose snapshots went stale.
+
+Beside the member -> group map, the state keeps an int group id and an
+int group size per member position, set in _set_group with the map. A
+search's candidates are then one mask over those arrays, the join rule
+for all members at once: AssemblyState.eligible_rows.
 
 All mutations are event-sourced: commands emit events and apply them
 through one dispatcher, _apply, which checks each event against every
@@ -86,8 +91,13 @@ class AssemblyState:
         if not members:
             raise ValueError("empty session")
         self.members: tuple[str, ...] = tuple(members)
-        # Each member's group: a sorted tuple shared by all its members.
+        self._position: dict[str, int] = {m: i for i, m in enumerate(members)}
+        # Each member's group: a sorted tuple shared by all its members. By
+        # member position, the group's id (the position of its first member)
+        # and its size.
         self._group: dict[str, tuple[str, ...]] = {m: (m,) for m in members}
+        self._group_id = np.arange(len(members))
+        self._group_size = np.ones(len(members), dtype=np.intp)
         self.invitations: dict[str, Invitation] = {}
         self.round: int = 0
         self.event_log: list[Event] = []
@@ -105,11 +115,17 @@ class AssemblyState:
     def groups(self) -> list[tuple[str, ...]]:
         return sorted(set(self._group.values()))
 
+    def eligible_rows(self, searcher_id: str) -> np.ndarray:
+        """Positions, in member order, of the members whose groups the
+        searcher's group may join: join_refusal as one mask."""
+        self.group_of(searcher_id)
+        s = self._position[searcher_id]
+        gid, size = self._group_id, self._group_size
+        return np.flatnonzero((gid != gid[s]) & (size <= TEAM_SIZE - size[s]))
+
     def candidates(self, searcher_id: str) -> list[str]:
         """Members, in member order, whose groups the searcher's group may join."""
-        group = self.group_of(searcher_id)
-        by_member = self._group
-        return [m for m in self.members if join_refusal(group, by_member[m]) is None]
+        return [self.members[i] for i in self.eligible_rows(searcher_id).tolist()]
 
     def open_invitations(self) -> list[Invitation]:
         return [inv for inv in self.invitations.values() if inv.status == "open"]
@@ -313,6 +329,9 @@ class AssemblyState:
 
     def _set_group(self, group: tuple[str, ...]) -> None:
         """Make a sorted, non-empty group the group of each of its members."""
+        positions = [self._position[m] for m in group]
+        self._group_id[positions] = self._position[group[0]]
+        self._group_size[positions] = len(group)
         for m in group:
             self._group[m] = group
 
@@ -329,7 +348,8 @@ class AssemblyState:
 
     def check_invariants(self) -> None:
         """Check that the group map partitions the members into sorted groups
-        of 1..TEAM_SIZE. The event rules in _apply keep everything else true."""
+        of 1..TEAM_SIZE, and that the group id and size arrays agree with it.
+        The event rules in _apply keep everything else true."""
         if self._group.keys() != set(self.members):
             raise AssertionError("groups do not partition the members")
         for member, group in self._group.items():
@@ -339,6 +359,9 @@ class AssemblyState:
                 self._group.get(m) != group for m in group
             ):
                 raise AssertionError(f"member map out of sync for group {group}")
+            i = self._position[member]
+            if self._group_id[i] != self._position[group[0]] or self._group_size[i] != len(group):
+                raise AssertionError(f"group arrays out of sync for member {member!r}")
 
     def snapshot(self) -> dict:
         """Comparable view of the full state (used by replay tests)."""

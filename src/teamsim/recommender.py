@@ -171,6 +171,105 @@ def _criterion_column(searcher: np.ndarray, candidates: np.ndarray, criterion: C
     return (candidates[:, column] == searcher[column]).astype(float)
 
 
+class CodedPool:
+    """A population coded once for ranking by row.
+
+    Row i of table, which is read-only, is the attribute_table code of
+    participant i; ids[i] is its id, row maps each id to its row, and
+    id_rank[i] is the position of ids[i] in id order, so ties break by id
+    without comparing strings. Duplicate ids are refused.
+    """
+
+    def __init__(self, participants: Sequence[Participant]):
+        self.ids: tuple[str, ...] = tuple(p.id for p in participants)
+        self.row: dict[str, int] = {pid: i for i, pid in enumerate(self.ids)}
+        if len(self.row) != len(self.ids):
+            raise ValueError("duplicate participant ids")
+        self.table = attribute_table(participants)
+        self.table.flags.writeable = False
+        self.id_rank = np.empty(len(self.ids), dtype=np.intp)
+        self.id_rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = np.arange(len(self.ids))
+        # Diversity of every row joining a team, by team rows: a session's
+        # groups search again and again.
+        self._team_diversity: dict[tuple[int, ...], np.ndarray] = {}
+
+    def rank(
+        self,
+        query: Query,
+        team_rows: Sequence[int],
+        searcher_row: int,
+        eligible_rows: np.ndarray,
+        mode: str,
+        page: int | None,
+    ) -> list[Recommendation]:
+        """Rank the eligible rows for a searcher at searcher_row whose team
+        is team_rows, fewer than TEAM_SIZE rows that eligible_rows excludes.
+
+        fit_only sorts by fit score, fairness by fit x diversity; ties break
+        by id. Returns the requested page (1-based) of PAGE_SIZE candidates,
+        or the whole ranking when page is None. Each candidate is scored bit
+        for bit as the scalar definitions score it: fit_score adds the
+        criteria in query order, marginal_diversity scores the team in
+        team_rows order followed by the candidate, and match_percent is
+        applied elementwise. score_teams treats each row on its own, so a
+        row's scores do not depend on the other rows scored with it: fairness
+        scores every row joining the team once per team and looks the
+        eligible rows up, and fit_only, whose ranking diversity does not
+        enter, scores the returned page only.
+        """
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if page is not None and page < 1:
+            raise ValueError("page is 1-based")
+        eligible_rows = np.asarray(eligible_rows, dtype=np.intp)
+        if not len(eligible_rows):
+            return []
+        searcher = self.table[searcher_row]
+        candidates = self.table[eligible_rows]
+        fit = np.zeros(len(eligible_rows))
+        for c in query.criteria:
+            fit = fit + c.importance * _criterion_column(searcher, candidates, c)
+        if mode == "fairness":
+            diversity = self._joining(team_rows)[eligible_rows]
+            combined = fit * diversity
+        else:
+            combined = fit
+        order = np.lexsort((self.id_rank[eligible_rows], -combined))
+        first = 1
+        if page is not None:
+            first = (page - 1) * PAGE_SIZE + 1
+            order = order[first - 1 : first - 1 + PAGE_SIZE]
+        rows = eligible_rows[order]
+        fit = fit[order]
+        diversity = diversity[order] if mode == "fairness" else self._diversity(team_rows, rows)
+        # A query's nonzero weights make s_max > s_min, so match_percent's
+        # equal-extremes branch never applies.
+        s_min, s_max = score_extremes(query)
+        match = 100.0 * (fit - s_min) / (s_max - s_min)
+        columns = (fit, diversity, combined[order], match)
+        return [
+            Recommendation(self.ids[row], f, d, c, rank, m)
+            for rank, (row, f, d, c, m) in enumerate(zip(rows.tolist(), *(a.tolist() for a in columns)), first)
+        ]
+
+    def _joining(self, team_rows: Sequence[int]) -> np.ndarray:
+        """_diversity of every row joining the team, scored once per team."""
+        key = tuple(team_rows)
+        if key not in self._team_diversity:
+            self._team_diversity[key] = self._diversity(key, np.arange(len(self.ids)))
+        return self._team_diversity[key]
+
+    def _diversity(self, team_rows: Sequence[int], rows: np.ndarray) -> np.ndarray:
+        """marginal_diversity of each row joining the team, floored."""
+        k = len(team_rows)
+        idx = np.empty((len(rows), k + 1), dtype=np.intp)
+        idx[:, :k] = team_rows
+        idx[:, k] = rows
+        surface, deep = score_teams(self.table, idx)
+        # DiversityProfile.component_mean, floored as in marginal_diversity.
+        return np.maximum(DIVERSITY_FLOOR, (surface + NUM_SKILLS * deep) / METRIC_COUNT)
+
+
 def rank_candidates(
     query: Query,
     pool: Sequence[str],
@@ -180,26 +279,14 @@ def rank_candidates(
     searcher_team: Sequence[str] | None = None,
     page: int | None = None,
 ) -> list[Recommendation]:
-    """Rank pool candidates for the query's searcher.
+    """Rank pool candidates for the query's searcher, as CodedPool.rank does.
 
-    fit_only sorts by fit score, fairness by fit x diversity; ties break
-    by candidate id. Each pool member is scored as joining searcher_team
-    alone; members of searcher_team are dropped and a full team gets none
-    (a live search's pool is AssemblyState.candidates). Returns the
-    requested page (1-based) of PAGE_SIZE candidates, or the whole ranking
-    when page is None. An empty pool yields an empty list. Duplicate ids
-    in pool or searcher_team are refused.
-
-    The whole pool is scored at once, bit for bit as the scalar
-    definitions score each candidate: fit_score adds the criteria in
-    query order, marginal_diversity scores the team's members in
-    searcher_team order followed by the candidate, and match_percent is
-    applied elementwise.
+    Each pool member is scored as joining searcher_team alone; members of
+    searcher_team are dropped and a full team gets none (a live search's
+    pool is AssemblyState.candidates). An empty pool yields an empty list.
+    Duplicate ids in pool or searcher_team, and ids missing from lookup,
+    are refused.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if page is not None and page < 1:
-        raise ValueError("page is 1-based")
     team_ids = list(searcher_team) if searcher_team is not None else [query.searcher_id]
     if query.searcher_id not in team_ids:
         raise ValueError("searcher_team must include the searcher")
@@ -208,47 +295,12 @@ def rank_candidates(
         raise ValueError("duplicate ids in searcher_team")
     if len(set(pool)) != len(pool):
         raise ValueError("duplicate ids in pool")
-    team_members = [lookup[mid] for mid in team_ids]
-
+    for mid in (*team_ids, *pool):
+        if mid not in lookup:
+            raise ValueError(f"unknown member id {mid!r}")
     eligible = [cid for cid in pool if cid not in in_team] if len(team_ids) < TEAM_SIZE else []
-    if not eligible:
-        return []
-    k, m = len(team_ids), len(eligible)
-    table = attribute_table(team_members + [lookup[cid] for cid in eligible])
-    candidates = table[k:]
-
-    idx = np.empty((m, k + 1), dtype=np.intp)
-    idx[:, :k] = np.arange(k)
-    idx[:, k] = np.arange(k, k + m)
-    surface, deep = score_teams(table, idx)
-    # DiversityProfile.component_mean, floored as in marginal_diversity.
-    diversity = np.maximum(DIVERSITY_FLOOR, (surface + NUM_SKILLS * deep) / METRIC_COUNT)
-
-    searcher_row = table[team_ids.index(query.searcher_id)]
-    fit = np.zeros(m)
-    for c in query.criteria:
-        fit = fit + c.importance * _criterion_column(searcher_row, candidates, c)
-    # A query's nonzero weights make s_max > s_min, so match_percent's
-    # equal-extremes branch never applies.
-    s_min, s_max = score_extremes(query)
-    match = 100.0 * (fit - s_min) / (s_max - s_min)
-    combined = fit * diversity if mode == "fairness" else fit
-
-    # A stable sort by -combined of the candidates in id order breaks ties by id.
-    by_id = sorted(range(m), key=eligible.__getitem__)
-    order = np.asarray(by_id)[np.argsort(-combined[by_id], kind="stable")].tolist()
-    ranked = list(enumerate(order, 1))
-    if page is not None:
-        ranked = ranked[(page - 1) * PAGE_SIZE : page * PAGE_SIZE]
-    fit_l, div_l, combined_l, match_l = (a.tolist() for a in (fit, diversity, combined, match))
-    return [
-        Recommendation(
-            candidate_id=eligible[i],
-            fit_score=fit_l[i],
-            diversity_score=div_l[i],
-            combined_score=combined_l[i],
-            rank=rank,
-            match_percent=match_l[i],
-        )
-        for rank, i in ranked
-    ]
+    k = len(team_ids)
+    coded = CodedPool([lookup[mid] for mid in team_ids + eligible])
+    return coded.rank(
+        query, range(k), team_ids.index(query.searcher_id), np.arange(k, k + len(eligible)), mode, page
+    )

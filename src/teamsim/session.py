@@ -5,6 +5,9 @@ conditions (self_assembled, fairness_aware) run invitation rounds over
 the assembly state machine with synthetic agents and finish with the
 deadline fill. Standardization moments for the agents' choice model are
 estimated from a pilot batch of recommendations before the live rounds.
+An agency session codes its population once, as a CodedPool whose rows
+are the assembly state's member positions; the pilot and every agent
+search rank by row through it.
 run_ga_sessions runs several algorithmic_diverse sessions at once, their
 GA searches stepped together, each with the result it gets alone.
 """
@@ -36,7 +39,7 @@ from .core import (
 )
 from .optimizer import GaConfig, ga_partition_many, random_partition
 from .protocol import AssemblyState, Event
-from .recommender import rank_candidates
+from .recommender import PAGE_SIZE, CodedPool
 
 CONDITIONS = ("random", "algorithmic_diverse", "self_assembled", "fairness_aware")
 AGENCY_MODES = {"self_assembled": "fit_only", "fairness_aware": "fairness"}
@@ -57,26 +60,31 @@ class SessionResult:
 
 
 def pilot_moments(
-    population: Sequence[Participant],
+    pool: CodedPool,
     policy: AgentPolicy,
     mode: str,
     rng: np.random.Generator,
 ) -> StandardizationMoments:
     """Estimate rank/diversity moments from a pre-session recommendation batch.
 
-    Queries are sampled as the live agents would issue them, ranked against
-    the all-singleton pool, and the first-page (rank, diversity) pairs are
-    pooled until PILOT_EXPOSURES are reached. Constant columns fall back to
-    sd 1 so a degenerate population still standardizes (to all-zero scores).
+    Queries are sampled as the live agents would issue them, each a
+    searcher then its query, and ranked against the all-singleton pool.
+    Every first page holds min(PAGE_SIZE, n - 1) candidates, so
+    ceil(PILOT_EXPOSURES / that) queries pool at least PILOT_EXPOSURES
+    (rank, diversity) pairs. Constant columns fall back to sd 1 so a
+    degenerate population still standardizes (to all-zero scores). A
+    population of fewer than 2 has no pages and is refused before any draw.
     """
-    lookup = population_lookup(population)
-    ids = [p.id for p in population]
+    n = len(pool.ids)
+    if n < 2:
+        raise ValueError(f"pilot needs at least 2 participants, got {n}")
+    rows = np.arange(n)
     ranks: list[float] = []
     divs: list[float] = []
-    while len(ranks) < PILOT_EXPOSURES:
-        searcher = ids[int(rng.integers(len(ids)))]
-        query = gen_query(searcher, policy, rng)
-        recs = rank_candidates(query, ids, lookup=lookup, mode=mode, page=1)
+    for _ in range(math.ceil(PILOT_EXPOSURES / min(PAGE_SIZE, n - 1))):
+        searcher = int(rng.integers(n))
+        query = gen_query(pool.ids[searcher], policy, rng)
+        recs = pool.rank(query, [searcher], searcher, rows[rows != searcher], mode, page=1)
         for rec in recs:
             ranks.append(float(rec.rank))
             divs.append(rec.diversity_score)
@@ -101,10 +109,11 @@ def run_assembly(
     params: ChoiceModelParams,
     rounds: int = 10,
 ) -> tuple[AssemblyState, Partition, StandardizationMoments, list[Exposure]]:
-    """Agent-driven assembly: pilot moments, seeded-order rounds, finalize."""
-    lookup = population_lookup(population)
-    ids = [p.id for p in population]
-    moments = pilot_moments(population, policy, mode, rng)
+    """Agent-driven assembly: pilot moments, seeded-order rounds, finalize.
+    One CodedPool of the population serves the pilot and every search."""
+    pool = CodedPool(population)
+    ids = pool.ids
+    moments = pilot_moments(pool, policy, mode, rng)
     sigma = math.sqrt(params.random_intercept_variance)
     u_by_agent = {pid: float(rng.normal(0.0, sigma)) if sigma > 0 else 0.0 for pid in ids}
     state = AssemblyState(ids)
@@ -117,7 +126,7 @@ def run_assembly(
                 agent_step(
                     agent_id,
                     state,
-                    lookup=lookup,
+                    pool=pool,
                     policy=policy,
                     params=params,
                     moments=moments,

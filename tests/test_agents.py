@@ -15,9 +15,9 @@ from teamsim.agents import (
     simulate_exposures,
     standardize,
 )
-from teamsim.core import population_lookup
 from teamsim.population import synth_population
 from teamsim.protocol import AssemblyState
+from teamsim.recommender import CodedPool
 
 
 class TestChoiceModelParams:
@@ -150,14 +150,14 @@ class TestGenQuery:
 
 def _session_bits(n=12, seed=6):
     pop = synth_population(n, rng=np.random.default_rng(seed))
-    lookup = population_lookup(pop)
-    state = AssemblyState([p.id for p in pop])
-    return pop, lookup, state
+    pool = CodedPool(pop)
+    state = AssemblyState(pool.ids)
+    return pop, pool, state
 
 
 class TestAgentStep:
     def test_full_team_agent_does_nothing(self):
-        pop, lookup, state = _session_bits(8)
+        pop, pool, state = _session_bits(8)
         ids = [p.id for p in pop]
         for off in ids[1:4]:
             inv = state.send_invitation(ids[0], off)
@@ -165,14 +165,23 @@ class TestAgentStep:
                 state.respond(inv, m, "accepted")
         moments = StandardizationMoments(5.5, 2.87, 0.25, 0.08)
         exposures = agent_step(
-            ids[0], state, lookup=lookup, policy=AgentPolicy(), params=ChoiceModelParams(),
+            ids[0], state, pool=pool, policy=AgentPolicy(), params=ChoiceModelParams(),
             moments=moments, mode="fit_only", u=0.0, rng=np.random.default_rng(0),
         )
         assert exposures == []
 
+    def test_pool_out_of_member_order_refused(self):
+        pop, pool, state = _session_bits(8)
+        with pytest.raises(ValueError, match="member order"):
+            agent_step(
+                pop[0].id, state, pool=CodedPool(pop[::-1]), policy=AgentPolicy(),
+                params=ChoiceModelParams(), moments=StandardizationMoments(5.5, 2.87, 0.25, 0.08),
+                mode="fit_only", u=0.0, rng=np.random.default_rng(0),
+            )
+
     def test_degenerate_policy_fills_teams(self):
         # near-certain selection and certain acceptance: merges every round
-        pop, lookup, state = _session_bits(8)
+        pop, pool, state = _session_bits(8)
         ids = [p.id for p in pop]
         params = ChoiceModelParams(intercept=50.0)
         policy = AgentPolicy(accept_probability=1.0)
@@ -182,18 +191,18 @@ class TestAgentStep:
             state.advance_round()
             for agent_id in ids:
                 agent_step(
-                    agent_id, state, lookup=lookup, policy=policy, params=params,
+                    agent_id, state, pool=pool, policy=policy, params=params,
                     moments=moments, mode="fit_only", u=0.0, rng=rng,
                 )
         assert all(len(g) == 4 for g in state.groups())
         state.check_invariants()
 
     def test_exposures_are_walked_prefix(self):
-        pop, lookup, state = _session_bits(12)
+        pop, pool, state = _session_bits(12)
         state.advance_round()
         moments = StandardizationMoments(5.5, 2.87, 0.25, 0.08)
         exposures = agent_step(
-            pop[0].id, state, lookup=lookup, policy=AgentPolicy(),
+            pop[0].id, state, pool=pool, policy=AgentPolicy(),
             params=ChoiceModelParams(intercept=2.0),  # high base rate: stops early
             moments=moments, mode="fairness", u=0.0, rng=np.random.default_rng(3),
         )
@@ -203,12 +212,12 @@ class TestAgentStep:
         assert all(e.treatment == 1 for e in exposures)
 
     def test_selection_sends_invitation_and_logs(self):
-        pop, lookup, state = _session_bits(12)
+        pop, pool, state = _session_bits(12)
         state.advance_round()
         moments = StandardizationMoments(5.5, 2.87, 0.25, 0.08)
         rng = np.random.default_rng(3)
         exposures = agent_step(
-            pop[0].id, state, lookup=lookup, policy=AgentPolicy(accept_probability=1.0),
+            pop[0].id, state, pool=pool, policy=AgentPolicy(accept_probability=1.0),
             params=ChoiceModelParams(intercept=50.0), moments=moments,
             mode="fit_only", u=0.0, rng=rng,
         )

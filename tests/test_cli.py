@@ -145,6 +145,17 @@ class TestRecommend:
         (line,) = stderr.splitlines()
         assert "duplicate" in json.loads(line)["message"]
 
+    @pytest.mark.parametrize("people", [("--searcher", "p0001", "--team", "zz9"), ("--searcher", "zz9")])
+    def test_unknown_member_is_named(self, pop_file, capsys, people):
+        code, stdout, stderr = _run(
+            capsys,
+            "recommend", "--population", str(pop_file), *people,
+            "--criterion", "same_gender=2", "--criterion", "same_race=1",
+        )
+        assert code == 3
+        assert stdout == ""
+        assert json.loads(stderr) == {"error": "input", "message": "unknown member id 'zz9'"}
+
     def test_single_criterion_query_rejected(self, pop_file, capsys):
         code, _, stderr = _run(
             capsys,

@@ -14,6 +14,7 @@ from teamsim.protocol import (
     AssemblyError,
     AssemblyState,
     Event,
+    join_refusal,
     read_log,
     replay,
     write_log,
@@ -59,6 +60,25 @@ class TestCandidates:
     def test_unknown_searcher_refused(self):
         with pytest.raises(AssemblyError, match="unknown member"):
             AssemblyState(_ids(3)).candidates("zz9")
+
+    def test_eligible_rows_are_the_candidates_positions(self):
+        members = ["a05", "a00", "a03", "a01", "a02", "a04", "a06"]
+        state = AssemblyState(members)
+        _merge(state, "a00", "a01")
+        _merge(state, "a02", "a03")
+        _merge(state, "a02", "a04")
+        assert state.eligible_rows("a00").tolist() == [0, 6]
+        assert state.eligible_rows("a05").tolist() == [1, 2, 3, 4, 5, 6]
+        assert [members[i] for i in state.eligible_rows("a00")] == state.candidates("a00")
+
+    @pytest.mark.parametrize("array", ["_group_id", "_group_size"])
+    def test_group_arrays_out_of_sync_fail_invariants(self, array):
+        state = AssemblyState(_ids(4))
+        _merge(state, "a00", "a01")
+        state.check_invariants()
+        getattr(state, array)[2] = 1 - getattr(state, array)[2]
+        with pytest.raises(AssertionError, match="group arrays"):
+            state.check_invariants()
 
 
 class TestSendInvitation:
@@ -528,13 +548,22 @@ class AssemblyMachine(RuleBasedStateMachine):
     def advance_round(self):
         self.state.advance_round()
 
+    def _check(self):
+        # The group arrays agree with the group map, and the candidates
+        # mask is the join rule applied to every member.
+        self.state.check_invariants()
+        group_of = self.state.group_of
+        for searcher in _MACHINE_MEMBERS:
+            joinable = [m for m in _MACHINE_MEMBERS if join_refusal(group_of(searcher), group_of(m)) is None]
+            assert self.state.candidates(searcher) == joinable
+
     @invariant()
     def invariants_hold(self):
-        self.state.check_invariants()
+        self._check()
 
     def teardown(self):
         self.state.finalize(np.random.default_rng(len(self.state.event_log)))
-        self.state.check_invariants()
+        self._check()
         self.state.partition().validate(_MACHINE_MEMBERS)
         replayed = replay(_MACHINE_MEMBERS, self.state.event_log)
         assert replayed.snapshot() == self.state.snapshot()

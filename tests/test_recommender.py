@@ -15,6 +15,7 @@ from teamsim.recommender import (
     DEMOGRAPHIC_KINDS,
     MODES,
     PAGE_SIZE,
+    CodedPool,
     Criterion,
     Query,
     criterion_score,
@@ -400,6 +401,8 @@ class TestRankCandidates:
         [
             ({"pool": ["p0002", "p0003"] * 2}, "duplicate ids in pool"),
             ({"searcher_team": ["p0001"] * 4}, "duplicate ids in searcher_team"),
+            ({"pool": ["p0002", "zz9"]}, "unknown member id 'zz9'"),
+            ({"searcher_team": ["p0001", "zz9"]}, "unknown member id 'zz9'"),
         ],
     )
     def test_misuse_rejected(self, misuse, message):
@@ -511,3 +514,51 @@ class TestRankCandidatesExact:
         assert rank_candidates(query, pool, **kwargs) == scalar_rank_candidates(
             query, pool, **kwargs
         )
+
+
+@st.composite
+def _coded_cases(draw):
+    """(participants, query, team rows, eligible rows, mode) of one
+    CodedPool.rank call: a team of 1-3 rows and a drawn pool of the other
+    rows, in drawn order. Ids are coded in drawn order, so row order is not
+    id order."""
+    n = draw(st.integers(2, 30))
+    attributes = draw(st.lists(_attributes, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        attributes = [attributes[i % 2] for i in range(n)]
+    ids = draw(st.permutations([f"p{i:02d}" for i in range(n)]))
+    population = [Participant(pid, *attrs) for pid, attrs in zip(ids, attributes)]
+    rows = draw(st.permutations(range(n)))
+    team = rows[: draw(st.integers(1, min(TEAM_SIZE - 1, n - 1)))]
+    others = rows[len(team) :]
+    eligible = draw(st.lists(st.sampled_from(others), unique=True, max_size=len(others)))
+    query = Query(searcher_id=ids[draw(st.sampled_from(team))], criteria=tuple(draw(_criteria)))
+    return population, query, team, eligible, draw(st.sampled_from(MODES))
+
+
+class TestCodedPool:
+    @settings(max_examples=300, deadline=None)
+    @given(_coded_cases())
+    def test_rank_matches_scalar_reference(self, case):
+        population, query, team, eligible, mode = case
+        pool, lookup = CodedPool(population), population_lookup(population)
+        searcher = pool.row[query.searcher_id]
+        eligible_ids = [pool.ids[r] for r in eligible]
+        team_ids = [pool.ids[r] for r in team]
+        for page in (1, 2, None):
+            assert pool.rank(query, team, searcher, np.array(eligible, dtype=np.intp), mode, page) == (
+                scalar_rank_candidates(
+                    query, eligible_ids, lookup=lookup, mode=mode, searcher_team=team_ids, page=page
+                )
+            )
+
+    def test_rows_follow_participant_order_and_ids_rank_in_id_order(self):
+        pop = [make_participant(pid=pid) for pid in ("b", "c", "a")]
+        pool = CodedPool(pop)
+        assert pool.ids == ("b", "c", "a")
+        assert pool.row == {"b": 0, "c": 1, "a": 2}
+        assert pool.id_rank.tolist() == [1, 2, 0]
+
+    def test_duplicate_ids_refused(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            CodedPool([make_participant(pid="a"), make_participant(pid="a")])
