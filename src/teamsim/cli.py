@@ -168,6 +168,8 @@ def _cmd_analyze(args) -> int:
         return _fail("input", "empty team metrics table", EXIT_INPUT)
     # first appearance is the run's config order, which fixes the permutation stream
     conditions = list(dict.fromkeys(r["condition"] for r in rows))
+    if len(conditions) < 2:
+        return _fail("input", f"need at least two conditions to compare, got {conditions}", EXIT_INPUT)
     anova_rows, pairwise_rows = stats_tables(
         metric_groups(rows, conditions, REPORT_METRICS), args.seed
     )

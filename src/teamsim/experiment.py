@@ -35,7 +35,7 @@ from .optimizer import GaConfig
 from .population import DemographicSpec, save_population, synth_population
 from .protocol import replay, write_log
 from .session import CONDITIONS, SessionResult, run_ga_sessions, run_session, session_result
-from .stats import LogisticFit, anova_f_by_metric, chi2_independence, logistic_fit, pairwise_diffs_by_metric
+from .stats import LogisticFit, chi2_independence, logistic_fit, permutation_tests
 
 OUTPUT_DIR_ENV = "TEAMSIM_OUTPUT_DIR"
 
@@ -269,11 +269,10 @@ def stats_tables(
     groups_by_metric: Mapping[str, Mapping[str, Sequence[float]]], seed: int
 ) -> tuple[list[dict], list[dict]]:
     """(anova rows, pairwise rows) over metrics; metrics with fewer than two
-    groups are skipped. Metrics with equal labels and group sizes share one
-    permutation stream per test (see anova_f_by_metric)."""
+    groups are skipped. All tests run in one permutation_tests call, which
+    draws one permutation stream per pooled size."""
     tested = {metric: groups for metric, groups in groups_by_metric.items() if len(groups) >= 2}
-    anovas = anova_f_by_metric(tested, seed=seed)
-    diffs = pairwise_diffs_by_metric(tested, seed=seed)
+    anovas, diffs = permutation_tests(tested, tested, seed=seed)
     anova_rows: list[dict] = []
     pairwise_rows: list[dict] = []
     for metric in tested:

@@ -303,13 +303,13 @@ class AssemblyState:
 
     def _check_shown(self, searcher_id: str, shown: list[dict]) -> None:
         """A shown page lists distinct members whose groups the searcher's
-        group may join, ranked 1..k in order, with finite real scores."""
+        group may join, ranked by the integers 1..k, with finite real scores."""
         group = self.group_of(searcher_id)
         seen = set()
         # Not _require: its messages would be formatted for every candidate.
         for rank, row in enumerate(shown, 1):
             cid = row["candidate_id"]
-            if row["rank"] != rank:
+            if not _is_int(row["rank"]) or row["rank"] != rank:
                 raise AssemblyError(f"shown ranks must run 1..k in order, got {row['rank']!r} at {rank}")
             if cid in seen:
                 raise AssemblyError(f"shown candidate {cid!r} repeats")

@@ -18,13 +18,14 @@ Permutations are drawn in blocks of at most PERMUTATION_BLOCK rows with
 so the blocks do not move the random stream. One array reduction per
 block gives the statistic of every row.
 
-anova_f_by_metric and pairwise_diffs_by_metric test several metrics at
-once; anova_f and pairwise_diffs are their one-metric case. Metrics with
-the same labels in the same order and the same group sizes form a family
-that draws each permutation block once and evaluates it on every member,
-one metric at a time, as the joint resampling of Westfall & Young
-(1993) does. Each test reseeds with its seed, so every metric's p-value
-is the one a separate call gives; tie tolerances and the BH family stay
+permutation_tests runs the ANOVAs and pairwise tests of several metrics;
+the *_by_metric functions and anova_f and pairwise_diffs are its special
+cases. One rule fixes the draws: every test draws default_rng(seed)
+permutations of range(N), N its pooled size, and all tests of a call with
+the same N share them, evaluated one statistic at a time, as in the joint
+resampling of Westfall & Young (1993). So each ANOVA's p-value is that
+of anova_f alone and each pair's that of its two-group call
+pairwise_diffs({a: ..., b: ...}); tie tolerances and the BH family stay
 per metric.
 
 Ties: a permuted statistic counts as reaching the observed one unless
@@ -132,24 +133,87 @@ def _permutation_hits_each(
     return [n_permutations - miss for miss in misses]
 
 
-def _families(samples: Mapping[str, Mapping[str, np.ndarray]]) -> list[list[str]]:
-    """Metric names grouped by (labels in order, group sizes), in first-seen order.
-
-    The metrics of a family put the same labels at the same positions of
-    their pooled values, so one permutation draw serves all of them.
-    """
-    families: dict[tuple, list[str]] = {}
-    for metric, groups in samples.items():
-        key = tuple((label, values.size) for label, values in groups.items())
-        families.setdefault(key, []).append(metric)
-    return list(families.values())
-
-
 @dataclass(frozen=True)
 class AnovaResult:
     f_stat: float
     p_value: float
     n_permutations: int
+
+
+@dataclass(frozen=True)
+class PairwiseDiff:
+    group_a: str
+    group_b: str
+    delta: float
+    p_value: float
+    p_adjusted: float
+
+
+def _anova_statistic(pooled: np.ndarray, sizes: Sequence[int]):
+    """(statistic, tol) ranking F through T = sum_g S_g^2 / n_g."""
+    if pooled.size == len(sizes):
+        raise ValueError("ANOVA needs within-group degrees of freedom: every group has one value")
+    return lambda idx: _square_sums(pooled[idx], sizes), _tie_tolerance(pooled.size, float(pooled @ pooled))
+
+
+def _pair_statistic(va: np.ndarray, vb: np.ndarray):
+    """(statistic, tol) ranking |mean(B) - mean(A)| through |S_B - S n_B / n|."""
+    pooled = np.concatenate([va, vb])
+    na = va.size
+    centre = pooled.sum() * vb.size / pooled.size
+    return (
+        lambda idx: np.abs(pooled[idx[..., na:]].sum(axis=-1) - centre),
+        _tie_tolerance(pooled.size, float(np.abs(pooled).sum())),
+    )
+
+
+def permutation_tests(
+    anova_groups: Mapping[str, Mapping[str, Sequence[float]]],
+    pairwise_groups: Mapping[str, Mapping[str, Sequence[float]]],
+    *,
+    n_permutations: int = 10000,
+    seed: int = 0,
+) -> tuple[dict[str, AnovaResult], dict[str, list[PairwiseDiff]]]:
+    """(ANOVA of each metric of anova_groups, pairwise differences of each
+    metric of pairwise_groups), on one permutation stream per pooled size
+    (see the module docstring); BH adjusts over each metric's pairs."""
+    streams: dict[int, list[tuple]] = {}  # pooled size -> (statistic, tol) of its tests
+
+    def add(n: int, test: tuple) -> tuple[int, int]:
+        streams.setdefault(n, []).append(test)
+        return n, len(streams[n]) - 1
+
+    anovas = {}
+    for metric, groups in anova_groups.items():
+        groups = _checked_groups(groups)
+        sizes = [values.size for values in groups.values()]
+        pooled = np.concatenate(list(groups.values()))
+        anovas[metric] = (_f_statistic(pooled, sizes), add(pooled.size, _anova_statistic(pooled, sizes)))
+    pairs = {}
+    for metric, groups in pairwise_groups.items():
+        groups = _checked_groups(groups)
+        labels = sorted(groups)
+        pairs[metric] = [
+            (a, b, float(vb.mean() - va.mean()), add(va.size + vb.size, _pair_statistic(va, vb)))
+            for i, a in enumerate(labels)
+            for b in labels[i + 1 :]
+            for va, vb in [(groups[a], groups[b])]
+        ]
+    p_value = {}  # (pooled size, position in its stream) -> add-one p-value
+    for n, stream in streams.items():
+        hits = _permutation_hits_each(n, *zip(*stream), n_permutations, np.random.default_rng(seed))
+        p_value.update(((n, j), (1 + h) / (1 + n_permutations)) for j, h in enumerate(hits))
+    diffs = {}
+    for metric, rows in pairs.items():
+        p_values = [p_value[key] for *_, key in rows]
+        diffs[metric] = [
+            PairwiseDiff(group_a=a, group_b=b, delta=d, p_value=p, p_adjusted=adj)
+            for (a, b, d, _), p, adj in zip(rows, p_values, bh_adjust(p_values))
+        ]
+    return {
+        metric: AnovaResult(f_stat=f, p_value=p_value[key], n_permutations=n_permutations)
+        for metric, (f, key) in anovas.items()
+    }, diffs
 
 
 def anova_f_by_metric(
@@ -158,32 +222,9 @@ def anova_f_by_metric(
     n_permutations: int = 10000,
     seed: int = 0,
 ) -> dict[str, AnovaResult]:
-    """anova_f of each metric's groups, sharing the permutation draws.
-
-    Metrics with the same labels in the same order and the same group sizes
-    form a family; each family draws one stream of permutations, seeded
-    with seed, and evaluates it on every member metric. Each result equals
-    anova_f(groups_by_metric[metric], n_permutations=..., seed=seed).
-    """
-    samples = {metric: _checked_groups(groups) for metric, groups in groups_by_metric.items()}
-    results: dict[str, AnovaResult] = {}
-    for family in _families(samples):
-        sizes = [values.size for values in samples[family[0]].values()]
-        pooled = [np.concatenate(list(samples[metric].values())) for metric in family]
-        hits = _permutation_hits_each(
-            pooled[0].size,
-            [lambda idx, v=v: _square_sums(v[idx], sizes) for v in pooled],
-            [_tie_tolerance(v.size, float(v @ v)) for v in pooled],
-            n_permutations,
-            np.random.default_rng(seed),
-        )
-        for metric, v, h in zip(family, pooled, hits):
-            results[metric] = AnovaResult(
-                f_stat=_f_statistic(v, sizes),
-                p_value=(1 + h) / (1 + n_permutations),
-                n_permutations=n_permutations,
-            )
-    return {metric: results[metric] for metric in samples}
+    """anova_f of each metric's groups; the metrics share one permutation
+    stream per pooled size (see permutation_tests)."""
+    return permutation_tests(groups_by_metric, {}, n_permutations=n_permutations, seed=seed)[0]
 
 
 def anova_f(groups, *, n_permutations: int = 10000, seed: int = 0) -> AnovaResult:
@@ -191,7 +232,8 @@ def anova_f(groups, *, n_permutations: int = 10000, seed: int = 0) -> AnovaResul
 
     Group labels are shuffled n_permutations times (seeded); p is the
     add-one share of permuted F values at or above the observed one,
-    ranked through the equivalent T = sum_g S_g^2 / n_g.
+    ranked through the equivalent T = sum_g S_g^2 / n_g. One value per
+    group leaves no within-group variance and is refused.
     """
     return anova_f_by_metric({"": groups}, n_permutations=n_permutations, seed=seed)[""]
 
@@ -211,63 +253,16 @@ def bh_adjust(p_values: Sequence[float]) -> list[float]:
     return adjusted
 
 
-@dataclass(frozen=True)
-class PairwiseDiff:
-    group_a: str
-    group_b: str
-    delta: float
-    p_value: float
-    p_adjusted: float
-
-
-def _pair_statistic(va: np.ndarray, vb: np.ndarray):
-    """(statistic, tol) ranking |mean(B) - mean(A)| through |S_B - S n_B / n|."""
-    pooled = np.concatenate([va, vb])
-    na = va.size
-    centre = pooled.sum() * vb.size / pooled.size
-    return (
-        lambda idx: np.abs(pooled[idx[..., na:]].sum(axis=-1) - centre),
-        _tie_tolerance(pooled.size, float(np.abs(pooled).sum())),
-    )
-
-
 def pairwise_diffs_by_metric(
     groups_by_metric: Mapping[str, Mapping[str, Sequence[float]]],
     *,
     n_permutations: int = 10000,
     seed: int = 0,
 ) -> dict[str, list[PairwiseDiff]]:
-    """pairwise_diffs of each metric's groups, sharing the permutation draws.
-
-    Families are formed as in anova_f_by_metric. Each family draws one
-    stream, seeded with seed, that runs through its pairs in order; each
-    pair's permutations are evaluated on every member metric. p-values and
-    the BH adjustment stay per metric, so each result equals
-    pairwise_diffs(groups_by_metric[metric], n_permutations=..., seed=seed).
-    """
-    samples = {metric: _checked_groups(groups) for metric, groups in groups_by_metric.items()}
-    results: dict[str, list[PairwiseDiff]] = {}
-    for family in _families(samples):
-        labels = sorted(samples[family[0]])
-        rng = np.random.default_rng(seed)
-        rows: dict[str, list[tuple[str, str, float, float]]] = {metric: [] for metric in family}
-        for i, a in enumerate(labels):
-            for b in labels[i + 1 :]:
-                pairs = [(samples[metric][a], samples[metric][b]) for metric in family]
-                statistics, tols = zip(*(_pair_statistic(va, vb) for va, vb in pairs))
-                hits = _permutation_hits_each(
-                    pairs[0][0].size + pairs[0][1].size, statistics, tols, n_permutations, rng
-                )
-                for metric, (va, vb), h in zip(family, pairs, hits):
-                    delta = float(vb.mean() - va.mean())
-                    rows[metric].append((a, b, delta, (1 + h) / (1 + n_permutations)))
-        for metric, metric_rows in rows.items():
-            adjusted = bh_adjust([r[3] for r in metric_rows])
-            results[metric] = [
-                PairwiseDiff(group_a=a, group_b=b, delta=d, p_value=p, p_adjusted=adj)
-                for (a, b, d, p), adj in zip(metric_rows, adjusted)
-            ]
-    return {metric: results[metric] for metric in samples}
+    """pairwise_diffs of each metric's groups. Pairs of one pooled size share
+    one stream, so each pair's p-value is that of its two-group call
+    pairwise_diffs({a: ..., b: ...}, n_permutations=..., seed=seed)."""
+    return permutation_tests({}, groups_by_metric, n_permutations=n_permutations, seed=seed)[1]
 
 
 def pairwise_diffs(groups, *, n_permutations: int = 10000, seed: int = 0) -> list[PairwiseDiff]:

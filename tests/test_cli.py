@@ -338,6 +338,44 @@ class TestRunAnalyzeAuditReplay:
         for name in ("anova.csv", "pairwise.csv"):
             assert (tmp_path / "tables" / name).read_bytes() == (run_dir / name).read_bytes()
 
+    def test_analyze_refuses_one_condition(self, tmp_path, capsys):
+        run = tmp_path / "r"
+        assert main(["run", "--conditions", "random", "--sessions", "1", "--agents", "8", "--out", str(run)]) == 0
+        capsys.readouterr()
+        code, stdout, stderr = _run(
+            capsys, "analyze", "--teams", str(run / "team_metrics.csv"), "--out", str(tmp_path / "t")
+        )
+        assert (code, stdout) == (3, "")
+        assert "at least two conditions" in _one_error_line(stderr)["message"]
+        assert not (tmp_path / "t").exists()
+
+    def test_analyze_refuses_one_team_per_condition(self, run_dir, capsys, tmp_path):
+        lines = (run_dir / "team_metrics.csv").read_text(encoding="utf-8").splitlines()
+        header, rows = lines[0], lines[1:]
+        condition = header.split(",").index("condition")
+        firsts = {row.split(",")[condition]: row for row in reversed(rows)}
+        assert len(firsts) == 2
+        teams = tmp_path / "teams.csv"
+        teams.write_text("\n".join([header, *firsts.values()]) + "\n", encoding="utf-8")
+        code, stdout, stderr = _run(capsys, "analyze", "--teams", str(teams))
+        assert (code, stdout) == (3, "")
+        assert "within-group degrees of freedom" in _one_error_line(stderr)["message"]
+
+    @pytest.mark.parametrize("rank", [True, 1.0])  # both == 1, so equality alone let them replay
+    def test_replay_refuses_edited_rank(self, run_dir, tmp_path, capsys, rank):
+        log = sorted((run_dir / "events").glob("fairness_aware_*.jsonl"))[0]
+        lines = log.read_text(encoding="utf-8").splitlines()
+        index = next(i for i, line in enumerate(lines) if '"recommendations_shown"' in line)
+        event = json.loads(lines[index])
+        assert event["payload"]["shown"][0]["rank"] == 1
+        event["payload"]["shown"][0]["rank"] = rank
+        lines[index] = json.dumps(event)
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, stdout, stderr = _run(capsys, "replay", "--events", str(edited))
+        assert (code, stdout) == (3, "")
+        assert f"shown ranks must run 1..k in order, got {rank!r} at 1" in _one_error_line(stderr)["message"]
+
     def test_audit(self, run_dir, capsys):
         code, stdout, _ = _run(capsys, "audit", "--exposures", str(run_dir))
         # small runs may refuse for thin data; accept either on tiny fixture

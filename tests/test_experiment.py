@@ -143,17 +143,9 @@ def tiny_report():
 
 
 class TestStatsTables:
-    def test_families_share_draws_only_with_equal_labels_and_sizes(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        three, five = (rng.integers(0, 3, size=k) / 4.0 for k in (3, 5))
-        tables = {
-            "base": {"a": three, "b": five},
-            "same": {"a": 1.0 - three, "b": five * 2.0},  # shares base's draws
-            "swapped_sizes": {"a": five, "b": three},  # same n, sizes reversed
-            "swapped_labels": {"b": three, "a": five},  # base's sizes, labels reversed
-            "other_labels": {"a": three, "c": five},
-            "one_group": {"a": three},  # skipped
-        }
+    @staticmethod
+    def _streams(monkeypatch, tables, seed):
+        """stats_tables(tables, seed) and the (pooled size, tests) of each permutation stream it draws."""
         calls = []
         each = teamsim.stats._permutation_hits_each
 
@@ -162,10 +154,25 @@ class TestStatsTables:
             return each(n, statistics, tols, n_permutations, rng)
 
         monkeypatch.setattr(teamsim.stats, "_permutation_hits_each", recording)
-        anova_rows, pairwise_rows = stats_tables(tables, seed=5)
-        # one ANOVA and one pairwise stream per family; base and same share both
-        assert calls == [(8, 2), (8, 1), (8, 1), (8, 1)] * 2
-        monkeypatch.undo()
+        try:
+            return stats_tables(tables, seed=seed), calls
+        finally:
+            monkeypatch.undo()
+
+    def test_one_stream_per_pooled_size(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        three, five = (rng.integers(0, 3, size=k) / 4.0 for k in (3, 5))
+        tables = {
+            "base": {"a": three, "b": five},
+            "same": {"a": 1.0 - three, "b": five * 2.0},
+            "swapped_sizes": {"a": five, "b": three},
+            "swapped_labels": {"b": three, "a": five},
+            "other_labels": {"a": three, "c": five},
+            "one_group": {"a": three},  # skipped
+        }
+        (anova_rows, pairwise_rows), calls = self._streams(monkeypatch, tables, seed=5)
+        # every ANOVA and every pair pools 8 values: one stream for all ten tests
+        assert calls == [(8, 10)]
 
         tested = [m for m in tables if m != "one_group"]
         assert [r["metric"] for r in anova_rows] == tested
@@ -181,6 +188,21 @@ class TestStatsTables:
                 alone.p_value,
                 alone.p_adjusted,
             )
+
+    @pytest.mark.parametrize(
+        "n_conditions, expected",
+        # four conditions: every ANOVA pools 4 x 6 teams, every pair 2 x 6;
+        # two conditions: the ANOVA and its one pair pool the same 12 teams
+        [(4, [(24, 7), (12, 42)]), (2, [(12, 14)])],
+    )
+    def test_streams_per_table(self, monkeypatch, n_conditions, expected):
+        rng = np.random.default_rng(10)
+        tables = {
+            metric: {f"c{g}": rng.integers(0, 5, size=6) / 4.0 for g in range(n_conditions)}
+            for metric in REPORT_METRICS
+        }
+        _, calls = self._streams(monkeypatch, tables, seed=2)
+        assert calls == expected
 
     def test_memory_stays_at_one_metric_per_block(self):
         # 1,280 teams in 4 conditions and all seven metrics: gathering every

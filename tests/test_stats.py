@@ -26,6 +26,7 @@ from teamsim.stats import (
     logistic_fit,
     pairwise_diffs,
     pairwise_diffs_by_metric,
+    permutation_tests,
 )
 
 EPS = np.finfo(float).eps
@@ -54,12 +55,13 @@ def _oracle_anova(groups: dict, n_permutations: int, seed: int) -> tuple[int, li
 
 
 def _oracle_pairwise(groups: dict, n_permutations: int, seed: int) -> list[int]:
-    """Per-pair hits of the per-permutation loop with the tie rule, in sorted-label order."""
+    """Per-pair hits of the per-permutation loop with the tie rule, in
+    sorted-label order; each pair draws from a fresh generator seeded with seed."""
     labels = sorted(groups)
-    rng = np.random.default_rng(seed)
     hits = []
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:
+            rng = np.random.default_rng(seed)
             pooled = np.concatenate([groups[a], groups[b]])
             na = len(groups[a])
             centre = pooled.sum() * (pooled.size - na) / pooled.size
@@ -95,6 +97,16 @@ class TestGroupSamples:
             with pytest.raises(ValueError, match="one-dimensional"):
                 test({"a": [1.0], "b": [[2.0]]}, n_permutations=10)
 
+    def test_anova_needs_within_group_degrees_of_freedom(self):
+        # one value per group used to give f_stat=inf with p_value=1.0
+        one_each = {"a": [1.0], "b": [2.0], "c": [4.0]}
+        with pytest.raises(ValueError, match="within-group degrees of freedom"):
+            anova_f(one_each, n_permutations=10)
+        with pytest.raises(ValueError, match="within-group degrees of freedom"):
+            anova_f_by_metric({"ok": {"a": [1.0, 2.0], "b": [3.0]}, "bad": one_each}, n_permutations=10)
+        # the pairwise test of the same layout has a permutation distribution
+        assert [d.p_value for d in pairwise_diffs(one_each, n_permutations=10)] == [1.0] * 3
+
 
 class TestAnova:
     def test_nan_rejected(self):
@@ -128,6 +140,10 @@ class TestAnova:
     @settings(max_examples=100, deadline=None)
     @given(_tie_heavy_groups, _n_permutations, st.integers(0, 2**32 - 1))
     def test_batched_hits_equal_scalar_oracle(self, groups, n_permutations, seed):
+        if sum(map(len, groups.values())) == len(groups):
+            with pytest.raises(ValueError, match="within-group degrees of freedom"):
+                anova_f(groups, n_permutations=n_permutations, seed=seed)
+            return
         hits, oracle_stats = _oracle_anova(groups, n_permutations, seed)
         result = anova_f(groups, n_permutations=n_permutations, seed=seed)
         assert _hits(result.p_value, n_permutations) == hits
@@ -215,7 +231,6 @@ def test_hits_equal_exact_arithmetic():
     result = anova_f(groups, n_permutations=n_permutations, seed=5)
     assert _hits(result.p_value, n_permutations) == expected
 
-    perm_rng = np.random.default_rng(5)
     expected_pairs = []
     for a, b in (("a", "b"), ("a", "c"), ("b", "c")):
         na, n = len(groups[a]), len(groups[a]) + len(groups[b])
@@ -223,7 +238,9 @@ def test_hits_equal_exact_arithmetic():
         def exact_d(v, na=na, n=n):
             return abs(sum(v[na:]) - sum(v) * (n - na) / n)
 
-        expected_pairs.append(exact_hits(np.concatenate([groups[a], groups[b]]), exact_d, perm_rng))
+        # each pair is its own two-group call: a fresh stream seeded with 5
+        pooled = np.concatenate([groups[a], groups[b]])
+        expected_pairs.append(exact_hits(pooled, exact_d, np.random.default_rng(5)))
     diffs = pairwise_diffs(groups, n_permutations=n_permutations, seed=5)
     assert [_hits(d.p_value, n_permutations) for d in diffs] == expected_pairs
 
@@ -349,10 +366,52 @@ def _metric_tables(draw):
     return tables
 
 
+@st.composite
+def _layouts(draw):
+    """2-4 metrics over 2-5 groups of 1-9 tie-heavy values. The metrics share
+    one size vector or draw their own; in (3, 5, 5, 3) four distinct pairs
+    have one pooled size."""
+    shared = draw(st.just([3, 5, 5, 3]) | st.lists(st.integers(1, 9), min_size=2, max_size=5))
+    tables = {}
+    for m in range(draw(st.integers(2, 4))):
+        sizes = shared
+        if draw(st.booleans()):
+            sizes = draw(st.lists(st.integers(1, 9), min_size=len(shared), max_size=len(shared)))
+        tables[f"m{m}"] = {
+            f"g{i}": np.array(draw(st.lists(_TIE_VALUES, min_size=size, max_size=size)))
+            for i, size in enumerate(sizes)
+        }
+    return tables
+
+
 class TestSharedStream:
+    @settings(max_examples=60, deadline=None)
+    @given(_layouts(), st.sampled_from([1, 999, 1001]), st.integers(0, 2**32 - 1))
+    def test_each_test_is_its_own_seeded_call(self, tables, n_permutations, seed):
+        with_df = {m: groups for m, groups in tables.items() if sum(map(len, groups.values())) > len(groups)}
+        anovas, diffs = permutation_tests(with_df, tables, n_permutations=n_permutations, seed=seed)
+        assert list(anovas) == list(with_df) and list(diffs) == list(tables)
+        for metric, groups in with_df.items():
+            assert anovas[metric] == anova_f(groups, n_permutations=n_permutations, seed=seed)
+        for metric, groups in tables.items():
+            labels = sorted(groups)
+            assert [(d.group_a, d.group_b) for d in diffs[metric]] == [
+                (a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]
+            ]
+            for d in diffs[metric]:
+                pair = {d.group_a: groups[d.group_a], d.group_b: groups[d.group_b]}
+                (alone,) = pairwise_diffs(pair, n_permutations=n_permutations, seed=seed)
+                assert (d.delta, d.p_value) == (alone.delta, alone.p_value)
+            assert [d.p_adjusted for d in diffs[metric]] == bh_adjust([d.p_value for d in diffs[metric]])
+
     @settings(max_examples=50, deadline=None)
     @given(_metric_tables(), st.sampled_from([1, 999, 1000, 1001]), st.integers(0, 2**32 - 1))
     def test_equals_separate_calls(self, tables, n_permutations, seed):
+        one_each = [m for m, groups in tables.items() if all(len(v) == 1 for v in groups.values())]
+        if one_each:
+            with pytest.raises(ValueError, match="within-group degrees of freedom"):
+                anova_f_by_metric(tables, n_permutations=n_permutations, seed=seed)
+            tables = {m: groups for m, groups in tables.items() if m not in one_each}
         anovas = anova_f_by_metric(tables, n_permutations=n_permutations, seed=seed)
         diffs = pairwise_diffs_by_metric(tables, n_permutations=n_permutations, seed=seed)
         assert list(anovas) == list(diffs) == list(tables)
@@ -371,6 +430,50 @@ class TestSharedStream:
             anova_f_by_metric(tables, n_permutations=10)
         with pytest.raises(ValueError, match="non-finite"):
             pairwise_diffs_by_metric(tables, n_permutations=10)
+
+
+class TestNullCalibration:
+    """Under exchangeable data a permutation p-value is valid. With B = 199,
+    p <= 0.05 means at most 9 hits, which a continuous statistic reaches
+    with probability exactly 10/200, so over many seeded null datasets the
+    share of p <= alpha stays within 3 standard errors of alpha. The pairs
+    (a, b), (a, c), (b, d) and (c, d) have the same pooled size."""
+
+    ALPHA = 0.05
+    B = 199
+    DATASETS = 600
+    SIZES = {"a": 8, "b": 12, "c": 12, "d": 8}
+
+    @pytest.fixture(scope="class")
+    def null_p_values(self):
+        anova, pairs, family = [], [], []
+        for seed in range(self.DATASETS):
+            rng = np.random.default_rng(50_000 + seed)
+            groups = {label: rng.normal(size=k) for label, k in self.SIZES.items()}
+            anova.append(anova_f(groups, n_permutations=self.B, seed=seed).p_value)
+            diffs = pairwise_diffs(groups, n_permutations=self.B, seed=seed)
+            pairs.append([d.p_value for d in diffs])
+            family.append(min(d.p_adjusted for d in diffs))
+        return np.array(anova), np.array(pairs), np.array(family)
+
+    def _band(self):
+        se = math.sqrt(self.ALPHA * (1 - self.ALPHA) / self.DATASETS)
+        return self.ALPHA - 3 * se, self.ALPHA + 3 * se
+
+    def test_anova(self, null_p_values):
+        low, high = self._band()
+        assert low <= np.mean(null_p_values[0] <= self.ALPHA) <= high
+
+    def test_each_pair(self, null_p_values):
+        low, high = self._band()
+        shares = np.mean(null_p_values[1] <= self.ALPHA, axis=0)
+        assert shares.shape == (6,)
+        assert ((low <= shares) & (shares <= high)).all(), shares
+
+    def test_bh_family(self, null_p_values):
+        # BH under the global null rejects anything at most alpha of the time
+        _, high = self._band()
+        assert np.mean(null_p_values[2] <= self.ALPHA) <= high
 
 
 class TestChi2:
