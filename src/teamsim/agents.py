@@ -98,10 +98,11 @@ class StandardizationMoments:
 
 @dataclass(frozen=True)
 class Exposure:
-    """One displayed recommendation and whether the searcher picked it."""
+    """One displayed recommendation and whether the searcher picked it. Its
+    fields, in order, are the exposures.csv columns after condition and session."""
 
-    searcher_id: str
-    candidate_id: str
+    searcher: str
+    candidate: str
     round: int
     rank: int
     rank_z: float
@@ -110,20 +111,6 @@ class Exposure:
     diversity_z: float
     treatment: int
     selected: int
-
-    def to_row(self) -> dict:
-        return {
-            "searcher": self.searcher_id,
-            "candidate": self.candidate_id,
-            "round": self.round,
-            "rank": self.rank,
-            "rank_z": self.rank_z,
-            "same_gender": self.same_gender,
-            "diversity": self.diversity,
-            "diversity_z": self.diversity_z,
-            "treatment": self.treatment,
-            "selected": self.selected,
-        }
 
 
 def standardize(
@@ -254,8 +241,8 @@ def agent_step(
         selected = int(rng.random() < p)
         exposures.append(
             Exposure(
-                searcher_id=agent_id,
-                candidate_id=rec.candidate_id,
+                searcher=agent_id,
+                candidate=rec.candidate_id,
                 round=state.round,
                 rank=rec.rank,
                 rank_z=rank_z,

@@ -16,18 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import SKILL_NAMES, population_lookup
+from .core import SKILL_NAMES, population_lookup, read_table, write_csv
 from .experiment import (
-    ANOVA_COLUMNS,
-    PAIRWISE_COLUMNS,
+    AUDIT_INPUTS,
     REPORT_METRICS,
+    TABLE_COLUMNS,
     ExperimentConfig,
     choice_audit,
-    load_exposure_rows,
     metric_groups,
+    read_manifest,
     run_experiment,
     stats_tables,
-    write_csv,
 )
 from .optimizer import GaConfig, brute_force_partition, ga_partition, objectives, random_partition
 from .population import load_population, save_population, synth_population
@@ -160,12 +159,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    import csv
-
-    with open(args.teams, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        return _fail("input", "empty team metrics table", EXIT_INPUT)
+    rows = read_table(args.teams, ("condition", *REPORT_METRICS), dict.fromkeys(REPORT_METRICS, float))
     # first appearance is the run's config order, which fixes the permutation stream
     conditions = list(dict.fromkeys(r["condition"] for r in rows))
     if len(conditions) < 2:
@@ -184,8 +178,8 @@ def _cmd_analyze(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "anova.csv", anova_rows, ANOVA_COLUMNS)
-        write_csv(out / "pairwise.csv", pairwise_rows, PAIRWISE_COLUMNS)
+        for name, table in (("anova.csv", anova_rows), ("pairwise.csv", pairwise_rows)):
+            write_csv(out / name, table, TABLE_COLUMNS[name])
         print(f"tables written to {out}")
     return EXIT_OK
 
@@ -194,15 +188,11 @@ def _cmd_audit(args) -> int:
     path = Path(args.exposures)
     if path.is_dir():
         path = path / "exposures.csv"
-    rows = load_exposure_rows(path)
+    rows = read_table(path, AUDIT_INPUTS, dict.fromkeys(AUDIT_INPUTS, float))
     # A run's manifest beside its exposures names the coefficients that generated them.
     params = {}
-    manifest = path.parent / "manifest.jsonl"
-    if manifest.is_file():
-        with open(manifest, "r", encoding="utf-8") as fh:
-            for record in map(json.loads, fh):
-                if record["kind"] == "config":
-                    params = record["config"].get("choice_params", {})
+    if (path.parent / "manifest.jsonl").is_file():
+        params = read_manifest(path.parent)[0].get("choice_params", {})
     report = choice_audit(rows, ExperimentConfig.from_dict({"choice_params": params}).choice_params)
     for warning in report.warnings:
         print(f"warning: {warning}")

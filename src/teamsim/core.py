@@ -11,15 +11,20 @@ maximum 1 - 1/k, where k is the size of the attribute's category set
 (GENDERS, RACES, and two each for Hispanic and international), so the
 normalization does not depend on the population or on any setting. CV
 scores are mapped through cv / (cv + 1).
+
+The CSV writer and the CSV and JSON-lines readers of every teamsim file
+live here too.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -412,3 +417,59 @@ def population_lookup(participants: Sequence[Participant]) -> dict[str, Particip
             raise ValueError(f"duplicate participant id {p.id!r}")
         lookup[p.id] = p
     return lookup
+
+
+def write_csv(path, rows: Sequence[dict], columns: Sequence[str]) -> None:
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(str(row[c]) for c in columns))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_table(path, columns: Sequence[str], parse: Mapping[str, Callable[[str], object]] | None = None) -> list[dict]:
+    """The rows of the CSV file at path as dicts keyed by its header: text,
+    except the columns that parse maps to a converter. Refuses a header
+    without one of columns, a row whose field count is not the header's, and
+    a value its converter refuses, naming the file, the line and the column."""
+    converters = (parse or {}).items()
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValueError(f"{path}, line 1: missing column {', '.join(map(repr, missing))}")
+        rows = []
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: {len(fields)} fields, the header has {len(header)}")
+            row = dict(zip(header, fields))
+            for name, convert in converters:
+                try:
+                    row[name] = convert(row[name])
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {reader.line_num}, column {name!r}: {exc}") from None
+            rows.append(row)
+    return rows
+
+
+def read_json_lines(path, parse: Callable[[object], object]) -> list:
+    """parse of each line of the JSON-lines file at path; blank lines are
+    skipped. A line that is not JSON, or that parse refuses with a KeyError
+    (a missing field), TypeError or ValueError, is refused with the file and
+    the line."""
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                records.append(parse(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}, line {number}: not JSON: {exc.msg} at column {exc.colno}") from None
+            except KeyError as exc:
+                raise ValueError(f"{path}, line {number}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from None
+    return records

@@ -22,7 +22,7 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .agents import FIXED_EFFECTS, AgentPolicy, ChoiceModelParams, design_matrix
+from .agents import FIXED_EFFECTS, AgentPolicy, ChoiceModelParams, Exposure, design_matrix
 from .core import (
     GENDERS,
     RACES,
@@ -30,10 +30,12 @@ from .core import (
     Participant,
     Partition,
     _is_int,
+    read_json_lines,
+    write_csv,
 )
 from .optimizer import GaConfig
-from .population import DemographicSpec, save_population, synth_population
-from .protocol import replay, write_log
+from .population import DemographicSpec, load_population, save_population, synth_population
+from .protocol import read_log, replay, write_log
 from .session import CONDITIONS, SessionResult, run_ga_sessions, run_session, session_result
 from .stats import LogisticFit, chi2_independence, logistic_fit, permutation_tests
 
@@ -49,8 +51,18 @@ REPORT_METRICS = (
     "international_blau",
 )
 
-ANOVA_COLUMNS = ("metric", "f_stat", "p_value")
-PAIRWISE_COLUMNS = ("metric", "group_a", "group_b", "delta", "p_value", "p_adjusted")
+# The columns of each CSV file of a run directory, in file order.
+TABLE_COLUMNS = {
+    "team_metrics.csv": ("condition", "session", "team", "size", *REPORT_METRICS, "age_cv"),
+    "condition_summary.csv": ("condition", "metric", "n_teams", "mean", "sd"),
+    "anova.csv": ("metric", "f_stat", "p_value"),
+    "pairwise.csv": ("metric", "group_a", "group_b", "delta", "p_value", "p_adjusted"),
+    "balance.csv": ("attribute", "chi2", "df", "p_value"),
+    "exposures.csv": ("condition", "session", *(f.name for f in dataclasses.fields(Exposure))),
+}
+
+# The exposures.csv columns that the choice audit reads.
+AUDIT_INPUTS = ("rank_z", "same_gender", "diversity_z", "treatment", "selected")
 
 MIN_EXPOSURES_PER_COEFFICIENT = 50
 
@@ -140,7 +152,10 @@ class ExperimentConfig:
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
 
 
 def _reject_unknown_keys(known: Mapping, data: Mapping, prefix: str = "") -> None:
@@ -214,22 +229,15 @@ def _team_rows(sessions: Sequence[SessionResult]) -> list[dict]:
     rows = []
     for s in sessions:
         for team, profile in zip(s.partition.teams, s.profiles):
-            rows.append(
-                {
-                    "condition": s.condition,
-                    "session": s.session_index,
-                    "team": "+".join(team.sorted_ids()),
-                    "size": len(team),
-                    "surface_score": profile.surface_score,
-                    "deep_score": profile.deep_score,
-                    "total_score": profile.total_score,
-                    "gender_blau": profile.gender_blau,
-                    "race_blau": profile.race_blau,
-                    "ethnicity_blau": profile.ethnicity_blau,
-                    "international_blau": profile.international_blau,
-                    "age_cv": profile.age_cv,
-                }
-            )
+            row = {
+                "condition": s.condition,
+                "session": s.session_index,
+                "team": "+".join(team.sorted_ids()),
+                "size": len(team),
+            }
+            # The columns after the team's own are DiversityProfile fields.
+            row.update((metric, getattr(profile, metric)) for metric in TABLE_COLUMNS["team_metrics.csv"][len(row) :])
+            rows.append(row)
     return rows
 
 
@@ -369,12 +377,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     anova_rows, pairwise_rows = stats_tables(groups_by_metric, config.seed)
     balance_rows = _balance_tables(sessions, config.conditions)
 
-    exposure_rows = []
-    for s in sessions:
-        for e in s.exposures:
-            row = {"condition": s.condition, "session": s.session_index}
-            row.update(e.to_row())
-            exposure_rows.append(row)
+    exposure_rows = [
+        {"condition": s.condition, "session": s.session_index, **vars(e)} for s in sessions for e in s.exposures
+    ]
 
     report = ExperimentReport(
         config=config,
@@ -402,13 +407,6 @@ def resolve_output_dir(config: ExperimentConfig) -> Path | None:
     return None
 
 
-def write_csv(path: Path, rows: Sequence[dict], columns: Sequence[str]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(row[c]) for c in columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def write_report(report: ExperimentReport, out_dir: Path) -> None:
     """Persist tables, manifest, per-session artifacts, and the text summary."""
     out_dir = Path(out_dir)
@@ -416,24 +414,19 @@ def write_report(report: ExperimentReport, out_dir: Path) -> None:
     (out_dir / "populations").mkdir(exist_ok=True)
     (out_dir / "partitions").mkdir(exist_ok=True)
 
-    write_csv(
-        out_dir / "team_metrics.csv",
-        report.team_rows,
-        ["condition", "session", "team", "size", *REPORT_METRICS, "age_cv"],
-    )
-    write_csv(
-        out_dir / "condition_summary.csv",
-        report.summary_rows,
-        ["condition", "metric", "n_teams", "mean", "sd"],
-    )
-    if report.anova_rows:
-        write_csv(out_dir / "anova.csv", report.anova_rows, ANOVA_COLUMNS)
-    if report.pairwise_rows:
-        write_csv(out_dir / "pairwise.csv", report.pairwise_rows, PAIRWISE_COLUMNS)
-    if report.balance_rows:
-        write_csv(out_dir / "balance.csv", report.balance_rows, ["attribute", "chi2", "df", "p_value"])
-    if report.exposure_rows:
-        write_csv(out_dir / "exposures.csv", report.exposure_rows, list(report.exposure_rows[0]))
+    tables = {
+        "team_metrics.csv": report.team_rows,
+        "condition_summary.csv": report.summary_rows,
+        "anova.csv": report.anova_rows,
+        "pairwise.csv": report.pairwise_rows,
+        "balance.csv": report.balance_rows,
+        "exposures.csv": report.exposure_rows,
+    }
+    for name, rows in tables.items():
+        # Tables a run has no rows for are not written: a run of one condition
+        # tests nothing, and a run without agency sessions logs no exposures.
+        if rows:
+            write_csv(out_dir / name, rows, TABLE_COLUMNS[name])
 
     with open(out_dir / "manifest.jsonl", "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"kind": "version", "teamsim": __version__}, sort_keys=True) + "\n")
@@ -456,7 +449,7 @@ def write_report(report: ExperimentReport, out_dir: Path) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     for s in report.sessions:
-        stem = f"{s.condition}_{s.session_index:03d}"
+        stem = session_stem(s.condition, s.session_index)
         save_population(out_dir / "populations" / f"{stem}.jsonl", s.population)
         partition_path = out_dir / "partitions" / f"{stem}.json"
         partition_path.write_text(json.dumps(s.partition.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
@@ -538,8 +531,7 @@ def choice_audit(
             f"need at least {needed} exposures ({MIN_EXPOSURES_PER_COEFFICIENT} per coefficient), "
             f"got {n}; run more or longer agency sessions"
         )
-    inputs = ("rank_z", "same_gender", "diversity_z", "treatment", "selected")
-    *predictors, y = (np.asarray([float(r[c]) for r in exposure_rows]) for c in inputs)
+    *predictors, y = (np.asarray([float(r[c]) for r in exposure_rows]) for c in AUDIT_INPUTS)
     columns = dict(zip(FIXED_EFFECTS, design_matrix(*predictors).T))
     warnings = []
     kept = ["intercept"]
@@ -565,12 +557,28 @@ def choice_audit(
     return AuditReport(rows=rows, warnings=warnings, n_exposures=n, fit=fit)
 
 
-def load_exposure_rows(path) -> list[dict]:
-    """Read exposures.csv back into audit-ready rows."""
-    import csv
+def session_stem(condition: str, index: int) -> str:
+    """The file name stem of a session's population, partition and event log."""
+    return f"{condition}_{index:03d}"
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+
+def _manifest_record(record: dict) -> dict:
+    """A manifest line, refused if a field that read_manifest returns is missing or malformed."""
+    if record["kind"] == "config" and not isinstance(record["config"], Mapping):
+        raise ValueError(f"field 'config' must be an object, got {record['config']!r}")
+    if record["kind"] == "session" and (record["condition"] not in CONDITIONS or not _is_int(record["index"])):
+        raise ValueError(f"a session record needs a known 'condition' and an integer 'index': {record!r}")
+    return record
+
+
+def read_manifest(run_dir) -> tuple[dict, list[dict]]:
+    """(config, session records) of the manifest.jsonl in run_dir."""
+    path = Path(run_dir) / "manifest.jsonl"
+    records = read_json_lines(path, _manifest_record)
+    configs = [r["config"] for r in records if r["kind"] == "config"]
+    if len(configs) != 1:
+        raise ValueError(f"{path}: {len(configs)} config records, expected 1")
+    return configs[0], [r for r in records if r["kind"] == "session"]
 
 
 def regenerate_team_rows(run_dir) -> list[dict]:
@@ -578,20 +586,13 @@ def regenerate_team_rows(run_dir) -> list[dict]:
 
     Agency sessions are replayed from their event logs; other conditions
     load their persisted partitions. Used to check replay equivalence of
-    the report. Only the manifest's session records are read, so manifests
-    whose config record predates the current config format still work.
+    the report. Of the config record only its presence is checked, so
+    manifests whose config predates the current config format still work.
     """
-    from .population import load_population
-    from .protocol import read_log
-
     run_dir = Path(run_dir)
-    with open(run_dir / "manifest.jsonl", "r", encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh]
-    manifest_sessions = [r for r in records if r["kind"] == "session"]
-
     sessions = []
-    for record in manifest_sessions:
-        stem = f"{record['condition']}_{record['index']:03d}"
+    for record in read_manifest(run_dir)[1]:
+        stem = session_stem(record["condition"], record["index"])
         population = load_population(run_dir / "populations" / f"{stem}.jsonl")
         log_path = run_dir / "events" / f"{stem}.jsonl"
         if log_path.exists():
@@ -600,6 +601,10 @@ def regenerate_team_rows(run_dir) -> list[dict]:
             state.check_invariants()
             partition = state.partition()
         else:
-            partition = Partition.from_dict(json.loads((run_dir / "partitions" / f"{stem}.json").read_text()))
+            partition_path = run_dir / "partitions" / f"{stem}.json"
+            partitions = read_json_lines(partition_path, Partition.from_dict)
+            if len(partitions) != 1:
+                raise ValueError(f"{partition_path}: {len(partitions)} partitions, expected 1")
+            partition = partitions[0]
         sessions.append(session_result(record["condition"], population, partition, record["index"]))
     return _team_rows(sessions)

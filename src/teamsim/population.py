@@ -17,7 +17,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AGE_MAX, AGE_MIN, GENDERS, NUM_SKILLS, RACES, SKILL_NAMES, Participant, _is_int
+from .core import (
+    AGE_MAX,
+    AGE_MIN,
+    GENDERS,
+    NUM_SKILLS,
+    RACES,
+    SKILL_NAMES,
+    Participant,
+    _is_int,
+    read_json_lines,
+    read_table,
+)
+
+# The columns of a .csv population file, in file order.
+POPULATION_COLUMNS = ("id", "gender", "race", "hispanic", "international", "age", *SKILL_NAMES)
 
 
 @dataclass(frozen=True)
@@ -102,9 +116,7 @@ def save_population(path, participants: Sequence[Participant]) -> None:
     elif suffix == ".csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["id", "gender", "race", "hispanic", "international", "age", *SKILL_NAMES]
-            )
+            writer.writerow(POPULATION_COLUMNS)
             for p in participants:
                 writer.writerow(
                     [
@@ -134,27 +146,13 @@ def load_population(path) -> list[Participant]:
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix in (".jsonl", ".ndjson"):
-        participants = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    participants.append(Participant.from_dict(json.loads(line)))
+        participants = read_json_lines(path, Participant.from_dict)
     elif suffix == ".csv":
-        participants = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                participants.append(
-                    Participant(
-                        id=row["id"],
-                        gender=row["gender"],
-                        race=row["race"],
-                        hispanic=_parse_bool(row["hispanic"]),
-                        international=_parse_bool(row["international"]),
-                        age=int(row["age"]),
-                        skills=tuple(int(row[name]) for name in SKILL_NAMES),
-                    )
-                )
+        parse = {"hispanic": _parse_bool, "international": _parse_bool, "age": int, **dict.fromkeys(SKILL_NAMES, int)}
+        participants = [
+            Participant.from_dict({**row, "skills": [row[name] for name in SKILL_NAMES]})
+            for row in read_table(path, POPULATION_COLUMNS, parse)
+        ]
     else:
         raise ValueError(f"unsupported population format {suffix!r} (use .jsonl or .csv)")
     ids = [p.id for p in participants]

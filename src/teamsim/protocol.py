@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TEAM_SIZE, Partition, _is_int, _is_real
+from .core import TEAM_SIZE, Partition, _is_int, _is_real, read_json_lines
 from .recommender import Query
 
 RESPONSES = ("accepted", "declined", "ignored")
@@ -402,13 +402,17 @@ def write_log(path, member_ids: Sequence[str], events: Sequence[Event]) -> None:
             fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
 
 
+def _log_line(record) -> list[str] | Event:
+    """A log line: the header's member ids, or an event."""
+    if isinstance(record, dict) and "schema" in record:
+        if record["schema"] != LOG_SCHEMA:
+            raise ValueError(f"unexpected log schema {record['schema']!r}")
+        return list(record["members"])
+    return Event.from_dict(record)
+
+
 def read_log(path) -> tuple[list[str], list[Event]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
-        raise ValueError(f"empty log file {path}")
-    header = json.loads(lines[0])
-    if not isinstance(header, dict) or header.get("schema") != LOG_SCHEMA:
-        raise ValueError(f"unexpected log schema in {path}")
-    events = [Event.from_dict(json.loads(line)) for line in lines[1:]]
-    return list(header["members"]), events
+    lines = read_json_lines(path, _log_line)
+    if not lines or not isinstance(lines[0], list) or not all(isinstance(event, Event) for event in lines[1:]):
+        raise ValueError(f"{path}: a log is its header line, then one line per event")
+    return lines[0], lines[1:]

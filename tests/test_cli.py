@@ -417,6 +417,118 @@ class TestRunAnalyzeAuditReplay:
         assert exc.value.code == 0
 
 
+def _edited_copy(source, target, edit):
+    """target holding source's lines, edited in place by edit(lines)."""
+    lines = source.read_text(encoding="utf-8").splitlines()
+    edit(lines)
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return target
+
+
+def _drop_column(name):
+    def edit(lines):
+        at = lines[0].split(",").index(name)
+        lines[:] = [",".join(f for i, f in enumerate(line.split(",")) if i != at) for line in lines]
+
+    return edit
+
+
+def _set_field(line_index, name, value):
+    def edit(lines):
+        fields = lines[line_index].split(",")
+        fields[lines[0].split(",").index(name)] = value
+        lines[line_index] = ",".join(fields)
+
+    return edit
+
+
+def _set_line(line_index, text):
+    def edit(lines):
+        lines[line_index] = text
+
+    return edit
+
+
+class TestRefusalsNameFileAndLine:
+    """Each malformed file exits 3 with a message naming the file and the line."""
+
+    @staticmethod
+    def _refusal(capsys, *argv):
+        code, stdout, stderr = _run(capsys, *argv)
+        assert (code, stdout) == (3, "")
+        return _one_error_line(stderr)["message"]
+
+    def test_analyze_table_without_a_metric(self, run_dir, tmp_path, capsys):
+        teams = _edited_copy(run_dir / "team_metrics.csv", tmp_path / "teams.csv", _drop_column("total_score"))
+        message = self._refusal(capsys, "analyze", "--teams", str(teams))
+        assert "teams.csv, line 1: missing column 'total_score'" in message
+
+    def test_analyze_metric_that_is_not_a_number(self, run_dir, tmp_path, capsys):
+        teams = _edited_copy(run_dir / "team_metrics.csv", tmp_path / "teams.csv", _set_field(3, "deep_score", "abc"))
+        message = self._refusal(capsys, "analyze", "--teams", str(teams))
+        assert "teams.csv, line 4, column 'deep_score': could not convert string to float: 'abc'" in message
+
+    def test_analyze_row_with_an_extra_field(self, run_dir, tmp_path, capsys):
+        def edit(lines):
+            lines[2] += ",x"
+
+        teams = _edited_copy(run_dir / "team_metrics.csv", tmp_path / "teams.csv", edit)
+        message = self._refusal(capsys, "analyze", "--teams", str(teams))
+        assert "teams.csv, line 3: 13 fields, the header has 12" in message
+
+    def test_audit_exposures_without_rank_z(self, run_dir, tmp_path, capsys):
+        exposures = _edited_copy(run_dir / "exposures.csv", tmp_path / "exposures.csv", _drop_column("rank_z"))
+        message = self._refusal(capsys, "audit", "--exposures", str(exposures))
+        assert "exposures.csv, line 1: missing column 'rank_z'" in message
+
+    def test_audit_input_that_is_not_a_number(self, run_dir, tmp_path, capsys):
+        exposures = _edited_copy(run_dir / "exposures.csv", tmp_path / "exposures.csv", _set_field(5, "selected", "yes"))
+        message = self._refusal(capsys, "audit", "--exposures", str(exposures))
+        assert "exposures.csv, line 6, column 'selected'" in message
+
+    @pytest.mark.parametrize(
+        "line, expected",
+        [('{"kind": "config"}', "line 2: missing field 'config'"), ("{kind: config", "line 2: not JSON")],
+        ids=["config_record_without_config", "not_json"],
+    )
+    def test_audit_manifest(self, run_dir, tmp_path, capsys, line, expected):
+        (tmp_path / "exposures.csv").write_bytes((run_dir / "exposures.csv").read_bytes())
+        _edited_copy(run_dir / "manifest.jsonl", tmp_path / "manifest.jsonl", _set_line(1, line))
+        message = self._refusal(capsys, "audit", "--exposures", str(tmp_path))
+        assert f"manifest.jsonl, {expected}" in message
+
+    def test_replay_log_line_that_is_not_json(self, run_dir, tmp_path, capsys):
+        source = sorted((run_dir / "events").glob("fairness_aware_*.jsonl"))[0]
+        log = _edited_copy(source, tmp_path / "log.jsonl", _set_line(3, '{"round": 1,'))
+        message = self._refusal(capsys, "replay", "--events", str(log))
+        assert "log.jsonl, line 4: not JSON" in message
+
+    def test_population_record_without_gender(self, pop_file, tmp_path, capsys):
+        def edit(lines):
+            record = json.loads(lines[2])
+            del record["gender"]
+            lines[2] = json.dumps(record)
+
+        pop = _edited_copy(pop_file, tmp_path / "people.jsonl", edit)
+        message = self._refusal(capsys, "assign", "--population", str(pop))
+        assert "people.jsonl, line 3: missing field 'gender'" in message
+
+    def test_population_csv_age_that_is_not_an_integer(self, tmp_path, capsys):
+        source = tmp_path / "source.csv"
+        assert main(["synth", "--n", "8", "--seed", "4", "--out", str(source)]) == 0
+        capsys.readouterr()
+        pop = _edited_copy(source, tmp_path / "people.csv", _set_field(2, "age", "30.5"))
+        message = self._refusal(capsys, "assign", "--population", str(pop))
+        assert "people.csv, line 3, column 'age'" in message
+
+    def test_config_that_is_not_json(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text('{"seed": 1,\n}', encoding="utf-8")
+        message = self._refusal(capsys, "run", "--config", str(config), "--out", str(tmp_path / "o"))
+        assert message.startswith(f"{config}: Expecting property name")
+        assert not (tmp_path / "o").exists()
+
+
 def _sent(n, sender, target, sender_group, recipient_group):
     return ("invitation_sent", {
         "invitation_id": f"inv-{n:05d}", "sender_id": sender, "target_id": target,

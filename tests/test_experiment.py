@@ -1,28 +1,31 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import teamsim.stats
 from teamsim.agents import ChoiceModelParams, simulate_exposures
-from teamsim.core import TEAM_SIZE
+from teamsim.core import TEAM_SIZE, read_table
 from teamsim.experiment import (
+    AUDIT_INPUTS,
     REPORT_METRICS,
+    TABLE_COLUMNS,
     AuditError,
     ExperimentConfig,
     choice_audit,
-    load_exposure_rows,
     regenerate_team_rows,
     run_experiment,
     stats_tables,
 )
 from teamsim.optimizer import GaConfig
 from teamsim.population import synth_population
-from teamsim.session import run_session
+from teamsim.session import CONDITIONS, run_session
 from teamsim.stats import PERMUTATION_BLOCK, anova_f, pairwise_diffs
 
 
@@ -395,7 +398,7 @@ class TestReportFiles:
                 output_dir=str(out),
             )
         )
-        rows = load_exposure_rows(out / "exposures.csv")
+        rows = read_table(out / "exposures.csv", AUDIT_INPUTS)
         assert len(rows) == len(report.exposure_rows)
         audit = choice_audit(rows)
         assert audit.n_exposures == len(rows)
@@ -407,6 +410,79 @@ class TestReportFiles:
             "treatment",
             "interaction",
         }
+
+    def test_regenerate_names_a_refused_partition_file(self, tmp_path):
+        out = tmp_path / "run"
+        run_experiment(
+            _tiny_config(conditions=("random", "fairness_aware"), sessions_per_condition=1, output_dir=str(out))
+        )
+        partition = out / "partitions" / "random_000.json"
+        partition.write_text(json.dumps({"teams": [["p0001"]]}) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"random_000\.json, line 1: missing field 'solos'"):
+            regenerate_team_rows(out)
+
+
+@pytest.fixture(scope="module")
+def four_condition_run(tmp_path_factory):
+    """A run directory that holds every table of TABLE_COLUMNS."""
+    out = tmp_path_factory.mktemp("tables")
+    report = run_experiment(_tiny_config(conditions=CONDITIONS, sessions_per_condition=2, output_dir=str(out)))
+    return report, out
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_COLUMNS))
+def test_table_round_trips(four_condition_run, name):
+    report, out = four_condition_run
+    rows = {
+        "team_metrics.csv": report.team_rows,
+        "condition_summary.csv": report.summary_rows,
+        "anova.csv": report.anova_rows,
+        "pairwise.csv": report.pairwise_rows,
+        "balance.csv": report.balance_rows,
+        "exposures.csv": report.exposure_rows,
+    }[name]
+    columns = TABLE_COLUMNS[name]
+    assert rows
+    assert tuple((out / name).read_text(encoding="utf-8").splitlines()[0].split(",")) == columns
+    assert read_table(out / name, columns) == [{c: str(row[c]) for c in columns} for row in rows]
+
+
+def _references_and_stems(source: str):
+    """([(module.name, enclosing function)] for each reference to a module
+    attribute in source, count of f-string fields formatted as :03d, the
+    session stem's index format)."""
+    references = []
+    stems = 0
+
+    def visit(node, function):
+        nonlocal stems
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            references.append((f"{node.value.id}.{node.attr}", function))
+        if isinstance(node, ast.FormattedValue) and node.format_spec is not None:
+            stems += ast.unparse(node.format_spec) == "f'03d'"
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return references, stems
+
+
+def test_files_are_parsed_only_by_the_two_readers():
+    """CSV and JSON lines are parsed only in core.read_table and
+    core.read_json_lines, and the session stem is formatted in one place."""
+    parsers = {"csv.DictReader", "csv.reader", "json.loads"}
+    uses, stems = [], 0
+    for path in sorted(Path(teamsim.stats.__file__).parent.glob("*.py")):
+        references, count = _references_and_stems(path.read_text(encoding="utf-8"))
+        uses += [(path.name, name, function) for name, function in references if name in parsers]
+        stems += count
+    assert {(path, function) for path, _, function in uses} == {
+        ("core.py", "read_table"),
+        ("core.py", "read_json_lines"),
+    }, uses
+    assert stems == 1
 
 
 class TestChoiceAudit:

@@ -217,7 +217,7 @@ class TestRunSession:
                     assert event.payload["shown"] == _shown_page(expected)
                     for rec in expected:
                         exposure = next(exposures)
-                        assert (exposure.searcher_id, exposure.candidate_id) == (searcher, rec.candidate_id)
+                        assert (exposure.searcher, exposure.candidate) == (searcher, rec.candidate_id)
                         assert (exposure.rank, exposure.diversity) == (rec.rank, rec.diversity_score)
                         assert exposure.same_gender == int(
                             lookup[searcher].gender == lookup[rec.candidate_id].gender
