@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: synth, assign, recommend, run, analyze, audit, replay.
-Errors print one machine-readable JSON line to stderr and exit nonzero
-(2 usage/config, 3 bad input, 4 runtime).
+Errors print one machine-readable JSON line to stderr and exit nonzero:
+usage errors exit 2 (argparse), bad input and bad configs exit 3, runtime
+errors exit 4.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .recommender import Criterion, Query, rank_candidates
 from .session import CONDITIONS
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_RUNTIME = 4
 

@@ -12,8 +12,8 @@ maximum 1 - 1/k, where k is the size of the attribute's category set
 normalization does not depend on the population or on any setting. CV
 scores are mapped through cv / (cv + 1).
 
-The CSV writer and the CSV and JSON-lines readers of every teamsim file
-live here too.
+The CSV and JSON-lines writers and readers of every teamsim file live
+here too.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -420,17 +421,29 @@ def population_lookup(participants: Sequence[Participant]) -> dict[str, Particip
 
 
 def write_csv(path, rows: Sequence[dict], columns: Sequence[str]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(row[c]) for c in columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write rows, dicts keyed by columns, as a CSV file with LF line ends,
+    each field as str gives it; csv.writer quotes a field that holds a comma,
+    a quote or a line break, so that read_table reads every field back."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        # csv.writer quotes a field holding \r only if \r is in its line
+        # terminator: each row is written with its default \r\n, cut to \n.
+        writer = csv.writer(SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n")))
+        writer.writerow(columns)
+        writer.writerows([str(row[c]) for c in columns] for row in rows)
 
 
-def read_table(path, columns: Sequence[str], parse: Mapping[str, Callable[[str], object]] | None = None) -> list[dict]:
+def read_table(
+    path,
+    columns: Sequence[str],
+    parse: Mapping[str, Callable[[str], object]] | None = None,
+    build: Callable[[dict], object] | None = None,
+) -> list:
     """The rows of the CSV file at path as dicts keyed by its header: text,
-    except the columns that parse maps to a converter. Refuses a header
-    without one of columns, a row whose field count is not the header's, and
-    a value its converter refuses, naming the file, the line and the column."""
+    except the columns that parse maps to a converter; with build, build of
+    each such dict. Refuses a header without one of columns, a row whose
+    field count is not the header's, a value its converter refuses and a row
+    that build refuses with a ValueError, naming the file and the line (and
+    the column of a refused value)."""
     converters = (parse or {}).items()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -450,8 +463,21 @@ def read_table(path, columns: Sequence[str], parse: Mapping[str, Callable[[str],
                     row[name] = convert(row[name])
                 except ValueError as exc:
                     raise ValueError(f"{path}, line {reader.line_num}, column {name!r}: {exc}") from None
+            if build is not None:
+                try:
+                    row = build(row)
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
             rows.append(row)
     return rows
+
+
+def write_json_lines(path, records: Iterable) -> None:
+    """Write each record as one line of JSON with sorted keys: the line
+    format of every JSON-lines file."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(encode(record) + "\n" for record in records)
 
 
 def read_json_lines(path, parse: Callable[[object], object]) -> list:

@@ -32,6 +32,7 @@ from .core import (
     _is_int,
     read_json_lines,
     write_csv,
+    write_json_lines,
 )
 from .optimizer import GaConfig
 from .population import DemographicSpec, load_population, save_population, synth_population
@@ -428,31 +429,12 @@ def write_report(report: ExperimentReport, out_dir: Path) -> None:
         if rows:
             write_csv(out_dir / name, rows, TABLE_COLUMNS[name])
 
-    with open(out_dir / "manifest.jsonl", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"kind": "version", "teamsim": __version__}, sort_keys=True) + "\n")
-        # workers and output_dir are execution details with no effect on
-        # results; the manifest records only what reproduction needs
-        config_dict = report.config.to_dict()
-        config_dict.pop("workers", None)
-        config_dict.pop("output_dir", None)
-        fh.write(json.dumps({"kind": "config", "config": config_dict}, sort_keys=True) + "\n")
-        for spawn_index, s in enumerate(report.sessions):
-            record = {
-                "kind": "session",
-                "condition": s.condition,
-                "index": s.session_index,
-                "spawn_index": spawn_index,
-                "n_teams": len(s.partition.teams),
-                "n_solos": len(s.partition.solos),
-                "moments": s.moments.to_dict() if s.moments else None,
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_json_lines(out_dir / "manifest.jsonl", _manifest_records(report))
 
     for s in report.sessions:
         stem = session_stem(s.condition, s.session_index)
         save_population(out_dir / "populations" / f"{stem}.jsonl", s.population)
-        partition_path = out_dir / "partitions" / f"{stem}.json"
-        partition_path.write_text(json.dumps(s.partition.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
+        write_json_lines(out_dir / "partitions" / f"{stem}.json", [s.partition.to_dict()])
         if s.events:
             write_log(out_dir / "events" / f"{stem}.jsonl", [p.id for p in s.population], s.events)
 
@@ -562,19 +544,50 @@ def session_stem(condition: str, index: int) -> str:
     return f"{condition}_{index:03d}"
 
 
-def _manifest_record(record: dict) -> dict:
-    """A manifest line, refused if a field that read_manifest returns is missing or malformed."""
+def _manifest_records(report: ExperimentReport) -> list[dict]:
+    """The lines of manifest.jsonl: the version, the config, then one record per session."""
+    # workers and output_dir are execution details with no effect on
+    # results; the manifest records only what reproduction needs
+    config = report.config.to_dict()
+    config.pop("workers", None)
+    config.pop("output_dir", None)
+    records = [{"kind": "version", "teamsim": __version__}, {"kind": "config", "config": config}]
+    for spawn_index, s in enumerate(report.sessions):
+        records.append(
+            {
+                "kind": "session",
+                "condition": s.condition,
+                "index": s.session_index,
+                "spawn_index": spawn_index,
+                "n_teams": len(s.partition.teams),
+                "n_solos": len(s.partition.solos),
+                "moments": s.moments.to_dict() if s.moments else None,
+            }
+        )
+    return records
+
+
+def _manifest_record(record: dict, sessions: set) -> dict:
+    """A manifest line, refused if a field that read_manifest returns is
+    missing or malformed. sessions holds the (condition, index) pairs of the
+    session records read so far: a record that repeats one is refused."""
     if record["kind"] == "config" and not isinstance(record["config"], Mapping):
         raise ValueError(f"field 'config' must be an object, got {record['config']!r}")
-    if record["kind"] == "session" and (record["condition"] not in CONDITIONS or not _is_int(record["index"])):
-        raise ValueError(f"a session record needs a known 'condition' and an integer 'index': {record!r}")
+    if record["kind"] == "session":
+        session = (record["condition"], record["index"])
+        if session[0] not in CONDITIONS or not _is_int(session[1]):
+            raise ValueError(f"a session record needs a known 'condition' and an integer 'index': {record!r}")
+        if session in sessions:
+            raise ValueError(f"session {session_stem(*session)} is listed twice")
+        sessions.add(session)
     return record
 
 
 def read_manifest(run_dir) -> tuple[dict, list[dict]]:
     """(config, session records) of the manifest.jsonl in run_dir."""
     path = Path(run_dir) / "manifest.jsonl"
-    records = read_json_lines(path, _manifest_record)
+    sessions: set = set()
+    records = read_json_lines(path, lambda record: _manifest_record(record, sessions))
     configs = [r["config"] for r in records if r["kind"] == "config"]
     if len(configs) != 1:
         raise ValueError(f"{path}: {len(configs)} config records, expected 1")

@@ -9,8 +9,6 @@ skills to independent uniform 1-5.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -28,6 +26,8 @@ from .core import (
     _is_int,
     read_json_lines,
     read_table,
+    write_csv,
+    write_json_lines,
 )
 
 # The columns of a .csv population file, in file order.
@@ -110,25 +110,18 @@ def save_population(path, participants: Sequence[Participant]) -> None:
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix in (".jsonl", ".ndjson"):
-        with open(path, "w", encoding="utf-8") as fh:
-            for p in participants:
-                fh.write(json.dumps(p.to_dict(), sort_keys=True) + "\n")
+        write_json_lines(path, (p.to_dict() for p in participants))
     elif suffix == ".csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(POPULATION_COLUMNS)
-            for p in participants:
-                writer.writerow(
-                    [
-                        p.id,
-                        p.gender,
-                        p.race,
-                        str(p.hispanic).lower(),
-                        str(p.international).lower(),
-                        p.age,
-                        *p.skills,
-                    ]
-                )
+        rows = [
+            {
+                **p.to_dict(),
+                "hispanic": str(p.hispanic).lower(),
+                "international": str(p.international).lower(),
+                **dict(zip(SKILL_NAMES, p.skills)),
+            }
+            for p in participants
+        ]
+        write_csv(path, rows, POPULATION_COLUMNS)
     else:
         raise ValueError(f"unsupported population format {suffix!r} (use .jsonl or .csv)")
 
@@ -142,6 +135,10 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"cannot parse boolean {text!r}")
 
 
+def _participant_from_row(row: dict) -> Participant:
+    return Participant.from_dict({**row, "skills": [row[name] for name in SKILL_NAMES]})
+
+
 def load_population(path) -> list[Participant]:
     path = Path(path)
     suffix = path.suffix.lower()
@@ -149,10 +146,7 @@ def load_population(path) -> list[Participant]:
         participants = read_json_lines(path, Participant.from_dict)
     elif suffix == ".csv":
         parse = {"hispanic": _parse_bool, "international": _parse_bool, "age": int, **dict.fromkeys(SKILL_NAMES, int)}
-        participants = [
-            Participant.from_dict({**row, "skills": [row[name] for name in SKILL_NAMES]})
-            for row in read_table(path, POPULATION_COLUMNS, parse)
-        ]
+        participants = read_table(path, POPULATION_COLUMNS, parse, _participant_from_row)
     else:
         raise ValueError(f"unsupported population format {suffix!r} (use .jsonl or .csv)")
     ids = [p.id for p in participants]

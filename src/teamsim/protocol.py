@@ -22,13 +22,13 @@ the last event of a session: nothing is accepted after it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TEAM_SIZE, Partition, _is_int, _is_real, read_json_lines
+from .core import TEAM_SIZE, Partition, _is_int, _is_real, read_json_lines, write_json_lines
 from .recommender import Query
 
 RESPONSES = ("accepted", "declined", "ignored")
@@ -395,11 +395,8 @@ def replay(member_ids: Iterable[str], events: Sequence[Event]) -> AssemblyState:
 
 def write_log(path, member_ids: Sequence[str], events: Sequence[Event]) -> None:
     """Persist a session log: one header line, then one event per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {"schema": LOG_SCHEMA, "members": sorted(member_ids)}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for event in events:
-            fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+    header = {"schema": LOG_SCHEMA, "members": sorted(member_ids)}
+    write_json_lines(path, chain([header], (event.to_dict() for event in events)))
 
 
 def _log_line(record) -> list[str] | Event:

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from teamsim.cli import build_parser, main
-from teamsim.core import AGE_MAX
+from teamsim.core import AGE_MAX, read_table
+from teamsim.experiment import REPORT_METRICS, TABLE_COLUMNS
 from teamsim.protocol import Event, write_log
 
 from test_protocol import _query, _row
@@ -338,6 +339,20 @@ class TestRunAnalyzeAuditReplay:
         for name in ("anova.csv", "pairwise.csv"):
             assert (tmp_path / "tables" / name).read_bytes() == (run_dir / name).read_bytes()
 
+    def test_analyze_writes_condition_labels_that_need_quoting(self, run_dir, capsys, tmp_path):
+        def relabel(lines):
+            first = lines[1].split(",")[0]
+            for i, line in enumerate(lines[1:], 1):
+                condition, rest = line.split(",", 1)
+                lines[i] = ('"a,b"' if condition == first else "c") + "," + rest
+
+        teams = _edited_copy(run_dir / "team_metrics.csv", tmp_path / "teams.csv", relabel)
+        code, _, _ = _run(capsys, "analyze", "--teams", str(teams), "--out", str(tmp_path / "out"))
+        assert code == 0
+        pairwise = read_table(tmp_path / "out" / "pairwise.csv", TABLE_COLUMNS["pairwise.csv"])
+        assert {(row["group_a"], row["group_b"]) for row in pairwise} == {("a,b", "c")}
+        assert len(pairwise) == len(REPORT_METRICS)
+
     def test_analyze_refuses_one_condition(self, tmp_path, capsys):
         run = tmp_path / "r"
         assert main(["run", "--conditions", "random", "--sessions", "1", "--agents", "8", "--out", str(run)]) == 0
@@ -520,6 +535,14 @@ class TestRefusalsNameFileAndLine:
         pop = _edited_copy(source, tmp_path / "people.csv", _set_field(2, "age", "30.5"))
         message = self._refusal(capsys, "assign", "--population", str(pop))
         assert "people.csv, line 3, column 'age'" in message
+
+    def test_population_csv_row_that_participant_refuses(self, tmp_path, capsys):
+        source = tmp_path / "source.csv"
+        assert main(["synth", "--n", "8", "--seed", "4", "--out", str(source)]) == 0
+        capsys.readouterr()
+        pop = _edited_copy(source, tmp_path / "bad.csv", _set_field(2, "gender", "Mal"))
+        message = self._refusal(capsys, "assign", "--population", str(pop))
+        assert "bad.csv, line 3: unknown gender 'Mal'" in message
 
     def test_config_that_is_not_json(self, tmp_path, capsys):
         config = tmp_path / "bad.json"

@@ -5,7 +5,9 @@ import itertools
 import json
 import math
 import statistics
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +29,14 @@ from teamsim.core import (
     population_lookup,
     profile_for_members,
     profile_for_rows,
+    read_json_lines,
+    read_table,
     score_teams,
     surface_deep_rows,
     attribute_table,
     team_diversity_profile,
+    write_csv,
+    write_json_lines,
 )
 from teamsim.population import synth_population
 
@@ -392,3 +398,54 @@ class TestScoreTeams:
         table = attribute_table(mixed_population)
         with pytest.raises(ValueError, match="team size"):
             score_teams(table, np.zeros((3, t), dtype=np.int64))
+
+
+# Text that UTF-8 encodes and csv.reader reads: any character but a lone
+# surrogate and NUL (csv.reader refuses NUL before Python 3.11).
+_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"))
+_json_records = st.recursive(
+    _text | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_text, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _tables(draw):
+    """(columns, rows): distinct column names and rows of text fields keyed by them."""
+    columns = draw(st.lists(_text, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({c: _text for c in columns}), max_size=5))
+    return columns, rows
+
+
+class TestFileFormats:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_json_records, max_size=5))
+    def test_json_lines_round_trip(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.jsonl"
+            write_json_lines(path, records)
+            assert read_json_lines(path, lambda record: record) == records
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tables())
+    # A field holding a carriage return: csv.writer quotes it only when \r is
+    # in its line terminator.
+    @example(table=(["a", "b"], [{"a": "x\ry", "b": ""}]))
+    @example(table=([""], [{"": ""}]))  # a one-column row with an empty field
+    def test_csv_round_trip(self, table):
+        columns, rows = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            write_csv(path, rows, columns)
+            assert read_table(path, columns) == rows
+
+    def test_plain_table_is_written_unquoted(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv(path, [{"a": 1, "b": 0.5}, {"a": "x y", "b": ""}], ("a", "b"))
+        assert path.read_bytes() == b"a,b\n1,0.5\nx y,\n"
+
+    def test_table_with_a_field_to_quote_is_quoted_with_lf_line_ends(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv(path, [{"a": 1, "b": "c,d"}, {"a": 'say "hi"', "b": "two\r\nlines"}], ("a", "b"))
+        assert path.read_bytes() == b'a,b\n1,"c,d"\n"say ""hi""","two\r\nlines"\n'

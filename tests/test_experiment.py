@@ -11,7 +11,7 @@ import pytest
 
 import teamsim.stats
 from teamsim.agents import ChoiceModelParams, simulate_exposures
-from teamsim.core import TEAM_SIZE, read_table
+from teamsim.core import TEAM_SIZE, Partition, read_json_lines, read_table
 from teamsim.experiment import (
     AUDIT_INPUTS,
     REPORT_METRICS,
@@ -19,12 +19,15 @@ from teamsim.experiment import (
     AuditError,
     ExperimentConfig,
     choice_audit,
+    read_manifest,
     regenerate_team_rows,
     run_experiment,
+    session_stem,
     stats_tables,
 )
 from teamsim.optimizer import GaConfig
-from teamsim.population import synth_population
+from teamsim.population import load_population, synth_population
+from teamsim.protocol import read_log
 from teamsim.session import CONDITIONS, run_session
 from teamsim.stats import PERMUTATION_BLOCK, anova_f, pairwise_diffs
 
@@ -421,6 +424,16 @@ class TestReportFiles:
         with pytest.raises(ValueError, match=r"random_000\.json, line 1: missing field 'solos'"):
             regenerate_team_rows(out)
 
+    def test_manifest_that_lists_a_session_twice_is_refused(self, tmp_path):
+        out = tmp_path / "run"
+        run_experiment(_tiny_config(output_dir=str(out)))
+        manifest = out / "manifest.jsonl"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        assert len(regenerate_team_rows(out)) == len((out / "team_metrics.csv").read_text().splitlines()) - 1
+        manifest.write_text("\n".join([*lines, lines[2]]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"manifest\.jsonl, line {len(lines) + 1}: session random_000 is listed twice"):
+            regenerate_team_rows(out)
+
 
 @pytest.fixture(scope="module")
 def four_condition_run(tmp_path_factory):
@@ -447,26 +460,72 @@ def test_table_round_trips(four_condition_run, name):
     assert read_table(out / name, columns) == [{c: str(row[c]) for c in columns} for row in rows]
 
 
-def _references_and_stems(source: str):
-    """([(module.name, enclosing function)] for each reference to a module
-    attribute in source, count of f-string fields formatted as :03d, the
-    session stem's index format)."""
-    references = []
+@pytest.mark.parametrize("kind", ["manifest", "population", "partition", "event log"])
+def test_json_lines_files_round_trip(four_condition_run, kind):
+    """Each JSON-lines file of a run reads back as the values it was written from."""
+    report, out = four_condition_run
+    if kind == "manifest":
+        config, sessions = read_manifest(out)
+        assert ExperimentConfig.from_dict(config) == dataclasses.replace(report.config, output_dir=None)
+        assert sessions == [
+            {
+                "kind": "session",
+                "condition": s.condition,
+                "index": s.session_index,
+                "spawn_index": spawn_index,
+                "n_teams": len(s.partition.teams),
+                "n_solos": len(s.partition.solos),
+                "moments": s.moments.to_dict() if s.moments else None,
+            }
+            for spawn_index, s in enumerate(report.sessions)
+        ]
+        return
+    logged = 0
+    for s in report.sessions:
+        stem = session_stem(s.condition, s.session_index)
+        if kind == "population":
+            assert load_population(out / "populations" / f"{stem}.jsonl") == s.population
+        elif kind == "partition":
+            assert read_json_lines(out / "partitions" / f"{stem}.json", Partition.from_dict) == [s.partition]
+        elif s.events:
+            assert read_log(out / "events" / f"{stem}.jsonl") == (sorted(p.id for p in s.population), list(s.events))
+            logged += 1
+    assert kind != "event log" or logged == 2 * 2
+
+
+def _source_uses(source: str):
+    """([(module.name, enclosing function, printed)] for each reference to a
+    module attribute in source, printed telling whether it is inside a
+    print(...) or sys.stderr.write(...) call; count of f-string fields
+    formatted as :03d, the session stem's index format; the modules and the
+    module.name of each from-import that source imports)."""
+    references, imports = [], set()
     stems = 0
 
-    def visit(node, function):
+    def visit(node, function, printed):
         nonlocal stems
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
+        if isinstance(node, ast.Call):
+            printed = printed or ast.unparse(node.func) in ("print", "sys.stderr.write")
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            references.append((f"{node.value.id}.{node.attr}", function))
+            references.append((f"{node.value.id}.{node.attr}", function, printed))
         if isinstance(node, ast.FormattedValue) and node.format_spec is not None:
             stems += ast.unparse(node.format_spec) == "f'03d'"
+        if isinstance(node, ast.Import):
+            imports.update(alias.name for alias in node.names)
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            imports.update(f"{node.module}.{alias.name}" for alias in node.names)
         for child in ast.iter_child_nodes(node):
-            visit(child, function)
+            visit(child, function, printed)
 
-    visit(ast.parse(source), None)
-    return references, stems
+    visit(ast.parse(source), None, False)
+    return references, stems, imports
+
+
+def _package_sources():
+    for path in sorted(Path(teamsim.stats.__file__).parent.glob("*.py")):
+        yield path.name, _source_uses(path.read_text(encoding="utf-8"))
 
 
 def test_files_are_parsed_only_by_the_two_readers():
@@ -474,15 +533,32 @@ def test_files_are_parsed_only_by_the_two_readers():
     core.read_json_lines, and the session stem is formatted in one place."""
     parsers = {"csv.DictReader", "csv.reader", "json.loads"}
     uses, stems = [], 0
-    for path in sorted(Path(teamsim.stats.__file__).parent.glob("*.py")):
-        references, count = _references_and_stems(path.read_text(encoding="utf-8"))
-        uses += [(path.name, name, function) for name, function in references if name in parsers]
+    for name, (references, count, _) in _package_sources():
+        uses += [(name, reference, function) for reference, function, _ in references if reference in parsers]
         stems += count
     assert {(path, function) for path, _, function in uses} == {
         ("core.py", "read_table"),
         ("core.py", "read_json_lines"),
     }, uses
     assert stems == 1
+
+
+def test_files_are_written_only_by_the_two_writers():
+    """JSON and CSV are formatted only in core.write_json_lines and
+    core.write_csv, apart from the JSON lines that cli.py prints to stdout
+    and stderr. Only core imports csv; json is imported by core, by cli for
+    what it prints and by experiment for the config file."""
+    writers = {"json.dumps", "json.dump", "json.JSONEncoder", "csv.writer", "csv.DictWriter"}
+    uses, imports = [], set()
+    for name, (references, _, modules) in _package_sources():
+        uses += [
+            (name, function)
+            for reference, function, printed in references
+            if reference in writers and not (name == "cli.py" and printed)
+        ]
+        imports |= {(name, module) for module in modules if module.split(".")[0] in ("csv", "json")}
+    assert set(uses) == {("core.py", "write_json_lines"), ("core.py", "write_csv")}, uses
+    assert imports == {("core.py", "csv"), ("core.py", "json"), ("cli.py", "json"), ("experiment.py", "json")}
 
 
 class TestChoiceAudit:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -114,6 +115,18 @@ class TestPopulationFiles:
         path = tmp_path / "pop.csv"
         save_population(path, pop)
         assert load_population(path) == pop
+        assert b"\r" not in path.read_bytes()  # LF line ends
+
+    def test_csv_round_trip_of_ids_that_need_quoting(self, tmp_path):
+        ids = ["a,b", 'say "hi"', "two\nlines", "cr\r\nlf", "plain"]
+        pop = [
+            dataclasses.replace(p, id=new_id)
+            for p, new_id in zip(synth_population(len(ids), rng=np.random.default_rng(13)), ids)
+        ]
+        path = tmp_path / "pop.csv"
+        save_population(path, pop)
+        assert load_population(path) == pop
+        assert path.read_bytes().count(b'"') == 2 + 6 + 2 + 2
 
     def test_unsupported_format_rejected(self, tmp_path):
         pop = synth_population(8, rng=np.random.default_rng(11))
