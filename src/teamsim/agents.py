@@ -96,10 +96,12 @@ class StandardizationMoments:
         }
 
 
-@dataclass(frozen=True)
+@dataclass
 class Exposure:
     """One displayed recommendation and whether the searcher picked it. Its
-    fields, in order, are the exposures.csv columns after condition and session."""
+    fields, in order, are the exposures.csv columns after condition and session.
+    Not frozen: a run builds one per walked candidate, and a frozen dataclass
+    sets each field through object.__setattr__ (five times the cost)."""
 
     searcher: str
     candidate: str
@@ -169,20 +171,16 @@ def design_matrix(rank_z, same_gender, diversity_z, treatment) -> np.ndarray:
 def gen_query(searcher_id: str, policy: AgentPolicy, rng: np.random.Generator) -> Query:
     """Sample one valid search query; duplicate criteria are redrawn."""
     count = int(policy.criteria_counts[rng.integers(len(policy.criteria_counts))])
-    criteria: list[Criterion] = []
-    keys: set[tuple] = set()
+    criteria: dict[tuple, Criterion] = {}  # by key, in draw order
     while len(criteria) < count:
         importance = int(policy.importance_choices[rng.integers(len(policy.importance_choices))])
         if rng.random() < policy.skill_criterion_prob:
-            c = Criterion(kind="skill", importance=importance, skill=int(rng.integers(NUM_SKILLS)))
+            key = ("skill", int(rng.integers(NUM_SKILLS)))
         else:
-            kind = DEMOGRAPHIC_KINDS[rng.integers(len(DEMOGRAPHIC_KINDS))]
-            c = Criterion(kind=kind, importance=importance)
-        if c.key in keys:
-            continue
-        keys.add(c.key)
-        criteria.append(c)
-    return Query(searcher_id=searcher_id, criteria=tuple(criteria))
+            key = (DEMOGRAPHIC_KINDS[rng.integers(len(DEMOGRAPHIC_KINDS))], None)
+        if key not in criteria:
+            criteria[key] = Criterion(key[0], importance, key[1])
+    return Query(searcher_id=searcher_id, criteria=tuple(criteria.values()))
 
 
 def agent_step(
@@ -206,56 +204,34 @@ def agent_step(
     exposures. pool codes the session's members in state.members order, so
     a member's row in pool is its position in state.
     """
-    if pool.ids != state.members:
+    # The pool a session builds is the tuple its state holds, so identity
+    # settles the check on nearly every turn.
+    if pool.ids is not state.members and pool.ids != state.members:
         raise ValueError("pool must code the session's members in member order")
     group = state.group_of(agent_id)
     if len(group) >= TEAM_SIZE:
         return []
     query = gen_query(agent_id, policy, rng)
-    state.record_query(agent_id, query.to_payload())
-    searcher_row = pool.row[agent_id]
-    recs = pool.rank(
-        query, [pool.row[m] for m in group], searcher_row, state.eligible_rows(agent_id), mode, page=1
-    )
-    state.record_recommendations(
-        agent_id,
-        [
-            {
-                "candidate_id": r.candidate_id,
-                "rank": r.rank,
-                "fit": r.fit_score,
-                "diversity": r.diversity_score,
-                "combined": r.combined_score,
-                "match_percent": r.match_percent,
-            }
-            for r in recs
-        ],
-    )
+    state.record_query(query)
+    row = pool.row
+    searcher_row = row[agent_id]
+    page = pool.rank(query, [row[m] for m in group], searcher_row, state.eligible_rows(agent_id), mode, page=1)
+    state.record_recommendations(page)
     treatment = 1 if mode == "fairness" else 0
     genders = pool.table[:, _SAME_COLUMN["same_gender"]]
+    gender = genders[searcher_row]
     exposures: list[Exposure] = []
-    for rec in recs:
-        rank_z, div_z = standardize(moments, rec.rank, rec.diversity_score)
-        same_gender = int(genders[pool.row[rec.candidate_id]] == genders[searcher_row])
+    for rank, (candidate, diversity) in enumerate(zip(page.ids, page.diversity), 1):
+        rank_z, div_z = standardize(moments, rank, diversity)
+        same_gender = int(genders[row[candidate]] == gender)
         p = choice_probability(params, rank_z, same_gender, div_z, treatment, u)
         selected = int(rng.random() < p)
         exposures.append(
-            Exposure(
-                searcher=agent_id,
-                candidate=rec.candidate_id,
-                round=state.round,
-                rank=rec.rank,
-                rank_z=rank_z,
-                same_gender=same_gender,
-                diversity=rec.diversity_score,
-                diversity_z=div_z,
-                treatment=treatment,
-                selected=selected,
-            )
+            Exposure(agent_id, candidate, state.round, rank, rank_z, same_gender, diversity, div_z, treatment, selected)
         )
         if not selected:
             continue
-        inv_id = state.send_invitation(agent_id, rec.candidate_id)
+        inv_id = state.send_invitation(agent_id, candidate)
         inv = state.invitations[inv_id]
         for member in inv.recipient_group:
             if state.invitations[inv_id].status != "open":

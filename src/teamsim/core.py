@@ -24,6 +24,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -67,7 +68,10 @@ def _is_real(value) -> bool:
     """A finite int, float or numpy real; bools and strings are refused."""
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         return False
-    return math.isfinite(value)
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -422,14 +426,17 @@ def population_lookup(participants: Sequence[Participant]) -> dict[str, Particip
 
 def write_csv(path, rows: Sequence[dict], columns: Sequence[str]) -> None:
     """Write rows, dicts keyed by columns, as a CSV file with LF line ends,
-    each field as str gives it; csv.writer quotes a field that holds a comma,
-    a quote or a line break, so that read_table reads every field back."""
+    each field as str gives it, except None, which is written as an empty
+    field; csv.writer quotes a field that holds a comma, a quote or a line
+    break, so that read_table reads every field back."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         # csv.writer quotes a field holding \r only if \r is in its line
         # terminator: each row is written with its default \r\n, cut to \n.
         writer = csv.writer(SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n")))
         writer.writerow(columns)
-        writer.writerows([str(row[c]) for c in columns] for row in rows)
+        # csv.writer turns each field into text itself, in C.
+        fields = itemgetter(*columns) if len(columns) > 1 else lambda row: (row[columns[0]],)
+        writer.writerows(map(fields, rows))
 
 
 def read_table(
@@ -475,7 +482,8 @@ def read_table(
 def write_json_lines(path, records: Iterable) -> None:
     """Write each record as one line of JSON with sorted keys: the line
     format of every JSON-lines file."""
-    encode = json.JSONEncoder(sort_keys=True).encode
+    # Every record is a fresh tree, so no cycle check is needed.
+    encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(encode(record) + "\n" for record in records)
 
@@ -484,7 +492,7 @@ def read_json_lines(path, parse: Callable[[object], object]) -> list:
     """parse of each line of the JSON-lines file at path; blank lines are
     skipped. A line that is not JSON, or that parse refuses with a KeyError
     (a missing field), TypeError or ValueError, is refused with the file and
-    the line."""
+    the line: as a ValueError, or as the refusal's own ValueError subclass."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -497,5 +505,7 @@ def read_json_lines(path, parse: Callable[[object], object]) -> list:
             except KeyError as exc:
                 raise ValueError(f"{path}, line {number}: missing field {exc}") from None
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}, line {number}: {exc}") from None
+                # A ValueError subclass, such as a rule refusal, keeps its class.
+                refusal = type(exc) if isinstance(exc, ValueError) else ValueError
+                raise refusal(f"{path}, line {number}: {exc}") from None
     return records

@@ -17,7 +17,10 @@ through one dispatcher, _apply, which checks each event against every
 assembly rule before it changes anything. Replay goes through the same
 dispatcher, so it refuses a log at its first rule-breaking event and
 reproduces the final state of a valid one exactly. The deadline fill is
-the last event of a session: nothing is accepted after it.
+the last event of a session: nothing is accepted after it. A query or a
+shown page is a typed payload (Query, ShownPage) that checks itself when
+it is built, live or parsed from a log, so _apply checks what depends on
+the state: the searcher, and who may be shown.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TEAM_SIZE, Partition, _is_int, _is_real, read_json_lines, write_json_lines
-from .recommender import Query
+from .core import TEAM_SIZE, Partition, _is_int, read_json_lines, write_json_lines
+from .recommender import SCORE_COLUMNS, Criterion, Query, ShownPage
 
 RESPONSES = ("accepted", "declined", "ignored")
 LOG_SCHEMA = "teamsim.assembly-log.v1"
@@ -53,22 +56,93 @@ def join_refusal(group: tuple[str, ...], other: tuple[str, ...]) -> str | None:
     return None
 
 
+# The in-memory payload type of each event kind that has one; every other
+# kind carries the JSON object it is logged as.
+PAYLOAD_TYPES = {"query_issued": Query, "recommendations_shown": ShownPage}
+
+
 @dataclass(frozen=True)
 class Event:
+    """One logged step of a session. A query_issued event holds the Query,
+    a recommendations_shown event the ShownPage; to_dict and from_dict are
+    their one serializer and their one parser."""
+
     round: int
     kind: str
-    payload: dict
+    payload: dict | Query | ShownPage
+
+    def __post_init__(self) -> None:
+        expected = PAYLOAD_TYPES.get(self.kind, dict)
+        if not isinstance(self.payload, expected):
+            raise TypeError(f"a {self.kind} event holds a {expected.__name__}, got {self.payload!r}")
 
     def to_dict(self) -> dict:
-        return {"round": self.round, "kind": self.kind, "payload": self.payload}
+        # Keys in sorted order: the log writer sorts them, and finds them sorted.
+        p = self.payload
+        if self.kind == "query_issued":
+            criteria = [{"importance": c.importance, "kind": c.kind, "skill": c.skill} for c in p.criteria]
+            p = {"query": {"criteria": criteria, "searcher_id": p.searcher_id}, "searcher_id": p.searcher_id}
+        elif self.kind == "recommendations_shown":
+            rows = zip(p.ids, p.combined, p.diversity, p.fit, p.match_percent)
+            p = {
+                "searcher_id": p.searcher_id,
+                "shown": [
+                    {"candidate_id": cid, "combined": c, "diversity": d, "fit": f, "match_percent": m, "rank": rank}
+                    for rank, (cid, c, d, f, m) in enumerate(rows, 1)
+                ],
+            }
+        return {"kind": self.kind, "payload": p, "round": self.round}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Event":
+        """The event a to_dict dict describes. A query or a page that breaks
+        the rules it carries itself is refused with AssemblyError."""
         if not isinstance(d, dict) or not isinstance(d.get("payload"), dict):
             raise ValueError(f"an event must be a JSON object with an object payload: {d!r}")
         if not _is_int(d.get("round")):
             raise ValueError(f"an event round must be an integer: {d!r}")
-        return cls(round=d["round"], kind=d["kind"], payload=d["payload"])
+        kind, payload = d["kind"], d["payload"]
+        if kind == "query_issued":
+            payload = _parse_query(payload)
+        elif kind == "recommendations_shown":
+            payload = _parse_page(payload)
+        return cls(round=d["round"], kind=kind, payload=payload)
+
+
+def _parse_query(p: dict) -> Query:
+    """The Query of a logged query_issued payload; the payload names the
+    searcher beside the query, and the two must agree."""
+    try:
+        q = p["query"]
+        criteria = tuple(Criterion(c["kind"], c["importance"], c["skill"]) for c in q["criteria"])
+        query = Query(searcher_id=q["searcher_id"], criteria=criteria)
+    except (TypeError, KeyError) as exc:
+        raise AssemblyError(f"invalid query: malformed query payload: {exc!r}") from None
+    except ValueError as exc:
+        raise AssemblyError(f"invalid query: {exc}") from None
+    _require(query.searcher_id == p["searcher_id"], "query is not the searcher's")
+    return query
+
+
+def _parse_page(p: dict) -> ShownPage:
+    """The ShownPage of a logged recommendations_shown payload, whose rows
+    carry their ranks: the integers 1..k in order."""
+    try:
+        rows = p["shown"]
+        for rank, row in enumerate(rows, 1):
+            if not _is_int(row["rank"]) or row["rank"] != rank:
+                raise AssemblyError(f"shown ranks must run 1..k in order, got {row['rank']!r} at {rank}")
+        return ShownPage(
+            p["searcher_id"],
+            tuple(row["candidate_id"] for row in rows),
+            *(tuple(row[name] for row in rows) for name in SCORE_COLUMNS),
+        )
+    except AssemblyError:
+        raise
+    except TypeError as exc:
+        raise AssemblyError(f"malformed recommendations_shown event: {exc}") from None
+    except ValueError as exc:
+        raise AssemblyError(str(exc)) from None
 
 
 @dataclass
@@ -85,12 +159,14 @@ class AssemblyState:
     """Single-writer assembly session state; groups hold at most TEAM_SIZE."""
 
     def __init__(self, member_ids: Iterable[str]):
-        members = list(member_ids)
+        # tuple() keeps a tuple as given, so a CodedPool of the same ids is
+        # recognised by identity.
+        members = tuple(member_ids)
         if len(set(members)) != len(members):
             raise ValueError("duplicate member ids")
         if not members:
             raise ValueError("empty session")
-        self.members: tuple[str, ...] = tuple(members)
+        self.members: tuple[str, ...] = members
         self._position: dict[str, int] = {m: i for i, m in enumerate(members)}
         # Each member's group: a sorted tuple shared by all its members. By
         # member position, the group's id (the position of its first member)
@@ -99,6 +175,8 @@ class AssemblyState:
         self._group_id = np.arange(len(members))
         self._group_size = np.ones(len(members), dtype=np.intp)
         self.invitations: dict[str, Invitation] = {}
+        # The open invitations among them, in the order they were sent.
+        self._open: dict[str, Invitation] = {}
         self.round: int = 0
         self.event_log: list[Event] = []
         self._inv_seq: int = 0
@@ -128,7 +206,7 @@ class AssemblyState:
         return [self.members[i] for i in self.eligible_rows(searcher_id).tolist()]
 
     def open_invitations(self) -> list[Invitation]:
-        return [inv for inv in self.invitations.values() if inv.status == "open"]
+        return list(self._open.values())
 
     def merged_count(self) -> int:
         return self._merges
@@ -139,11 +217,11 @@ class AssemblyState:
         self.round += 1
         return self.round
 
-    def record_query(self, searcher_id: str, query_payload: dict) -> None:
-        self._emit("query_issued", {"searcher_id": searcher_id, "query": query_payload})
+    def record_query(self, query: Query) -> None:
+        self._emit("query_issued", query)
 
-    def record_recommendations(self, searcher_id: str, shown: list[dict]) -> None:
-        self._emit("recommendations_shown", {"searcher_id": searcher_id, "shown": shown})
+    def record_recommendations(self, page: ShownPage) -> None:
+        self._emit("recommendations_shown", page)
 
     def send_invitation(self, sender_id: str, target_id: str) -> str:
         """Invite the target's group to merge with the sender's. An open
@@ -151,8 +229,8 @@ class AssemblyState:
         sender_group = self.group_of(sender_id)
         recipient_group = self.group_of(target_id)
         pair = frozenset((sender_group, recipient_group))
-        for inv in self.invitations.values():
-            if inv.status == "open" and frozenset((inv.sender_group, inv.recipient_group)) == pair:
+        for inv in self._open.values():
+            if frozenset((inv.sender_group, inv.recipient_group)) == pair:
                 return inv.id
         inv_id = f"inv-{self._inv_seq + 1:05d}"
         self._emit(
@@ -216,22 +294,23 @@ class AssemblyState:
     def _apply(self, event: Event) -> None:
         """Check one event against the assembly rules, then apply it.
 
-        This is the only place the rules live, so commands and replay
-        enforce the same set. A refused event raises AssemblyError (or
-        ValueError for an unknown kind or response) before any change.
+        This is the only place the rules that depend on the state live, so
+        commands and replay enforce the same set. A refused event raises
+        AssemblyError (or ValueError for an unknown kind or response) before
+        any change.
         """
         kind, p = event.kind, event.payload
         if self._filled:
             raise AssemblyError(f"{kind} event after the deadline fill")
         if kind == "query_issued":
-            try:
-                query = Query.from_payload(p["query"])
-            except ValueError as exc:
-                raise AssemblyError(f"invalid query: {exc}") from exc
-            _require(query.searcher_id == p["searcher_id"], "query is not the searcher's")
-            self.group_of(p["searcher_id"])
+            self.group_of(p.searcher_id)
         elif kind == "recommendations_shown":
-            self._check_shown(p["searcher_id"], p["shown"])
+            group = self.group_of(p.searcher_id)
+            # Not _require: its messages would be formatted for every candidate.
+            for cid in p.ids:
+                refusal = join_refusal(group, self.group_of(cid))
+                if refusal is not None:
+                    raise AssemblyError(f"shown candidate {cid!r} cannot join: {refusal}")
         elif kind == "invitation_sent":
             inv_id = f"inv-{self._inv_seq + 1:05d}"
             _require(p["invitation_id"] == inv_id, f"invitation id is not the next, {inv_id!r}")
@@ -244,7 +323,7 @@ class AssemblyState:
                 and tuple(p["recipient_group"]) == recipient_group,
                 f"snapshots of {inv_id!r} are not the live groups",
             )
-            self.invitations[inv_id] = Invitation(
+            self.invitations[inv_id] = self._open[inv_id] = Invitation(
                 id=inv_id,
                 sender_id=p["sender_id"],
                 sender_group=sender_group,
@@ -263,7 +342,7 @@ class AssemblyState:
             )
             inv.responses[member] = p["response"]
             if p["response"] == "declined":
-                inv.status = "rejected"
+                self._close(inv, "rejected")
         elif kind == "groups_merged":
             inv = self._open_invitation(p["invitation_id"])
             _require(
@@ -272,7 +351,7 @@ class AssemblyState:
             )
             members = sorted(inv.sender_group + inv.recipient_group)
             _require(list(p["members"]) == members, f"merge of {inv.id!r} must join its two groups")
-            inv.status = "merged"
+            self._close(inv, "merged")
             self._set_group(tuple(members))
             self._merges += 1
             self._void_stale()
@@ -293,33 +372,13 @@ class AssemblyState:
                 "deadline fill team is empty or exceeds team size",
             )
             for inv in self.open_invitations():
-                inv.status = "expired"
+                self._close(inv, "expired")
             self._group = {}
             for g in groups:
                 self._set_group(g)
             self._filled = True
         else:
             raise ValueError(f"unknown event kind {kind!r}")
-
-    def _check_shown(self, searcher_id: str, shown: list[dict]) -> None:
-        """A shown page lists distinct members whose groups the searcher's
-        group may join, ranked by the integers 1..k, with finite real scores."""
-        group = self.group_of(searcher_id)
-        seen = set()
-        # Not _require: its messages would be formatted for every candidate.
-        for rank, row in enumerate(shown, 1):
-            cid = row["candidate_id"]
-            if not _is_int(row["rank"]) or row["rank"] != rank:
-                raise AssemblyError(f"shown ranks must run 1..k in order, got {row['rank']!r} at {rank}")
-            if cid in seen:
-                raise AssemblyError(f"shown candidate {cid!r} repeats")
-            refusal = join_refusal(group, self.group_of(cid))
-            if refusal is not None:
-                raise AssemblyError(f"shown candidate {cid!r} cannot join: {refusal}")
-            for score in ("fit", "diversity", "combined", "match_percent"):
-                if not _is_real(row[score]):
-                    raise AssemblyError(f"shown {score} of {cid!r} is not a finite number: {row[score]!r}")
-            seen.add(cid)
 
     def _open_invitation(self, invitation_id: str) -> Invitation:
         inv = self.invitations.get(invitation_id)
@@ -335,21 +394,25 @@ class AssemblyState:
         for m in group:
             self._group[m] = group
 
+    def _close(self, inv: Invitation, status: str) -> None:
+        inv.status = status
+        del self._open[inv.id]
+
     def _void_stale(self) -> None:
-        """Void open invitations whose group snapshots no longer exist."""
-        live = set(self._group.values())
-        for inv in self.invitations.values():
-            if inv.status != "open":
-                continue
-            if inv.sender_group not in live or inv.recipient_group not in live:
-                inv.status = "voided"
+        """Void open invitations whose group snapshots no longer exist: a
+        snapshot exists while it is the group of its first member."""
+        group = self._group
+        for inv in self.open_invitations():
+            if group[inv.sender_group[0]] != inv.sender_group or group[inv.recipient_group[0]] != inv.recipient_group:
+                self._close(inv, "voided")
 
     # -- validation and replay ----------------------------------------------
 
     def check_invariants(self) -> None:
         """Check that the group map partitions the members into sorted groups
-        of 1..TEAM_SIZE, and that the group id and size arrays agree with it.
-        The event rules in _apply keep everything else true."""
+        of 1..TEAM_SIZE, that the group id and size arrays agree with it, and
+        that the open invitations are those whose status is open. The event
+        rules in _apply keep everything else true."""
         if self._group.keys() != set(self.members):
             raise AssertionError("groups do not partition the members")
         for member, group in self._group.items():
@@ -362,6 +425,8 @@ class AssemblyState:
             i = self._position[member]
             if self._group_id[i] != self._position[group[0]] or self._group_size[i] != len(group):
                 raise AssertionError(f"group arrays out of sync for member {member!r}")
+        if list(self._open) != [i for i, inv in self.invitations.items() if inv.status == "open"]:
+            raise AssertionError("open invitations out of sync with their statuses")
 
     def snapshot(self) -> dict:
         """Comparable view of the full state (used by replay tests)."""

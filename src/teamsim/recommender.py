@@ -9,6 +9,7 @@ candidate) before ranking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,6 +22,7 @@ from .core import (
     TEAM_SIZE,
     Participant,
     _is_int,
+    _is_real,
     attribute_table,
     profile_for_members,
     score_teams,
@@ -79,25 +81,6 @@ class Query:
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate criteria in query")
 
-    def to_payload(self) -> dict:
-        """The query as a query_issued event logs it."""
-        return {
-            "searcher_id": self.searcher_id,
-            "criteria": [
-                {"kind": c.kind, "skill": c.skill, "importance": c.importance}
-                for c in self.criteria
-            ],
-        }
-
-    @classmethod
-    def from_payload(cls, d) -> "Query":
-        """Inverse of to_payload; a payload that is not a valid query raises ValueError."""
-        try:
-            criteria = tuple(Criterion(c["kind"], c["importance"], c["skill"]) for c in d["criteria"])
-            return cls(searcher_id=d["searcher_id"], criteria=criteria)
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"malformed query payload: {exc!r}") from exc
-
 
 @dataclass(frozen=True)
 class Recommendation:
@@ -107,6 +90,45 @@ class Recommendation:
     combined_score: float
     rank: int
     match_percent: float
+
+
+# A shown page's score columns, in the order the checks name them.
+SCORE_COLUMNS = ("fit", "diversity", "combined", "match_percent")
+
+
+@dataclass(frozen=True)
+class ShownPage:
+    """A searcher's page of recommendations as columns: ids[i] is the
+    candidate at rank i + 1, scored fit[i], diversity[i], combined[i] and
+    match_percent[i]. The candidates are distinct strings and every score is
+    a finite real number; any other page is refused with ValueError."""
+
+    searcher_id: str
+    ids: tuple[str, ...]
+    fit: tuple[float, ...]
+    diversity: tuple[float, ...]
+    combined: tuple[float, ...]
+    match_percent: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        ids = self.ids
+        if not len(ids) == len(self.fit) == len(self.diversity) == len(self.combined) == len(self.match_percent):
+            raise ValueError("a shown page needs each score of each candidate")
+        if not set(map(type, ids)) <= {str}:
+            raise ValueError(f"shown candidate ids must be strings, got {ids!r}")
+        if len(set(ids)) != len(ids):
+            repeat = next(cid for i, cid in enumerate(ids) if cid in ids[:i])
+            raise ValueError(f"shown candidate {repeat!r} repeats")
+        # One pass over the scores of a page of floats, as ranking returns it;
+        # any other page is checked score by score, and its first bad score named.
+        scores = (*self.fit, *self.diversity, *self.combined, *self.match_percent)
+        if set(map(type, scores)) <= {float} and all(map(math.isfinite, scores)):
+            return
+        for i, cid in enumerate(ids):
+            for name in SCORE_COLUMNS:
+                score = getattr(self, name)[i]
+                if not _is_real(score):
+                    raise ValueError(f"shown {name} of {cid!r} is not a finite number: {score!r}")
 
 
 def criterion_score(searcher: Participant, candidate: Participant, criterion: Criterion) -> float:
@@ -160,15 +182,28 @@ def marginal_diversity(team_members: Sequence[Participant], candidate: Participa
     return max(DIVERSITY_FLOOR, profile_for_members(combined).component_mean)
 
 
-def _criterion_column(searcher: np.ndarray, candidates: np.ndarray, criterion: Criterion) -> np.ndarray:
-    """criterion_score of every candidate; rows are attribute_table codes."""
-    if criterion.kind == "skill":
-        return (candidates[:, _SKILL_COLUMN + criterion.skill] - 1) / 4.0
-    if criterion.kind == "similar_age":
-        gap = np.abs(searcher[_AGE_COLUMN] - candidates[:, _AGE_COLUMN])
-        return np.maximum(0.0, 1.0 - gap / AGE_SPAN)
-    column = _SAME_COLUMN[criterion.kind]
-    return (candidates[:, column] == searcher[column]).astype(float)
+def _criterion_columns(table: np.ndarray) -> tuple[np.ndarray, dict[tuple, list[int]]]:
+    """criterion_score of every row of an attribute_table for every criterion
+    and searcher, as (columns, column_of): columns[column_of[c.key][s]] scores
+    criterion c for the searcher at row s. A skill has one column for every
+    searcher; a demographic criterion has one per code of its column (per age
+    for similar_age), shared by the searchers with that code."""
+    n = len(table)
+    columns: list[np.ndarray] = []
+    column_of: dict[tuple, list[int]] = {}
+    for skill in range(NUM_SKILLS):
+        column_of["skill", skill] = [len(columns)] * n
+        columns.append((table[:, _SKILL_COLUMN + skill] - 1) / 4.0)
+    for kind in DEMOGRAPHIC_KINDS:
+        codes = table[:, _AGE_COLUMN if kind == "similar_age" else _SAME_COLUMN[kind]]
+        values, code_of = np.unique(codes, return_inverse=True)
+        column_of[kind, None] = (len(columns) + code_of).tolist()
+        for value in values:
+            if kind == "similar_age":
+                columns.append(np.maximum(0.0, 1.0 - np.abs(value - codes) / AGE_SPAN))
+            else:
+                columns.append((codes == value).astype(float))
+    return np.array(columns).reshape(len(columns), n), column_of
 
 
 class CodedPool:
@@ -177,7 +212,9 @@ class CodedPool:
     Row i of table, which is read-only, is the attribute_table code of
     participant i; ids[i] is its id, row maps each id to its row, and
     id_rank[i] is the position of ids[i] in id order, so ties break by id
-    without comparing strings. Duplicate ids are refused.
+    without comparing strings. Duplicate ids are refused. The criterion
+    columns are computed once, and the diversity of every row joining a
+    team once per team: a session's groups search again and again.
     """
 
     def __init__(self, participants: Sequence[Participant]):
@@ -189,8 +226,7 @@ class CodedPool:
         self.table.flags.writeable = False
         self.id_rank = np.empty(len(self.ids), dtype=np.intp)
         self.id_rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = np.arange(len(self.ids))
-        # Diversity of every row joining a team, by team rows: a session's
-        # groups search again and again.
+        self._columns, self._column_of = _criterion_columns(self.table)
         self._team_diversity: dict[tuple[int, ...], np.ndarray] = {}
 
     def rank(
@@ -201,7 +237,7 @@ class CodedPool:
         eligible_rows: np.ndarray,
         mode: str,
         page: int | None,
-    ) -> list[Recommendation]:
+    ) -> ShownPage:
         """Rank the eligible rows for a searcher at searcher_row whose team
         is team_rows, fewer than TEAM_SIZE rows that eligible_rows excludes.
 
@@ -212,10 +248,9 @@ class CodedPool:
         criteria in query order, marginal_diversity scores the team in
         team_rows order followed by the candidate, and match_percent is
         applied elementwise. score_teams treats each row on its own, so a
-        row's scores do not depend on the other rows scored with it: fairness
-        scores every row joining the team once per team and looks the
-        eligible rows up, and fit_only, whose ranking diversity does not
-        enter, scores the returned page only.
+        row's scores do not depend on the other rows scored with it: both
+        modes score every row joining the team once per team and look the
+        eligible rows up.
         """
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
@@ -223,48 +258,94 @@ class CodedPool:
             raise ValueError("page is 1-based")
         eligible_rows = np.asarray(eligible_rows, dtype=np.intp)
         if not len(eligible_rows):
-            return []
-        searcher = self.table[searcher_row]
-        candidates = self.table[eligible_rows]
-        fit = np.zeros(len(eligible_rows))
-        for c in query.criteria:
-            fit = fit + c.importance * _criterion_column(searcher, candidates, c)
-        if mode == "fairness":
-            diversity = self._joining(team_rows)[eligible_rows]
-            combined = fit * diversity
-        else:
-            combined = fit
+            return ShownPage(query.searcher_id, (), (), (), (), ())
+        fit = self._fit(query, searcher_row)[eligible_rows]
+        diversity = self._joining(team_rows)[eligible_rows]
+        fairness = mode == "fairness"
+        combined = fit * diversity if fairness else fit
         order = np.lexsort((self.id_rank[eligible_rows], -combined))
-        first = 1
         if page is not None:
-            first = (page - 1) * PAGE_SIZE + 1
-            order = order[first - 1 : first - 1 + PAGE_SIZE]
-        rows = eligible_rows[order]
-        fit = fit[order]
-        diversity = diversity[order] if mode == "fairness" else self._diversity(team_rows, rows)
-        # A query's nonzero weights make s_max > s_min, so match_percent's
-        # equal-extremes branch never applies.
+            order = order[(page - 1) * PAGE_SIZE : page * PAGE_SIZE]
+        # fit_only's combined score is its fit score.
+        return self._page(
+            query, eligible_rows[order], fit[order], diversity[order], combined[order] if fairness else None
+        )
+
+    def solo_first_pages(self, queries: Sequence[Query], mode: str) -> np.ndarray:
+        """Diversity of the first page of each query whose searcher, alone,
+        ranks every other row: [len(queries), min(PAGE_SIZE, n - 1)], row q
+        the diversity column of rank(queries[q], [s], s, every row but s,
+        mode, page=1) for s the searcher's row.
+
+        One pass for all queries: criterion slot j of every query is added
+        in query order (a query without slot j adds 0.0), all rows sort in
+        one np.lexsort with each searcher's own row last, and the searchers
+        not yet cached score in one score_teams call.
+        """
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        n = len(self.ids)
+        searchers = [self.row[q.searcher_id] for q in queries]
+        width = max(len(q.criteria) for q in queries)
+        weights = np.zeros((len(queries), width))
+        slots = np.zeros((len(queries), width), dtype=np.intp)
+        for i, (query, searcher) in enumerate(zip(queries, searchers)):
+            for j, c in enumerate(query.criteria):
+                weights[i, j] = c.importance
+                slots[i, j] = self._column_of[c.key][searcher]
+        fit = np.zeros((len(queries), n))
+        for j in range(width):
+            fit = fit + weights[:, j, None] * self._columns[slots[:, j]]
+        missing = sorted({s for s in searchers if (s,) not in self._team_diversity})
+        if missing:
+            idx = np.empty((len(missing), n, 2), dtype=np.intp)
+            idx[:, :, 0] = np.array(missing)[:, None]
+            idx[:, :, 1] = np.arange(n)
+            scored = self._diversity(idx.reshape(-1, 2)).reshape(len(missing), n)
+            self._team_diversity.update(((s,), d) for s, d in zip(missing, scored))
+        diversity = np.array([self._team_diversity[(s,)] for s in searchers])
+        key = -(fit * diversity) if mode == "fairness" else -fit
+        key[np.arange(len(queries)), searchers] = np.inf
+        order = np.lexsort((np.broadcast_to(self.id_rank, key.shape), key))
+        return np.take_along_axis(diversity, order[:, : min(PAGE_SIZE, n - 1)], axis=1)
+
+    def _fit(self, query: Query, searcher_row: int) -> np.ndarray:
+        """fit_score of every row for the searcher at searcher_row, the
+        criterion columns added in query order."""
+        fit = np.zeros(len(self.ids))
+        for c in query.criteria:
+            fit = fit + c.importance * self._columns[self._column_of[c.key][searcher_row]]
+        return fit
+
+    def _page(self, query: Query, rows: np.ndarray, fit, diversity, combined) -> ShownPage:
+        fit = tuple(fit.tolist())
+        # match_percent of each fit, taking its steps in the same order. A
+        # query's nonzero weights make s_max > s_min, so its equal-extremes
+        # branch never applies.
         s_min, s_max = score_extremes(query)
-        match = 100.0 * (fit - s_min) / (s_max - s_min)
-        columns = (fit, diversity, combined[order], match)
-        return [
-            Recommendation(self.ids[row], f, d, c, rank, m)
-            for rank, (row, f, d, c, m) in enumerate(zip(rows.tolist(), *(a.tolist() for a in columns)), first)
-        ]
+        span = s_max - s_min
+        return ShownPage(
+            query.searcher_id,
+            tuple(map(self.ids.__getitem__, rows.tolist())),
+            fit,
+            tuple(diversity.tolist()),
+            fit if combined is None else tuple(combined.tolist()),
+            tuple([100.0 * (f - s_min) / span for f in fit]),
+        )
 
     def _joining(self, team_rows: Sequence[int]) -> np.ndarray:
-        """_diversity of every row joining the team, scored once per team."""
+        """marginal_diversity of every row joining the team, scored once per team."""
         key = tuple(team_rows)
         if key not in self._team_diversity:
-            self._team_diversity[key] = self._diversity(key, np.arange(len(self.ids)))
+            n, k = len(self.ids), len(key)
+            idx = np.empty((n, k + 1), dtype=np.intp)
+            idx[:, :k] = key
+            idx[:, k] = np.arange(n)
+            self._team_diversity[key] = self._diversity(idx)
         return self._team_diversity[key]
 
-    def _diversity(self, team_rows: Sequence[int], rows: np.ndarray) -> np.ndarray:
-        """marginal_diversity of each row joining the team, floored."""
-        k = len(team_rows)
-        idx = np.empty((len(rows), k + 1), dtype=np.intp)
-        idx[:, :k] = team_rows
-        idx[:, k] = rows
+    def _diversity(self, idx: np.ndarray) -> np.ndarray:
+        """marginal_diversity of each team idx[m] lists, its candidate last, floored."""
         surface, deep = score_teams(self.table, idx)
         # DiversityProfile.component_mean, floored as in marginal_diversity.
         return np.maximum(DIVERSITY_FLOOR, (surface + NUM_SKILLS * deep) / METRIC_COUNT)
@@ -301,6 +382,9 @@ def rank_candidates(
     eligible = [cid for cid in pool if cid not in in_team] if len(team_ids) < TEAM_SIZE else []
     k = len(team_ids)
     coded = CodedPool([lookup[mid] for mid in team_ids + eligible])
-    return coded.rank(
+    shown = coded.rank(
         query, range(k), team_ids.index(query.searcher_id), np.arange(k, k + len(eligible)), mode, page
     )
+    columns = zip(shown.ids, shown.fit, shown.diversity, shown.combined, shown.match_percent)
+    first = 1 if page is None else (page - 1) * PAGE_SIZE + 1
+    return [Recommendation(cid, f, d, c, rank, m) for rank, (cid, f, d, c, m) in enumerate(columns, first)]

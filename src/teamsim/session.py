@@ -7,7 +7,7 @@ deadline fill. Standardization moments for the agents' choice model are
 estimated from a pilot batch of recommendations before the live rounds.
 An agency session codes its population once, as a CodedPool whose rows
 are the assembly state's member positions; the pilot and every agent
-search rank by row through it.
+search rank by row through it, and share its diversity cache.
 run_ga_sessions runs several algorithmic_diverse sessions at once, their
 GA searches stepped together, each with the result it gets alone.
 """
@@ -71,25 +71,22 @@ def pilot_moments(
     searcher then its query, and ranked against the all-singleton pool.
     Every first page holds min(PAGE_SIZE, n - 1) candidates, so
     ceil(PILOT_EXPOSURES / that) queries pool at least PILOT_EXPOSURES
-    (rank, diversity) pairs. Constant columns fall back to sd 1 so a
-    degenerate population still standardizes (to all-zero scores). A
+    (rank, diversity) pairs. All queries are drawn first and ranked in one
+    pass, CodedPool.solo_first_pages. Constant columns fall back to sd 1 so
+    a degenerate population still standardizes (to all-zero scores). A
     population of fewer than 2 has no pages and is refused before any draw.
     """
     n = len(pool.ids)
     if n < 2:
         raise ValueError(f"pilot needs at least 2 participants, got {n}")
-    rows = np.arange(n)
-    ranks: list[float] = []
-    divs: list[float] = []
+    queries = []
     for _ in range(math.ceil(PILOT_EXPOSURES / min(PAGE_SIZE, n - 1))):
         searcher = int(rng.integers(n))
-        query = gen_query(pool.ids[searcher], policy, rng)
-        recs = pool.rank(query, [searcher], searcher, rows[rows != searcher], mode, page=1)
-        for rec in recs:
-            ranks.append(float(rec.rank))
-            divs.append(rec.diversity_score)
-    rank_arr = np.asarray(ranks)
-    div_arr = np.asarray(divs)
+        queries.append(gen_query(pool.ids[searcher], policy, rng))
+    diversity = pool.solo_first_pages(queries, mode)
+    # Each page's ranks are 1..k, in the order its diversity row lists them.
+    rank_arr = np.tile(np.arange(1.0, diversity.shape[1] + 1), len(queries))
+    div_arr = diversity.ravel()
     rank_sd = float(rank_arr.std())
     div_sd = float(div_arr.std())
     return StandardizationMoments(

@@ -5,7 +5,14 @@ import pytest
 
 from teamsim.core import TEAM_SIZE, Participant
 from teamsim.population import synth_population
-from teamsim.recommender import PAGE_SIZE, Recommendation, fit_score, marginal_diversity, match_percent
+from teamsim.recommender import (
+    PAGE_SIZE,
+    Recommendation,
+    ShownPage,
+    fit_score,
+    marginal_diversity,
+    match_percent,
+)
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -102,3 +109,15 @@ def scalar_rank_candidates(
     if page is None:
         return ranked
     return ranked[(page - 1) * PAGE_SIZE : page * PAGE_SIZE]
+
+
+def shown_page(searcher_id, recs) -> ShownPage:
+    """The columns of ranked Recommendations, as CodedPool.rank returns them."""
+    return ShownPage(
+        searcher_id,
+        tuple(r.candidate_id for r in recs),
+        tuple(r.fit_score for r in recs),
+        tuple(r.diversity_score for r in recs),
+        tuple(r.combined_score for r in recs),
+        tuple(r.match_percent for r in recs),
+    )

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from teamsim.cli import build_parser, main
-from teamsim.core import AGE_MAX, read_table
+from teamsim.core import AGE_MAX, read_table, write_json_lines
 from teamsim.experiment import REPORT_METRICS, TABLE_COLUMNS
-from teamsim.protocol import Event, write_log
+from teamsim.protocol import LOG_SCHEMA
 
 from test_protocol import _query, _row
 
@@ -670,6 +670,10 @@ _BAD_LOGS = {
         [_shown("a00", _row("a01", 1, diversity=False))],
         "diversity of 'a01' is not a finite number",
     ),
+    "shows_int_too_large_for_a_float": (
+        [_shown("a00", _row("a01", 1, fit=10**400))],
+        "fit of 'a01' is not a finite number",
+    ),
     "shows_nan_combined": (
         [_shown("a00", _row("a01", 1, combined=float("nan")))],
         "combined of 'a01' is not a finite number",
@@ -700,8 +704,9 @@ _BAD_LOGS = {
 
 
 def _write_events(path, events, round=1):
-    members = [f"a{i:02d}" for i in range(6)]
-    write_log(path, members, [Event(round=round, kind=kind, payload=p) for kind, p in events])
+    """A log of the events as written, rule-breaking and malformed ones too."""
+    header = {"schema": LOG_SCHEMA, "members": [f"a{i:02d}" for i in range(6)]}
+    write_json_lines(path, [header, *({"round": round, "kind": kind, "payload": p} for kind, p in events)])
     return path
 
 

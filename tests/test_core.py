@@ -401,8 +401,8 @@ class TestScoreTeams:
 
 
 # Text that UTF-8 encodes and csv.reader reads: any character but a lone
-# surrogate and NUL (csv.reader refuses NUL before Python 3.11).
-_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"))
+# surrogate. NUL is included: csv.reader reads it since Python 3.11.
+_text = st.text(st.characters(blacklist_categories=("Cs",)))
 _json_records = st.recursive(
     _text | st.floats(allow_nan=False, allow_infinity=False),
     lambda children: st.lists(children, max_size=4) | st.dictionaries(_text, children, max_size=4),
@@ -433,6 +433,7 @@ class TestFileFormats:
     # in its line terminator.
     @example(table=(["a", "b"], [{"a": "x\ry", "b": ""}]))
     @example(table=([""], [{"": ""}]))  # a one-column row with an empty field
+    @example(table=(["a\x00"], [{"a\x00": "x\x00y"}]))  # NUL in a name and a field
     def test_csv_round_trip(self, table):
         columns, rows = table
         with tempfile.TemporaryDirectory() as tmp:
@@ -444,6 +445,11 @@ class TestFileFormats:
         path = tmp_path / "table.csv"
         write_csv(path, [{"a": 1, "b": 0.5}, {"a": "x y", "b": ""}], ("a", "b"))
         assert path.read_bytes() == b"a,b\n1,0.5\nx y,\n"
+
+    def test_none_is_written_as_an_empty_field(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv(path, [{"a": None, "b": 2}], ("a", "b"))
+        assert path.read_bytes() == b"a,b\n,2\n"
 
     def test_table_with_a_field_to_quote_is_quoted_with_lf_line_ends(self, tmp_path):
         path = tmp_path / "table.csv"

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from teamsim.agents import AgentPolicy, ChoiceModelParams
 from teamsim.core import TEAM_SIZE
+from teamsim.population import synth_population
 from teamsim.protocol import (
     AssemblyError,
     AssemblyState,
@@ -19,6 +21,8 @@ from teamsim.protocol import (
     replay,
     write_log,
 )
+from teamsim.recommender import Criterion, Query, ShownPage
+from teamsim.session import run_assembly
 
 
 def _ids(n: int) -> list[str]:
@@ -70,6 +74,14 @@ class TestCandidates:
         assert state.eligible_rows("a00").tolist() == [0, 6]
         assert state.eligible_rows("a05").tolist() == [1, 2, 3, 4, 5, 6]
         assert [members[i] for i in state.eligible_rows("a00")] == state.candidates("a00")
+
+    def test_open_invitations_out_of_sync_fail_invariants(self):
+        state = AssemblyState(_ids(4))
+        inv_id = state.send_invitation("a00", "a01")
+        state.check_invariants()
+        state.invitations[inv_id].status = "voided"
+        with pytest.raises(AssertionError, match="open invitations"):
+            state.check_invariants()
 
     @pytest.mark.parametrize("array", ["_group_id", "_group_size"])
     def test_group_arrays_out_of_sync_fail_invariants(self, array):
@@ -282,12 +294,28 @@ def _shown(*candidates: str) -> list[dict]:
     return [_row(c, r) for r, c in enumerate(candidates, 1)]
 
 
+def _page(searcher: str, *candidates: str) -> ShownPage:
+    """The page _shown logs: one candidate per rank, every score as _row."""
+    k = len(candidates)
+    return ShownPage(searcher, candidates, (2.0,) * k, (0.5,) * k, (1.0,) * k, (40.0,) * k)
+
+
 def _query(searcher: str = "a00") -> dict:
-    """A valid query_issued payload, as Query.to_payload writes it."""
+    """A valid query as a query_issued event logs it."""
     return {"searcher_id": searcher, "criteria": [
         {"kind": "same_gender", "skill": None, "importance": 2},
         {"kind": "skill", "skill": 3, "importance": -1},
     ]}
+
+
+def _typed_query(searcher: str = "a00") -> Query:
+    """The Query that _query logs."""
+    return Query(searcher, (Criterion("same_gender", 2), Criterion("skill", -1, 3)))
+
+
+def _parsed(kind: str, payload) -> Event:
+    """The event a log line of that kind and payload parses to."""
+    return Event.from_dict({"round": 0, "kind": kind, "payload": payload})
 
 
 class TestDeadlineFillIsLast:
@@ -299,8 +327,8 @@ class TestDeadlineFillIsLast:
         with pytest.raises(AssemblyError, match="after the deadline fill"):
             state.send_invitation(*solos)
         for command, args in (
-            (state.record_query, ("a00", _query())),
-            (state.record_recommendations, (solos[0], _shown(solos[1]))),
+            (state.record_query, (_typed_query(),)),
+            (state.record_recommendations, (_page(solos[0], solos[1]),)),
             (state.finalize, (np.random.default_rng(1),)),
         ):
             with pytest.raises(AssemblyError, match="after the deadline fill"):
@@ -330,10 +358,11 @@ class TestRecommendationsShown:
 
     def test_eligible_page_recorded(self):
         state = self._state()
-        state.record_recommendations("a00", _shown("a05", "a06", "a07"))
-        state.record_recommendations("a05", _shown("a02", "a00"))
-        state.record_recommendations("a00", [])
+        state.record_recommendations(_page("a00", "a05", "a06", "a07"))
+        state.record_recommendations(_page("a05", "a02", "a00"))
+        state.record_recommendations(_page("a00"))
         assert [e.kind for e in state.event_log[-3:]] == ["recommendations_shown"] * 3
+        assert state.event_log[-3].to_dict()["payload"] == {"searcher_id": "a00", "shown": _shown("a05", "a06", "a07")}
 
     @pytest.mark.parametrize(
         "searcher, shown, message",
@@ -355,18 +384,50 @@ class TestRecommendationsShown:
              "fit_string", "diversity_bool", "combined_nan", "match_inf", "fit_none"],
     )
     def test_ineligible_page_refused(self, searcher, shown, message):
+        # A page that breaks its own rules is refused as it is parsed; one that
+        # names candidates the searcher's group may not join, as it is applied.
         state = self._state()
         before = state.snapshot()
         with pytest.raises(AssemblyError, match=message):
-            state.record_recommendations(searcher, shown)
+            event = _parsed("recommendations_shown", {"searcher_id": searcher, "shown": shown})
+            state.record_recommendations(event.payload)
         assert state.snapshot() == before
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ({"fit": ()}, "each score of each candidate"),
+            ({"ids": ("a05", 5, "a07")}, "must be strings"),
+            ({"ids": ("a05", "a06", "a05")}, "'a05' repeats"),
+            ({"diversity": (0.5, float("nan"), 0.5)}, "diversity of 'a06'"),
+            ({"combined": (1.0, 1.0, True)}, "combined of 'a07'"),
+            ({"fit": (2, 10**400, 2)}, "fit of 'a06'"),
+        ],
+        ids=["short_column", "int_id", "repeat", "nan", "bool", "int_too_large_for_a_float"],
+    )
+    def test_page_checks_itself(self, columns, message):
+        page = _page("a00", "a05", "a06", "a07")
+        with pytest.raises(ValueError, match=message):
+            ShownPage(**{**vars(page), **columns})
+
+    def test_page_of_int_scores_is_accepted(self):
+        page = ShownPage("a00", ("a05", "a06"), (2, -3), (1, 0.5), (2, -1.5), (40, 0))
+        assert Event.from_dict(Event(0, "recommendations_shown", page).to_dict()).payload == page
 
 
 class TestQueryIssued:
     def test_valid_query_recorded(self):
         state = AssemblyState(_ids(4))
-        state.record_query("a01", _query("a01"))
-        assert state.event_log[-1].payload == {"searcher_id": "a01", "query": _query("a01")}
+        state.record_query(_typed_query("a01"))
+        assert state.event_log[-1].payload == _typed_query("a01")
+        assert state.event_log[-1].to_dict()["payload"] == {"searcher_id": "a01", "query": _query("a01")}
+
+    def test_query_of_unknown_searcher_refused(self):
+        state = AssemblyState(_ids(4))
+        with pytest.raises(AssemblyError, match="unknown member"):
+            state.record_query(_typed_query("zz9"))
+        with pytest.raises(AssemblyError, match="unknown member"):
+            replay(_ids(4), [Event(0, "query_issued", _typed_query("zz9"))])
 
     @pytest.mark.parametrize(
         "query, message",
@@ -387,13 +448,10 @@ class TestQueryIssued:
              "bool_weight", "list", "other_searcher"],
     )
     def test_invalid_query_refused(self, query, message):
-        state = AssemblyState(_ids(4))
-        before = state.snapshot()
+        # A logged query is a Query of the event's searcher, or it is refused
+        # as it is parsed.
         with pytest.raises(AssemblyError, match=message):
-            state.record_query("a00", query)
-        assert state.snapshot() == before
-        with pytest.raises(AssemblyError, match=message):
-            replay(_ids(4), [Event(0, "query_issued", {"searcher_id": "a00", "query": query})])
+            _parsed("query_issued", {"searcher_id": "a00", "query": query})
 
 
 class TestRoundsAndLog:
@@ -418,13 +476,57 @@ class TestRoundsAndLog:
         state = AssemblyState(_ids(6))
         state.advance_round()
         _merge(state, "a00", "a01")
-        state.record_query("a02", _query("a02"))
+        state.record_query(_typed_query("a02"))
+        state.record_recommendations(_page("a02", "a03", "a04"))
         state.finalize(np.random.default_rng(5))
         path = tmp_path / "events.jsonl"
         write_log(path, list(state.members), state.event_log)
         members, events = read_log(path)
         assert members == sorted(state.members)
         assert events == state.event_log
+
+    @pytest.mark.parametrize("mode", ["fit_only", "fairness"])
+    def test_live_log_reads_back_as_its_events(self, tmp_path, mode):
+        # A live session's typed events are what read_log parses from the log
+        # written of them, and both replay to the live state.
+        pop = synth_population(24, rng=np.random.default_rng(8))
+        state, *_ = run_assembly(
+            pop, mode, np.random.default_rng(9), policy=AgentPolicy(), params=ChoiceModelParams()
+        )
+        kinds = {e.kind for e in state.event_log}
+        assert {"query_issued", "recommendations_shown", "groups_merged"} <= kinds
+        path = tmp_path / "events.jsonl"
+        write_log(path, state.members, state.event_log)
+        members, events = read_log(path)
+        assert events == state.event_log
+        in_memory, parsed = replay(state.members, state.event_log), replay(members, events)
+        assert in_memory.snapshot() == parsed.snapshot() == state.snapshot()
+        assert in_memory.partition() == parsed.partition() == state.partition()
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            Event(3, "query_issued", _typed_query("a02")),
+            Event(3, "recommendations_shown", _page("a02", "a00", "a01")),
+            Event(3, "member_left", {"member_id": "a00", "old_group": ["a00", "a01"]}),
+        ],
+        ids=["query", "page", "dict"],
+    )
+    def test_event_round_trips_through_its_dict(self, event):
+        assert Event.from_dict(json.loads(json.dumps(event.to_dict()))) == event
+
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("query_issued", {"searcher_id": "a00", "query": _query()}),
+            ("recommendations_shown", {"searcher_id": "a00", "shown": _shown("a01")}),
+            ("member_left", _typed_query()),
+        ],
+        ids=["query_as_dict", "page_as_dict", "dict_as_query"],
+    )
+    def test_event_payload_has_its_kinds_type(self, kind, payload):
+        with pytest.raises(TypeError, match=f"a {kind} event holds"):
+            Event(0, kind, payload)
 
     def test_replay_reproduces_state(self):
         state = AssemblyState(_ids(8))
@@ -440,8 +542,8 @@ class TestRoundsAndLog:
         assert replayed.snapshot() == state.snapshot()
 
     def test_replay_rejects_non_monotone_rounds(self):
-        e1 = Event(round=2, kind="query_issued", payload={"searcher_id": "a00", "query": _query()})
-        e2 = Event(round=1, kind="query_issued", payload={"searcher_id": "a00", "query": _query()})
+        e1 = Event(round=2, kind="query_issued", payload=_typed_query())
+        e2 = Event(round=1, kind="query_issued", payload=_typed_query())
         with pytest.raises(AssemblyError, match="non-decreasing"):
             replay(_ids(2), [e1, e2])
 
@@ -528,15 +630,20 @@ class AssemblyMachine(RuleBasedStateMachine):
     def show(self, searcher, candidates):
         joinable = self.state.candidates(searcher)
         eligible = len(set(candidates)) == len(candidates) and all(c in joinable for c in candidates)
-        shown = _shown(*candidates)
-        assert self._refused(self.state.record_recommendations, searcher, shown) != eligible
+        try:
+            page = _page(searcher, *candidates)
+        except ValueError:  # a page that repeats a candidate is refused as it is built
+            refused = True
+        else:
+            refused = self._refused(self.state.record_recommendations, page)
+        assert refused != eligible
 
     @rule(searcher=st.sampled_from(_MACHINE_MEMBERS))
     def candidates_are_what_pages_and_invitations_may_name(self, searcher):
         # Pages and invitations change no group, so each try sees the same groups.
         candidates = self.state.candidates(searcher)
         everyone = _MACHINE_MEMBERS + ["zz9"]
-        shown = [m for m in everyone if not self._refused(self.state.record_recommendations, searcher, _shown(m))]
+        shown = [m for m in everyone if not self._refused(self.state.record_recommendations, _page(searcher, m))]
         invited = [m for m in everyone if not self._refused(self.state.send_invitation, searcher, m)]
         assert candidates == shown == invited
 
@@ -582,8 +689,18 @@ def _real_log() -> tuple[list[str], list[Event]]:
     return members, state.event_log
 
 
+def _agent_log() -> tuple[list[str], list[Event]]:
+    """A live session's log: queries, pages, invitations and the fill."""
+    pop = synth_population(12, rng=np.random.default_rng(2))
+    state, *_ = run_assembly(
+        pop, "fairness", np.random.default_rng(3), policy=AgentPolicy(), params=ChoiceModelParams(), rounds=3
+    )
+    return list(state.members), state.event_log
+
+
 _MEMBERS_IN_LOG, _LOG = _real_log()
-_MEMBER_ID = re.compile(r'"a\d\d"')
+_MEMBERS_IN_AGENT_LOG, _AGENT_LOG = _agent_log()
+_MEMBER_ID = re.compile(r'"[ap]\d+"')
 
 
 def _mutate(events: list[Event], how: str, i: int, j: int, new_member: str) -> list[Event]:
@@ -598,13 +715,22 @@ def _mutate(events: list[Event], how: str, i: int, j: int, new_member: str) -> l
         k = same_round[j % len(same_round)]
         events[i], events[k] = events[k], events[i]
     else:
-        text = json.dumps(events[i].payload)
-        hits = [m.start() for m in _MEMBER_ID.finditer(text)]
+        # A member id edited in the event's log line, which is then parsed.
+        text = json.dumps(events[i].to_dict())
+        hits = list(_MEMBER_ID.finditer(text))
         if hits:
-            at = hits[j % len(hits)]
-            payload = json.loads(text[:at] + json.dumps(new_member) + text[at + 5 :])
-            events[i] = Event(round=events[i].round, kind=events[i].kind, payload=payload)
+            hit = hits[j % len(hits)]
+            events[i] = Event.from_dict(json.loads(text[: hit.start()] + json.dumps(new_member) + text[hit.end() :]))
     return events
+
+
+def _replays_or_is_refused(members: list[str], log: list[Event], how: str, i: int, j: int, new_member: str) -> None:
+    try:
+        state = replay(members, _mutate(log, how, i, j, new_member))
+    except (AssemblyError, ValueError, KeyError):
+        return
+    state.check_invariants()
+    state.partition().validate(members)
 
 
 class TestMutatedLogs:
@@ -619,10 +745,19 @@ class TestMutatedLogs:
         st.sampled_from(_MEMBERS_IN_LOG + ["zz9"]),
     )
     def test_replay_refuses_or_accepts_cleanly(self, how, i, j, new_member):
-        events = _mutate(_LOG, how, i, j, new_member)
-        try:
-            state = replay(_MEMBERS_IN_LOG, events)
-        except (AssemblyError, ValueError, KeyError):
-            return
-        state.check_invariants()
-        state.partition().validate(_MEMBERS_IN_LOG)
+        _replays_or_is_refused(_MEMBERS_IN_LOG, _LOG, how, i, j, new_member)
+
+    def test_agent_log_replays(self):
+        kinds = {e.kind for e in _AGENT_LOG}
+        assert {"query_issued", "recommendations_shown", "groups_merged"} <= kinds
+        replay(_MEMBERS_IN_AGENT_LOG, _AGENT_LOG).check_invariants()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(("drop", "duplicate", "swap", "member")),
+        st.integers(0, 2**16),
+        st.integers(0, 2**16),
+        st.sampled_from(_MEMBERS_IN_AGENT_LOG + ["zz9"]),
+    )
+    def test_agent_log_replay_refuses_or_accepts_cleanly(self, how, i, j, new_member):
+        _replays_or_is_refused(_MEMBERS_IN_AGENT_LOG, _AGENT_LOG, how, i, j, new_member)

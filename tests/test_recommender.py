@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from teamsim.core import GENDERS, NUM_SKILLS, RACES, TEAM_SIZE, Participant, population_lookup
 from teamsim.population import synth_population
-from teamsim.protocol import AssemblyState
+from teamsim.protocol import AssemblyError, AssemblyState, Event
 from teamsim.recommender import (
     DEMOGRAPHIC_KINDS,
     MODES,
@@ -25,7 +25,7 @@ from teamsim.recommender import (
     rank_candidates,
 )
 
-from conftest import make_participant, scalar_rank_candidates
+from conftest import make_participant, scalar_rank_candidates, shown_page
 
 
 def _query(*criteria: Criterion, searcher: str = "s") -> Query:
@@ -80,12 +80,14 @@ class TestCriterionValidation:
             Criterion(kind="same_race", importance=3),
             searcher="p7",
         )
-        payload = query.to_payload()
-        assert payload == {"searcher_id": "p7", "criteria": [
+        # A query is the payload of its query_issued event, logged beside
+        # the searcher's id.
+        logged = Event(0, "query_issued", query).to_dict()["payload"]
+        assert logged == {"searcher_id": "p7", "query": {"searcher_id": "p7", "criteria": [
             {"kind": "skill", "skill": 5, "importance": -2},
             {"kind": "same_race", "skill": None, "importance": 3},
-        ]}
-        assert Query.from_payload(payload) == query
+        ]}}
+        assert Event.from_dict({"round": 0, "kind": "query_issued", "payload": logged}).payload == query
 
     @pytest.mark.parametrize(
         "payload",
@@ -99,8 +101,9 @@ class TestCriterionValidation:
         ],
     )
     def test_malformed_payload_refused(self, payload):
-        with pytest.raises(ValueError, match="malformed query payload"):
-            Query.from_payload(payload)
+        logged = {"searcher_id": "s", "query": payload}
+        with pytest.raises(AssemblyError, match="malformed query payload"):
+            Event.from_dict({"round": 0, "kind": "query_issued", "payload": logged})
 
 
 class TestCriterionScore:
@@ -540,17 +543,20 @@ class TestCodedPool:
     @settings(max_examples=300, deadline=None)
     @given(_coded_cases())
     def test_rank_matches_scalar_reference(self, case):
+        # The drawn mode ranks first and fills the team's diversity cache;
+        # every later call, the other mode's included, is served from it.
         population, query, team, eligible, mode = case
         pool, lookup = CodedPool(population), population_lookup(population)
         searcher = pool.row[query.searcher_id]
         eligible_ids = [pool.ids[r] for r in eligible]
         team_ids = [pool.ids[r] for r in team]
-        for page in (1, 2, None):
-            assert pool.rank(query, team, searcher, np.array(eligible, dtype=np.intp), mode, page) == (
-                scalar_rank_candidates(
+        for mode in (mode, *(m for m in MODES if m != mode)):
+            for page in (1, 2, None, 1):
+                expected = scalar_rank_candidates(
                     query, eligible_ids, lookup=lookup, mode=mode, searcher_team=team_ids, page=page
                 )
-            )
+                shown = pool.rank(query, team, searcher, np.array(eligible, dtype=np.intp), mode, page)
+                assert shown == shown_page(query.searcher_id, expected)
 
     def test_rows_follow_participant_order_and_ids_rank_in_id_order(self):
         pop = [make_participant(pid=pid) for pid in ("b", "c", "a")]

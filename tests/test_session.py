@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,10 +8,10 @@ from teamsim.agents import AgentPolicy, ChoiceModelParams, StandardizationMoment
 from teamsim.core import population_lookup
 from teamsim.population import synth_population
 from teamsim.protocol import replay
-from teamsim.recommender import PAGE_SIZE, CodedPool
+from teamsim.recommender import CodedPool
 from teamsim.session import CONDITIONS, PILOT_EXPOSURES, pilot_moments, run_assembly, run_session
 
-from conftest import scalar_rank_candidates
+from conftest import scalar_rank_candidates, shown_page
 
 
 def scalar_pilot_moments(population, policy, mode, rng):
@@ -56,10 +54,12 @@ class TestPilotMoments:
         assert moments.diversity_mean == pytest.approx(0.01)
 
     @pytest.mark.parametrize("mode", ["fit_only", "fairness"])
-    @pytest.mark.parametrize("n", [2, 9, 40])
+    @pytest.mark.parametrize("n", [2, 9, 11, 32, 40, 128])
     def test_matches_scalar_reference(self, mode, n):
         # n=2 and n=9 give pages shorter than PAGE_SIZE, so the query count
-        # is not PILOT_EXPOSURES / PAGE_SIZE.
+        # is not PILOT_EXPOSURES / PAGE_SIZE; n=11 gives pages of exactly
+        # n - 1 = PAGE_SIZE, so each searcher's own row, sorted last, is the
+        # first row left off.
         pop = synth_population(n, rng=np.random.default_rng(30 + n))
         rng, scalar_rng = np.random.default_rng(31), np.random.default_rng(31)
         assert pilot_moments(CodedPool(pop), AgentPolicy(), mode, rng) == scalar_pilot_moments(
@@ -82,20 +82,6 @@ class TestPilotMoments:
                 clones(1), "fit_only", np.random.default_rng(7),
                 policy=AgentPolicy(), params=ChoiceModelParams(),
             )
-
-
-def _shown_page(recs) -> list[dict]:
-    return [
-        {
-            "candidate_id": r.candidate_id,
-            "rank": r.rank,
-            "fit": r.fit_score,
-            "diversity": r.diversity_score,
-            "combined": r.combined_score,
-            "match_percent": r.match_percent,
-        }
-        for r in recs
-    ]
 
 
 class TestRunSession:
@@ -201,9 +187,9 @@ class TestRunSession:
             pages = 0
             for i, event in enumerate(result.events):
                 if event.kind == "query_issued":
-                    query = teamsim.Query.from_payload(event.payload["query"])
+                    query = event.payload
                 elif event.kind == "recommendations_shown":
-                    searcher = event.payload["searcher_id"]
+                    searcher = event.payload.searcher_id
                     assert searcher == query.searcher_id
                     state = replay([p.id for p in pop], result.events[:i])
                     expected = scalar_rank_candidates(
@@ -214,7 +200,7 @@ class TestRunSession:
                         searcher_team=state.group_of(searcher),
                         page=1,
                     )
-                    assert event.payload["shown"] == _shown_page(expected)
+                    assert event.payload == shown_page(searcher, expected)
                     for rec in expected:
                         exposure = next(exposures)
                         assert (exposure.searcher, exposure.candidate) == (searcher, rec.candidate_id)
@@ -230,7 +216,8 @@ class TestRunSession:
 
     def test_one_coding_and_at_most_one_scoring_per_search(self, monkeypatch):
         # Guards against per-search work creeping back: the population is
-        # coded once per session and each search scores teams at most once.
+        # coded once per session, the pilot ranks and scores in one pass, and
+        # each search scores teams at most once.
         calls = {"attribute_table": 0, "score_teams": 0, "rank": 0}
 
         def counted(name, fn):
@@ -252,7 +239,6 @@ class TestRunSession:
                 pop, mode, np.random.default_rng(24), policy=AgentPolicy(), params=ChoiceModelParams()
             )
             queries = sum(e.kind == "query_issued" for e in state.event_log)
-            pilot = math.ceil(PILOT_EXPOSURES / PAGE_SIZE)
             assert calls["attribute_table"] == 1
-            assert calls["rank"] == queries + pilot
-            assert calls["score_teams"] <= calls["rank"]
+            assert calls["rank"] == queries
+            assert calls["score_teams"] <= 1 + calls["rank"]
