@@ -12,6 +12,13 @@ maximum 1 - 1/k, where k is the size of the attribute's category set
 normalization does not depend on the population or on any setting. CV
 scores are mapped through cv / (cv + 1).
 
+Every team score and every DiversityProfile comes from one kernel,
+score_teams, which scores many teams of one size at once; team_profiles
+builds the profiles from its components. blau and
+coefficient_of_variation are the scalar definitions on one group, and
+the tests build the scalar team profile from them as the kernel's
+oracle.
+
 The CSV and JSON-lines writers and readers of every teamsim file live
 here too.
 """
@@ -296,53 +303,6 @@ def _cv_from_values(values: Sequence[float], n: int) -> float:
     return math.sqrt(squares / n) / mean
 
 
-def _row_components(rows: Sequence[tuple]) -> tuple:
-    """(gender_b, race_b, eth_b, intl_b, age_cv, skill_cvs, surface, deep) for coded rows."""
-    n = len(rows)
-    gender, race, eth, intl, age, *skills = zip(*rows)
-    gender_b, race_b, eth_b, intl_b = (
-        _blau_from_codes(codes, n) / top for codes, top in zip((gender, race, eth, intl), BLAU_MAX)
-    )
-    age_cv = _cv_from_values(age, n)
-    skill_cvs = tuple(_cv_from_values(values, n) for values in skills)
-    surface = gender_b + race_b + eth_b + intl_b + normalize_cv(age_cv)
-    deep = 0.0
-    for cv in skill_cvs:
-        deep += normalize_cv(cv)
-    deep /= NUM_SKILLS
-    return gender_b, race_b, eth_b, intl_b, age_cv, skill_cvs, surface, deep
-
-
-def profile_for_rows(rows: Sequence[tuple]) -> DiversityProfile:
-    if not rows:
-        raise ValueError("empty group")
-    gender_b, race_b, eth_b, intl_b, age_cv, skill_cvs, surface, deep = _row_components(rows)
-    return DiversityProfile(
-        gender_blau=gender_b,
-        race_blau=race_b,
-        ethnicity_blau=eth_b,
-        international_blau=intl_b,
-        age_cv=age_cv,
-        skill_cvs=skill_cvs,
-        surface_score=surface,
-        deep_score=deep,
-        total_score=surface + deep,
-    )
-
-
-def profile_for_members(members: Sequence[Participant]) -> DiversityProfile:
-    return profile_for_rows([p._row for p in members])
-
-
-def surface_deep_rows(rows: Sequence[tuple], idxs: Sequence[int]) -> tuple[float, float]:
-    """(surface_score, deep_score) for the row subset, without building a profile.
-
-    rows is the precomputed population attribute table and idxs selects one
-    team. The scalar definition that score_teams reproduces in batches.
-    """
-    return _row_components([rows[i] for i in idxs])[6:]
-
-
 def attribute_table(participants: Sequence[Participant]) -> np.ndarray:
     """int64[n, METRIC_COUNT] table of Participant._row codes, one row per participant.
 
@@ -359,13 +319,20 @@ _MEMBER_PAIRS = {t: np.triu_indices(t, 1) for t in range(1, TEAM_SIZE + 1)}
 def score_teams(table: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(surface[m], deep[m]) of m teams given as rows of idx[m, t] into an attribute_table.
 
-    Bit-identical to surface_deep_rows on each row of idx. A Blau index is
-    1 - E / t^2, where E, the sum of squared category counts, is the number
-    of ordered member pairs (self-pairs included) with equal codes; for
-    t <= 4 this rounds exactly as the scalar sum of squared shares does.
-    Each CV adds the squared deviations member by member in the order of
-    idx's columns, as the scalar code does.
+    The one diversity kernel: every team score and profile comes from it.
+    It is bit-identical to the scalar definitions, 1 - the sum of squared
+    shares for a Blau index (blau) and the deviations added member by
+    member for a CV (coefficient_of_variation), on each row of idx. A Blau
+    index is 1 - E / t^2, where E, the sum of squared category counts, is
+    the number of ordered member pairs (self-pairs included) with equal
+    codes; for t <= 4 this rounds exactly as the sum of squared shares
+    does. Each CV adds the squared deviations in the order of idx's columns.
     """
+    return _score_from_stats(*_team_statistics(table, idx))[:2]
+
+
+def _team_statistics(table: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The arguments of _score_from_stats for the teams idx[m, t] lists."""
     idx = np.asarray(idx)
     t = idx.shape[1]
     if not 1 <= t <= TEAM_SIZE:
@@ -380,16 +347,18 @@ def score_teams(table: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndar
     sum_squares = squares[0]
     for k in range(1, t):
         sum_squares = sum_squares + squares[k]
-    return _score_from_stats(equal_pairs.T, mean.T, sum_squares.T, t)
+    return equal_pairs.T, mean.T, sum_squares.T, t
 
 
 def _score_from_stats(
     equal_pairs: np.ndarray, mean: np.ndarray, sum_squares: np.ndarray, t: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(surface[m], deep[m]) of m teams of t members from their statistics,
-    one row per attribute column: the equal-code member pairs equal_pairs[4, m]
-    that score_teams counts, and the mean mean[7, m] and the sum of squared
-    deviations from it sum_squares[7, m] of age and each skill.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(surface[m], deep[m], blaus[4, m], cvs[7, m]) of m teams of t members
+    from their statistics, one row per attribute column: the equal-code
+    member pairs equal_pairs[4, m] that score_teams counts, and the mean
+    mean[7, m] and the sum of squared deviations from it sum_squares[7, m]
+    of age and each skill. blaus are the normalized Blau indices of gender,
+    race, Hispanic and international, cvs the raw CVs of age and each skill.
 
     The float tail of score_teams; the GA scores its exact integer team sums
     through it too, so both take the same rounding steps.
@@ -401,27 +370,71 @@ def _score_from_stats(
     deep = normalized[1]
     for k in range(2, 1 + NUM_SKILLS):
         deep = deep + normalized[k]
-    return surface, deep / NUM_SKILLS
+    return surface, deep / NUM_SKILLS, blaus, cvs
 
 
-def team_diversity_profile(team: Team, lookup: Mapping[str, Participant]) -> DiversityProfile:
-    """DiversityProfile of a team, resolving members through lookup."""
+def team_profiles(table: np.ndarray, teams: Sequence[Sequence[int]]) -> list[DiversityProfile]:
+    """DiversityProfile of each team, given as its rows of an attribute_table
+    in the order the kernel adds its members; the teams of one size are
+    scored in one score_teams pass. A team of 0 or more than TEAM_SIZE rows
+    is refused."""
+    profiles: list = [None] * len(teams)
+    positions_of_size: dict[int, list[int]] = {}
+    for position, team in enumerate(teams):
+        positions_of_size.setdefault(len(team), []).append(position)
+    for positions in positions_of_size.values():
+        idx = np.array([teams[k] for k in positions], dtype=np.intp)
+        surface, deep, blaus, cvs = _score_from_stats(*_team_statistics(table, idx))
+        components = np.concatenate([blaus, cvs]).T.tolist()
+        for k, s, d, (gender, race, ethnicity, international, age, *skills) in zip(
+            positions, surface.tolist(), deep.tolist(), components
+        ):
+            profiles[k] = DiversityProfile(gender, race, ethnicity, international, age, tuple(skills), s, d, s + d)
+    return profiles
+
+
+def profile_for_members(members: Sequence[Participant]) -> DiversityProfile:
+    """DiversityProfile of 1..TEAM_SIZE members, scored in the order given."""
+    return team_profiles(attribute_table(members), [range(len(members))])[0]
+
+
+def _sorted_members(team: Team, lookup: Mapping[str, Participant]) -> list[Participant]:
+    """The team's members in id order, resolved through lookup."""
     members = []
     for mid in team.sorted_ids():
         if mid not in lookup:
             raise ValueError(f"unknown member id {mid!r}")
         members.append(lookup[mid])
-    return profile_for_members(members)
+    return members
+
+
+def team_diversity_profile(team: Team, lookup: Mapping[str, Participant]) -> DiversityProfile:
+    """DiversityProfile of a team, resolving members through lookup; members
+    are scored in id order."""
+    return profile_for_members(_sorted_members(team, lookup))
+
+
+def surface_deep_rows(rows: Sequence[tuple], idxs: Sequence[int]) -> tuple[float, float]:
+    """(surface_score, deep_score) of the team that idxs selects from the
+    attribute rows, through score_teams. No code in the package calls it:
+    it is kept because bench/tracing.py traces it by name."""
+    surface, deep = score_teams(np.array(rows, dtype=np.int64), np.array([list(idxs)]))
+    return float(surface[0]), float(deep[0])
+
+
+def population_rows(participants: Sequence[Participant]) -> dict[str, int]:
+    """Id -> position map of participants; rejects duplicate ids."""
+    rows: dict[str, int] = {}
+    for i, p in enumerate(participants):
+        if p.id in rows:
+            raise ValueError(f"duplicate participant id {p.id!r}")
+        rows[p.id] = i
+    return rows
 
 
 def population_lookup(participants: Sequence[Participant]) -> dict[str, Participant]:
     """Id -> participant map; rejects duplicate ids."""
-    lookup: dict[str, Participant] = {}
-    for p in participants:
-        if p.id in lookup:
-            raise ValueError(f"duplicate participant id {p.id!r}")
-        lookup[p.id] = p
-    return lookup
+    return dict(zip(population_rows(participants), participants))
 
 
 def write_csv(path, rows: Sequence[dict], columns: Sequence[str]) -> None:

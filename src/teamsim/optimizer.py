@@ -28,10 +28,11 @@ from .core import (
     Partition,
     _is_int,
     _score_from_stats,
+    _sorted_members,
     attribute_table,
     population_lookup,
     score_teams,
-    team_diversity_profile,
+    team_profiles,
 )
 
 
@@ -136,10 +137,15 @@ def random_partition(population: Sequence[Participant], *, rng: np.random.Genera
 
 
 def objectives(partition: Partition, lookup: Mapping[str, Participant]) -> tuple[float, float]:
-    """Mean (surface, deep) diversity over teams; solos are excluded."""
+    """Mean (surface, deep) diversity over teams; solos are excluded. Each
+    team is scored as team_diversity_profile scores it, the teams of one
+    size in one kernel pass."""
     if not partition.teams:
         raise ValueError("partition has no teams")
-    profiles = [team_diversity_profile(team, lookup) for team in partition.teams]
+    members = [_sorted_members(team, lookup) for team in partition.teams]
+    ends = itertools.accumulate(map(len, members))
+    teams = [range(end - len(team), end) for end, team in zip(ends, members)]
+    profiles = team_profiles(attribute_table([p for team in members for p in team]), teams)
     surface, deep = _mean_scores(np.array([(p.surface_score, p.deep_score) for p in profiles]))
     return float(surface), float(deep)
 
@@ -397,7 +403,7 @@ def _score_moments(stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = stats[:, :14].T.astype(np.float64, order="C")
     sums, squares = values[:7], values[7:]
     mean = sums / TEAM_SIZE
-    return _score_from_stats(equal_pairs, mean, squares - sums * mean, TEAM_SIZE)
+    return _score_from_stats(equal_pairs, mean, squares - sums * mean, TEAM_SIZE)[:2]
 
 
 class _Fronts:

@@ -24,6 +24,7 @@ from .core import (
     _is_int,
     _is_real,
     attribute_table,
+    population_rows,
     profile_for_members,
     score_teams,
 )
@@ -174,7 +175,10 @@ def marginal_diversity(team_members: Sequence[Participant], candidate: Participa
     team, floored at DIVERSITY_FLOOR so the fairness multiplier never
     zeroes a fit score.
     """
-    if any(m.id == candidate.id for m in team_members):
+    team_ids = {m.id for m in team_members}
+    if len(team_ids) != len(team_members):
+        raise ValueError("duplicate ids in team_members")
+    if candidate.id in team_ids:
         raise ValueError(f"candidate {candidate.id!r} already in team")
     combined = list(team_members) + [candidate]
     if len(combined) > TEAM_SIZE:
@@ -218,10 +222,8 @@ class CodedPool:
     """
 
     def __init__(self, participants: Sequence[Participant]):
-        self.ids: tuple[str, ...] = tuple(p.id for p in participants)
-        self.row: dict[str, int] = {pid: i for i, pid in enumerate(self.ids)}
-        if len(self.row) != len(self.ids):
-            raise ValueError("duplicate participant ids")
+        self.row = population_rows(participants)
+        self.ids: tuple[str, ...] = tuple(self.row)
         self.table = attribute_table(participants)
         self.table.flags.writeable = False
         self.id_rank = np.empty(len(self.ids), dtype=np.intp)

@@ -34,8 +34,9 @@ from .core import (
     DiversityProfile,
     Participant,
     Partition,
-    population_lookup,
-    team_diversity_profile,
+    attribute_table,
+    population_rows,
+    team_profiles,
 )
 from .optimizer import GaConfig, ga_partition_many, random_partition
 from .protocol import AssemblyState, Event
@@ -195,10 +196,13 @@ def session_result(
     exposures: Sequence[Exposure] = (),
 ) -> SessionResult:
     """The session's result: its partition validated against the population
-    and each team's diversity profile."""
-    lookup = population_lookup(population)
-    partition.validate(lookup)
-    profiles = [team_diversity_profile(team, lookup) for team in partition.teams]
+    and each team's diversity profile, its members scored in id order as
+    team_diversity_profile scores them, the teams of one size in one kernel
+    pass."""
+    row = population_rows(population)
+    partition.validate(row)
+    teams = [[row[mid] for mid in team.sorted_ids()] for team in partition.teams]
+    profiles = team_profiles(attribute_table(population), teams)
     return SessionResult(
         condition=condition,
         session_index=session_index,

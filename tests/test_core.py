@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import itertools
 import json
@@ -28,19 +29,20 @@ from teamsim.core import (
     normalized_blau,
     population_lookup,
     profile_for_members,
-    profile_for_rows,
     read_json_lines,
     read_table,
     score_teams,
     surface_deep_rows,
     attribute_table,
     team_diversity_profile,
+    team_profiles,
     write_csv,
     write_json_lines,
 )
+import teamsim.core
 from teamsim.population import synth_population
 
-from conftest import make_participant
+from conftest import make_participant, profile_for_rows, scalar_surface_deep
 
 
 class TestBlau:
@@ -308,6 +310,12 @@ class TestDiversityProfile:
         assert surface == pytest.approx(profile.surface_score, abs=1e-12)
         assert deep == pytest.approx(profile.deep_score, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [0, TEAM_SIZE + 1])
+    def test_team_size_out_of_range_rejected(self, n):
+        members = synth_population(8, rng=np.random.default_rng(9))[:n]
+        with pytest.raises(ValueError, match=f"team size must be 1..{TEAM_SIZE}, got {n}"):
+            profile_for_members(members)
+
     def test_unknown_member_rejected(self):
         team = Team.of(["a", "zz"])
         lookup = {"a": make_participant(pid="a")}
@@ -365,15 +373,24 @@ class TestScoreTeams:
         ),
     )
     def test_bit_identical_to_scalar(self, case):
+        """Every component and score of every team, kernel against the scalar oracle."""
         rows, idx = case
-        surface, deep = score_teams(np.array(rows, dtype=np.int64), idx)
-        expected = [surface_deep_rows(rows, team.tolist()) for team in idx]
-        assert surface.tolist() == [s for s, _ in expected]
-        assert deep.tolist() == [d for _, d in expected]
-        for team in idx:
-            profile = profile_for_rows([rows[i] for i in team])
+        table = np.array(rows, dtype=np.int64)
+        surface, deep = score_teams(table, idx)
+        expected = [profile_for_rows([rows[i] for i in team]) for team in idx.tolist()]
+        assert surface.tolist() == [p.surface_score for p in expected]
+        assert deep.tolist() == [p.deep_score for p in expected]
+        # DiversityProfile equality compares all 11 components and the three scores.
+        assert team_profiles(table, idx.tolist()) == expected
+        for profile in expected:
             blaus = (profile.gender_blau, profile.race_blau, profile.ethnicity_blau, profile.international_blau)
             assert all(0.0 <= b <= 1.0 for b in blaus)
+
+    def test_profiles_of_mixed_sizes_keep_their_order(self, mixed_population):
+        table = attribute_table(mixed_population)
+        rows = table.tolist()
+        teams = [[5, 2, 9], [0], [1, 3, 4, 6], [8, 7], [11, 10, 12], [13, 14]]
+        assert team_profiles(table, teams) == [profile_for_rows([rows[i] for i in team]) for team in teams]
 
     @pytest.mark.parametrize("t", range(1, TEAM_SIZE + 1))
     def test_every_category_pattern_is_exact(self, t):
@@ -386,7 +403,7 @@ class TestScoreTeams:
         for codes in itertools.product(range(t), repeat=t):
             rows = [(c, c, c, c, ages[c], *[skills[c]] * 6) for c in codes]
             surface, deep = score_teams(np.array(rows), np.arange(t)[None, :])
-            assert (surface[0], deep[0]) == surface_deep_rows(rows, range(t))
+            assert (surface[0], deep[0]) == scalar_surface_deep(rows, range(t))
 
     def test_table_matches_rows(self, mixed_population):
         table = attribute_table(mixed_population)
@@ -398,6 +415,25 @@ class TestScoreTeams:
         table = attribute_table(mixed_population)
         with pytest.raises(ValueError, match="team size"):
             score_teams(table, np.zeros((3, t), dtype=np.int64))
+
+
+def test_profiles_are_built_only_from_the_kernel():
+    """DiversityProfile is built in one function of the package,
+    core.team_profiles, from score_teams' statistics; the scalar scoring path
+    is defined only in the tests, as their oracle."""
+    builders, defined = [], set()
+    for path in sorted(Path(teamsim.core.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
+        functions = [node for node in nodes if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        defined.update(node.name for node in functions)
+        defined.update(node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
+        for node in nodes:
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("DiversityProfile"):
+                enclosing = [f.name for f in functions if node in ast.walk(f)]
+                builders.append((path.name, enclosing))
+    assert builders == [("core.py", ["team_profiles"])], builders
+    assert not defined & {"_row_components", "profile_for_rows"}
 
 
 # Text that UTF-8 encodes and csv.reader reads: any character but a lone

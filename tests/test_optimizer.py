@@ -22,7 +22,7 @@ from teamsim.core import (
     attribute_table,
     population_lookup,
     score_teams,
-    surface_deep_rows,
+    team_diversity_profile,
 )
 from teamsim.optimizer import (
     ArchiveEntry,
@@ -43,7 +43,7 @@ from teamsim.optimizer import (
 )
 from teamsim.population import synth_population
 
-from conftest import clone_population, make_participant
+from conftest import clone_population, make_participant, scalar_surface_deep
 
 
 def _left_to_right_mean(values) -> float:
@@ -93,6 +93,16 @@ class TestObjectives:
         profile = profile_for_members(sorted(team, key=lambda p: p.id))
         assert surface == pytest.approx(profile.surface_score, abs=1e-12)
         assert deep == pytest.approx(profile.deep_score, abs=1e-12)
+
+    def test_mixed_sizes_match_team_profiles(self, mixed_population):
+        lookup = population_lookup(mixed_population)
+        ids = [p.id for p in mixed_population]
+        part = Partition.build([ids[0:3], ids[3:4], ids[4:8], ids[8:10], ids[10:13]], ids[13:])
+        profiles = [team_diversity_profile(team, lookup) for team in part.teams]
+        assert objectives(part, lookup) == (
+            _left_to_right_mean([p.surface_score for p in profiles]),
+            _left_to_right_mean([p.deep_score for p in profiles]),
+        )
 
     def test_homogeneous_teams_are_zero(self, clones):
         pop = clones(8)
@@ -233,7 +243,7 @@ def test_duplicate_ids_rejected(seed):
 
 def _reference_ga(population, config: GaConfig):
     """The scalar climber loop: each climber's swaps one at a time, scored by
-    surface_deep_rows, on the same initial partitions and proposals as ga_partition."""
+    the scalar oracle, on the same initial partitions and proposals as ga_partition."""
     ids = [p.id for p in population]
     rows = [p._row for p in population]
     n = len(ids)
@@ -255,7 +265,7 @@ def _reference_ga(population, config: GaConfig):
     for _ in range(config.population_size):
         order = rng.permutation(n).tolist()
         teams = [tuple(order[i * TEAM_SIZE : (i + 1) * TEAM_SIZE]) for i in range(n_teams)]
-        scores = [surface_deep_rows(rows, team) for team in teams]
+        scores = [scalar_surface_deep(rows, team) for team in teams]
         cand = {"teams": teams, "solos": order[n_teams * TEAM_SIZE :], "scores": scores}
         cand["surface"], cand["deep"] = mean(scores)
         candidates.append(cand)
@@ -267,8 +277,8 @@ def _reference_ga(population, config: GaConfig):
                 team_i, team_j = list(cand["teams"][ti]), list(cand["teams"][tj])
                 team_i[mi], team_j[mj] = team_j[mj], team_i[mi]
                 scores = list(cand["scores"])
-                scores[ti] = surface_deep_rows(rows, team_i)
-                scores[tj] = surface_deep_rows(rows, team_j)
+                scores[ti] = scalar_surface_deep(rows, team_i)
+                scores[tj] = scalar_surface_deep(rows, team_j)
                 surface, deep = mean(scores)
                 old_surface, old_deep = cand["surface"], cand["deep"]
                 if old_surface >= surface and old_deep >= deep and (old_surface > surface or old_deep > deep):
@@ -442,7 +452,7 @@ class TestBruteForce:
     )
     def test_matches_scalar_enumeration(self, population):
         """Same count and argmax sets (ties included, in enumeration order) as
-        scoring every split team by team with surface_deep_rows."""
+        scoring every split team by team with the scalar oracle."""
         ids = [p.id for p in population]
         rows = [p._row for p in population]
         n = len(population)
@@ -450,7 +460,7 @@ class TestBruteForce:
         for solos in itertools.combinations(range(n), n % TEAM_SIZE):
             pool = tuple(i for i in range(n) if i not in solos)
             for split in _team_splits(pool):
-                scores = [surface_deep_rows(rows, team) for team in split]
+                scores = [scalar_surface_deep(rows, team) for team in split]
                 surface = _left_to_right_mean([s for s, _ in scores])
                 deep = _left_to_right_mean([d for _, d in scores])
                 partition = Partition.build(([ids[i] for i in t] for t in split), [ids[i] for i in solos])

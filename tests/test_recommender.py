@@ -242,6 +242,11 @@ class TestMarginalDiversity:
         with pytest.raises(ValueError, match="already in team"):
             marginal_diversity(team, make_participant(pid="x", age=50))
 
+    def test_member_listed_twice_rejected(self):
+        member = make_participant(pid="a")
+        with pytest.raises(ValueError, match="duplicate ids in team_members"):
+            marginal_diversity([member, member], make_participant(pid="b", age=50))
+
     def test_full_team_rejected(self):
         team = [make_participant(pid=f"t{i}") for i in range(4)]
         with pytest.raises(ValueError, match="exceed team size"):
