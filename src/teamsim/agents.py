@@ -62,15 +62,18 @@ class AgentPolicy:
     accept_probability: float = 0.8
 
     def __post_init__(self) -> None:
-        if not self.criteria_counts or any(not _is_int(c) or c < 2 for c in self.criteria_counts):
-            raise ValueError(f"criteria_counts must contain integers >= 2, got {self.criteria_counts!r}")
         if not 0.0 <= self.skill_criterion_prob <= 1.0:
             raise ValueError("skill_criterion_prob must be in [0, 1]")
+        # A query draws skills unless skill_criterion_prob is 0 and
+        # demographic criteria unless it is 1: at most this many distinct ones.
+        most = (self.skill_criterion_prob > 0) * NUM_SKILLS + (self.skill_criterion_prob < 1) * len(DEMOGRAPHIC_KINDS)
+        if not self.criteria_counts or any(not _is_int(c) or not 2 <= c <= most for c in self.criteria_counts):
+            raise ValueError(f"criteria_counts must contain integers in 2..{most}, got {self.criteria_counts!r}")
         if not 0.0 <= self.accept_probability <= 1.0:
             raise ValueError("accept_probability must be in [0, 1]")
-        if any(not _is_int(i) or i == 0 or not -3 <= i <= 3 for i in self.importance_choices):
+        if not self.importance_choices or not all(_is_int(i) and 0 < abs(i) <= 3 for i in self.importance_choices):
             raise ValueError(
-                f"importance_choices must be nonzero integers in [-3, 3], got {self.importance_choices!r}"
+                f"importance_choices must contain nonzero integers in [-3, 3], got {self.importance_choices!r}"
             )
 
 

@@ -17,7 +17,8 @@ score_teams, which scores many teams of one size at once; team_profiles
 builds the profiles from its components. blau and
 coefficient_of_variation are the scalar definitions on one group, and
 the tests build the scalar team profile from them as the kernel's
-oracle.
+oracle. A CodedPopulation checks a population's ids and builds its
+attribute_table once; every team it profiles is scored on that table.
 
 The CSV and JSON-lines writers and readers of every teamsim file live
 here too.
@@ -398,20 +399,43 @@ def profile_for_members(members: Sequence[Participant]) -> DiversityProfile:
     return team_profiles(attribute_table(members), [range(len(members))])[0]
 
 
-def _sorted_members(team: Team, lookup: Mapping[str, Participant]) -> list[Participant]:
-    """The team's members in id order, resolved through lookup."""
-    members = []
-    for mid in team.sorted_ids():
-        if mid not in lookup:
-            raise ValueError(f"unknown member id {mid!r}")
-        members.append(lookup[mid])
-    return members
+class CodedPopulation(tuple):
+    """A population: a tuple of participants with distinct ids, coded once.
+
+    ids[i] is the id of participant i and row maps each id to i; table,
+    which is read-only, is its attribute_table. Building one from a
+    CodedPopulation returns that same instance, so a session codes its
+    population once and every reader takes it as given.
+    """
+
+    def __new__(cls, participants: Iterable[Participant] = ()) -> "CodedPopulation":
+        if isinstance(participants, cls):
+            return participants
+        self = super().__new__(cls, participants)
+        self.row = {}
+        for i, p in enumerate(self):
+            if self.row.setdefault(p.id, i) != i:
+                raise ValueError(f"duplicate participant id {p.id!r}")
+        self.ids = tuple(self.row)
+        self.table = attribute_table(self)
+        self.table.flags.writeable = False
+        return self
+
+    def profiles(self, teams: Sequence[Team]) -> list[DiversityProfile]:
+        """DiversityProfile of each team, its members scored in id order,
+        the teams of one size in one kernel pass; a member id that is not
+        in the population is refused."""
+        try:
+            rows = [[self.row[mid] for mid in team.sorted_ids()] for team in teams]
+        except KeyError as exc:
+            raise ValueError(f"unknown member id {exc.args[0]!r}") from None
+        return team_profiles(self.table, rows)
 
 
 def team_diversity_profile(team: Team, lookup: Mapping[str, Participant]) -> DiversityProfile:
     """DiversityProfile of a team, resolving members through lookup; members
     are scored in id order."""
-    return profile_for_members(_sorted_members(team, lookup))
+    return CodedPopulation(lookup.values()).profiles([team])[0]
 
 
 def surface_deep_rows(rows: Sequence[tuple], idxs: Sequence[int]) -> tuple[float, float]:
@@ -422,19 +446,9 @@ def surface_deep_rows(rows: Sequence[tuple], idxs: Sequence[int]) -> tuple[float
     return float(surface[0]), float(deep[0])
 
 
-def population_rows(participants: Sequence[Participant]) -> dict[str, int]:
-    """Id -> position map of participants; rejects duplicate ids."""
-    rows: dict[str, int] = {}
-    for i, p in enumerate(participants):
-        if p.id in rows:
-            raise ValueError(f"duplicate participant id {p.id!r}")
-        rows[p.id] = i
-    return rows
-
-
 def population_lookup(participants: Sequence[Participant]) -> dict[str, Participant]:
     """Id -> participant map; rejects duplicate ids."""
-    return dict(zip(population_rows(participants), participants))
+    return {p.id: p for p in CodedPopulation(participants)}
 
 
 def write_csv(path, rows: Sequence[dict], columns: Sequence[str]) -> None:

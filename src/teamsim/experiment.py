@@ -27,6 +27,7 @@ from .core import (
     GENDERS,
     RACES,
     TEAM_SIZE,
+    CodedPopulation,
     Participant,
     Partition,
     _is_int,
@@ -167,13 +168,13 @@ def _reject_unknown_keys(known: Mapping, data: Mapping, prefix: str = "") -> Non
 
 def _session_inputs(
     config: ExperimentConfig, seed: np.random.SeedSequence
-) -> tuple[list[Participant], np.random.Generator]:
-    """(population, session generator) of the session seeded by seed."""
+) -> tuple[CodedPopulation, np.random.Generator]:
+    """(coded population, session generator) of the session seeded by seed."""
     pop_seq, run_seq = seed.spawn(2)
     population = synth_population(
         config.agents_per_session, config.demographics, rng=np.random.default_rng(pop_seq)
     )
-    return population, np.random.default_rng(run_seq)
+    return CodedPopulation(population), np.random.default_rng(run_seq)
 
 
 def _run_sessions(
@@ -362,7 +363,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         # that a one-worker run never uses.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(units))) as pool:
             runs = list(pool.map(run, conditions, shares))
     else:
         runs = map(run, conditions, shares)

@@ -24,15 +24,12 @@ from .core import (
     GENDERS,
     RACES,
     TEAM_SIZE,
+    CodedPopulation,
     Participant,
     Partition,
     _is_int,
     _score_from_stats,
-    _sorted_members,
-    attribute_table,
-    population_lookup,
     score_teams,
-    team_profiles,
 )
 
 
@@ -127,8 +124,7 @@ def random_partition(population: Sequence[Participant], *, rng: np.random.Genera
     """Uniformly random teams of TEAM_SIZE; the remainder become solos."""
     if not population:
         raise ValueError("empty population")
-    population_lookup(population)  # id uniqueness check
-    ids = [p.id for p in population]
+    ids = CodedPopulation(population).ids
     order = [ids[i] for i in rng.permutation(len(ids))]
     n_teams = len(order) // TEAM_SIZE
     teams = [order[i * TEAM_SIZE : (i + 1) * TEAM_SIZE] for i in range(n_teams)]
@@ -142,10 +138,7 @@ def objectives(partition: Partition, lookup: Mapping[str, Participant]) -> tuple
     size in one kernel pass."""
     if not partition.teams:
         raise ValueError("partition has no teams")
-    members = [_sorted_members(team, lookup) for team in partition.teams]
-    ends = itertools.accumulate(map(len, members))
-    teams = [range(end - len(team), end) for end, team in zip(ends, members)]
-    profiles = team_profiles(attribute_table([p for team in members for p in team]), teams)
+    profiles = CodedPopulation(lookup.values()).profiles(partition.teams)
     surface, deep = _mean_scores(np.array([(p.surface_score, p.deep_score) for p in profiles]))
     return float(surface), float(deep)
 
@@ -197,7 +190,7 @@ def elbow_select(archive: ParetoArchive) -> Partition:
     return best.partition
 
 
-def _materialize(teams: Sequence[Sequence[int]], solos: Sequence[int], ids: list[str]) -> Partition:
+def _materialize(teams: Sequence[Sequence[int]], solos: Sequence[int], ids: Sequence[str]) -> Partition:
     return Partition.build(
         ([ids[i] for i in team] for team in teams),
         [ids[i] for i in solos],
@@ -266,13 +259,10 @@ def ga_partition_many(
     per_session = config.population_size
     n_climbers = len(populations) * per_session
     swap_attempts = config.swap_attempts if config.swap_attempts is not None else n
-    ids = []
-    for population in populations:
-        population_lookup(population)  # id uniqueness check
-        ids.append([p.id for p in population])
+    populations = [CodedPopulation(population) for population in populations]
 
     # The rows of all populations in one table; members hold rows of it.
-    moments = _team_moments(np.concatenate([attribute_table(p) for p in populations]))
+    moments = _team_moments(np.concatenate([population.table for population in populations]))
     session_of = np.repeat(np.arange(len(populations)), per_session)
     climbers = np.arange(n_climbers)
 
@@ -345,9 +335,9 @@ def ga_partition_many(
             offer(c, kept_teams, kept_surface, kept_deep)
 
     results = []
-    for archive, session_ids in zip(archives, ids):
+    for archive, population in zip(archives, populations):
         archive.entries = [
-            ArchiveEntry(_materialize(e.teams.tolist(), e.solos.tolist(), session_ids), e.surface, e.deep)
+            ArchiveEntry(_materialize(e.teams.tolist(), e.solos.tolist(), population.ids), e.surface, e.deep)
             for e in sorted(archive.entries, key=lambda e: (e.surface, e.deep))
         ]
         results.append((archive, elbow_select(archive)))
@@ -469,14 +459,13 @@ def brute_force_partition(population: Sequence[Participant]) -> BruteForceResult
         raise ValueError("population smaller than one team")
     if n > BRUTE_FORCE_MAX_POPULATION:
         raise ValueError(f"population too large for exhaustive search (max {BRUTE_FORCE_MAX_POPULATION})")
-    population_lookup(population)  # id uniqueness check
-    ids = [p.id for p in population]
+    population = CodedPopulation(population)
     # Every split draws its teams from the same C(n, TEAM_SIZE) member sets,
     # each listed in ascending order as _team_splits yields them: score
     # those once and look the scores up per split.
     teams = list(itertools.combinations(range(n), TEAM_SIZE))
     team_index = {team: i for i, team in enumerate(teams)}
-    team_scores = np.stack(score_teams(attribute_table(population), np.array(teams)), axis=-1)
+    team_scores = np.stack(score_teams(population.table, np.array(teams)), axis=-1)
 
     splits = []
     for solos in itertools.combinations(range(n), n % TEAM_SIZE):
@@ -488,7 +477,7 @@ def brute_force_partition(population: Sequence[Participant]) -> BruteForceResult
     def _best(values: np.ndarray) -> tuple[float, tuple[Partition, ...]]:
         best = values.max()
         return float(best), tuple(
-            _materialize(*splits[i], ids) for i in np.flatnonzero(values == best)
+            _materialize(*splits[i], population.ids) for i in np.flatnonzero(values == best)
         )
 
     best_surface, best_surface_partitions = _best(surface)

@@ -151,5 +151,5 @@ def load_population(path) -> list[Participant]:
         raise ValueError(f"unsupported population format {suffix!r} (use .jsonl or .csv)")
     ids = [p.id for p in participants]
     if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate participant ids in {path}")
+        raise ValueError(f"duplicate ids in {path}")
     return participants

@@ -20,11 +20,10 @@ from .core import (
     METRIC_COUNT,
     NUM_SKILLS,
     TEAM_SIZE,
+    CodedPopulation,
     Participant,
     _is_int,
     _is_real,
-    attribute_table,
-    population_rows,
     profile_for_members,
     score_teams,
 )
@@ -211,21 +210,18 @@ def _criterion_columns(table: np.ndarray) -> tuple[np.ndarray, dict[tuple, list[
 
 
 class CodedPool:
-    """A population coded once for ranking by row.
+    """A population ranked by row.
 
-    Row i of table, which is read-only, is the attribute_table code of
-    participant i; ids[i] is its id, row maps each id to its row, and
-    id_rank[i] is the position of ids[i] in id order, so ties break by id
-    without comparing strings. Duplicate ids are refused. The criterion
-    columns are computed once, and the diversity of every row joining a
-    team once per team: a session's groups search again and again.
+    ids, row and table are those of the CodedPopulation of the participants,
+    which is built once and reused when given; id_rank[i] is the position of
+    ids[i] in id order, so ties break by id without comparing strings. The
+    criterion columns are computed once, and the diversity of every row
+    joining a team once per team: a session's groups search again and again.
     """
 
     def __init__(self, participants: Sequence[Participant]):
-        self.row = population_rows(participants)
-        self.ids: tuple[str, ...] = tuple(self.row)
-        self.table = attribute_table(participants)
-        self.table.flags.writeable = False
+        population = CodedPopulation(participants)
+        self.ids, self.row, self.table = population.ids, population.row, population.table
         self.id_rank = np.empty(len(self.ids), dtype=np.intp)
         self.id_rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = np.arange(len(self.ids))
         self._columns, self._column_of = _criterion_columns(self.table)

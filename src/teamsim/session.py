@@ -5,9 +5,10 @@ conditions (self_assembled, fairness_aware) run invitation rounds over
 the assembly state machine with synthetic agents and finish with the
 deadline fill. Standardization moments for the agents' choice model are
 estimated from a pilot batch of recommendations before the live rounds.
-An agency session codes its population once, as a CodedPool whose rows
-are the assembly state's member positions; the pilot and every agent
-search rank by row through it, and share its diversity cache.
+Every session codes its population once, as a CodedPopulation that its
+assignment and its result both read. An agency session's CodedPool holds
+it: its rows are the assembly state's member positions, and the pilot and
+every agent search rank by row through it and share its diversity cache.
 run_ga_sessions runs several algorithmic_diverse sessions at once, their
 GA searches stepped together, each with the result it gets alone.
 """
@@ -31,12 +32,10 @@ from .agents import (
 )
 from .core import (
     TEAM_SIZE,
+    CodedPopulation,
     DiversityProfile,
     Participant,
     Partition,
-    attribute_table,
-    population_rows,
-    team_profiles,
 )
 from .optimizer import GaConfig, ga_partition_many, random_partition
 from .protocol import AssemblyState, Event
@@ -152,6 +151,7 @@ def run_session(
     """Produce a partition plus per-team diversity profiles for one condition."""
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
+    population = CodedPopulation(population)
     if len(population) < 2 * TEAM_SIZE:
         raise ValueError(f"population must have at least {2 * TEAM_SIZE} participants")
     if condition == "algorithmic_diverse":
@@ -178,6 +178,7 @@ def run_ga_sessions(
     Each session draws its GA seed from its rng, so each gets the result
     run_session gives it alone. The populations must have one size.
     """
+    populations = [CodedPopulation(population) for population in populations]
     configs = [dataclasses.replace(ga, rng_seed=int(rng.integers(2**63 - 1))) for rng in rngs]
     searches = ga_partition_many(populations, configs)
     return [
@@ -196,19 +197,15 @@ def session_result(
     exposures: Sequence[Exposure] = (),
 ) -> SessionResult:
     """The session's result: its partition validated against the population
-    and each team's diversity profile, its members scored in id order as
-    team_diversity_profile scores them, the teams of one size in one kernel
-    pass."""
-    row = population_rows(population)
-    partition.validate(row)
-    teams = [[row[mid] for mid in team.sorted_ids()] for team in partition.teams]
-    profiles = team_profiles(attribute_table(population), teams)
+    and each team's diversity profile, as CodedPopulation.profiles scores it."""
+    population = CodedPopulation(population)
+    partition.validate(population.ids)
     return SessionResult(
         condition=condition,
         session_index=session_index,
         population=list(population),
         partition=partition,
-        profiles=profiles,
+        profiles=population.profiles(partition.teams),
         events=list(events),
         moments=moments,
         exposures=list(exposures),

@@ -19,11 +19,11 @@ so the blocks do not move the random stream. One array reduction per
 block gives the statistic of every row.
 
 permutation_tests runs the ANOVAs and pairwise tests of several metrics;
-the *_by_metric functions and anova_f and pairwise_diffs are its special
-cases. One rule fixes the draws: every test draws default_rng(seed)
-permutations of range(N), N its pooled size, and all tests of a call with
-the same N share them, evaluated one statistic at a time, as in the joint
-resampling of Westfall & Young (1993). So each ANOVA's p-value is that
+anova_f and pairwise_diffs are its one-metric cases. One rule fixes the
+draws: every test draws default_rng(seed) permutations of range(N), N its
+pooled size, and all tests of a call with the same N share them,
+evaluated one statistic at a time, as in the joint resampling of
+Westfall & Young (1993). So each ANOVA's p-value is that
 of anova_f alone and each pair's that of its two-group call
 pairwise_diffs({a: ..., b: ...}); tie tolerances and the BH family stay
 per metric.
@@ -216,17 +216,6 @@ def permutation_tests(
     }, diffs
 
 
-def anova_f_by_metric(
-    groups_by_metric: Mapping[str, Mapping[str, Sequence[float]]],
-    *,
-    n_permutations: int = 10000,
-    seed: int = 0,
-) -> dict[str, AnovaResult]:
-    """anova_f of each metric's groups; the metrics share one permutation
-    stream per pooled size (see permutation_tests)."""
-    return permutation_tests(groups_by_metric, {}, n_permutations=n_permutations, seed=seed)[0]
-
-
 def anova_f(groups, *, n_permutations: int = 10000, seed: int = 0) -> AnovaResult:
     """One-way F statistic with a permutation p-value.
 
@@ -235,7 +224,7 @@ def anova_f(groups, *, n_permutations: int = 10000, seed: int = 0) -> AnovaResul
     ranked through the equivalent T = sum_g S_g^2 / n_g. One value per
     group leaves no within-group variance and is refused.
     """
-    return anova_f_by_metric({"": groups}, n_permutations=n_permutations, seed=seed)[""]
+    return permutation_tests({"": groups}, {}, n_permutations=n_permutations, seed=seed)[0][""]
 
 
 def bh_adjust(p_values: Sequence[float]) -> list[float]:
@@ -253,18 +242,6 @@ def bh_adjust(p_values: Sequence[float]) -> list[float]:
     return adjusted
 
 
-def pairwise_diffs_by_metric(
-    groups_by_metric: Mapping[str, Mapping[str, Sequence[float]]],
-    *,
-    n_permutations: int = 10000,
-    seed: int = 0,
-) -> dict[str, list[PairwiseDiff]]:
-    """pairwise_diffs of each metric's groups. Pairs of one pooled size share
-    one stream, so each pair's p-value is that of its two-group call
-    pairwise_diffs({a: ..., b: ...}, n_permutations=..., seed=seed)."""
-    return permutation_tests({}, groups_by_metric, n_permutations=n_permutations, seed=seed)[1]
-
-
 def pairwise_diffs(groups, *, n_permutations: int = 10000, seed: int = 0) -> list[PairwiseDiff]:
     """All unordered pair mean differences with permutation + BH inference.
 
@@ -272,7 +249,7 @@ def pairwise_diffs(groups, *, n_permutations: int = 10000, seed: int = 0) -> lis
     two-sided permutation p-values, ranked through the equivalent
     |S_B - S n_B / n|, are BH-adjusted across the pair family.
     """
-    return pairwise_diffs_by_metric({"": groups}, n_permutations=n_permutations, seed=seed)[""]
+    return permutation_tests({}, {"": groups}, n_permutations=n_permutations, seed=seed)[1][""]
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,10 @@ from teamsim.agents import (
     simulate_exposures,
     standardize,
 )
+from teamsim.core import NUM_SKILLS
 from teamsim.population import synth_population
 from teamsim.protocol import AssemblyState
-from teamsim.recommender import CodedPool
+from teamsim.recommender import DEMOGRAPHIC_KINDS, CodedPool
 
 
 class TestChoiceModelParams:
@@ -131,6 +132,23 @@ class TestGenQuery:
             AgentPolicy(skill_criterion_prob=1.2)
         with pytest.raises(ValueError):
             AgentPolicy(importance_choices=(0, 1))
+        # an empty choice used to fail at the first query, inside numpy ("high <= 0")
+        with pytest.raises(ValueError, match="importance_choices must contain"):
+            AgentPolicy(importance_choices=())
+
+    @pytest.mark.parametrize(
+        "kwargs, most",
+        [({}, NUM_SKILLS + len(DEMOGRAPHIC_KINDS)), ({"skill_criterion_prob": 1.0}, NUM_SKILLS),
+         ({"skill_criterion_prob": 0.0}, len(DEMOGRAPHIC_KINDS))],
+    )
+    def test_criteria_counts_bounded_by_the_drawable_criteria(self, kwargs, most):
+        # a count above the distinct criteria a query can draw left gen_query looping forever
+        with pytest.raises(ValueError, match=rf"criteria_counts must contain integers in 2\.\.{most},"):
+            AgentPolicy(criteria_counts=(2, most + 1), **kwargs)
+        policy = AgentPolicy(criteria_counts=(most,), **kwargs)
+        rng = np.random.default_rng(most)
+        for _ in range(20):
+            assert len(gen_query("s", policy, rng).criteria) == most
 
     @pytest.mark.parametrize(
         "kwargs",

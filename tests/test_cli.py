@@ -205,7 +205,16 @@ def test_run_config_with_invalid_size_is_input_error(tmp_path, capsys, key, valu
 
 @pytest.mark.parametrize(
     "policy, field",
-    [({"criteria_counts": [2.5]}, "criteria_counts"), ({"importance_choices": [1.5, 2]}, "importance_choices")],
+    [
+        ({"criteria_counts": [2.5]}, "criteria_counts"),
+        ({"importance_choices": [1.5, 2]}, "importance_choices"),
+        # Counts no query can fill, and no importance to draw: such runs used
+        # to hang or fail at the first query.
+        ({"criteria_counts": [5], "skill_criterion_prob": 0.0}, "criteria_counts"),
+        ({"criteria_counts": [7], "skill_criterion_prob": 1.0}, "criteria_counts"),
+        ({"criteria_counts": [2, 11]}, "criteria_counts"),
+        ({"importance_choices": []}, "importance_choices"),
+    ],
 )
 def test_run_config_with_non_integer_policy_is_input_error(tmp_path, capsys, policy, field):
     config = tmp_path / "config.json"

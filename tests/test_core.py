@@ -20,6 +20,7 @@ from teamsim.core import (
     AGE_SPAN,
     BLAU_MAX,
     TEAM_SIZE,
+    CodedPopulation,
     Participant,
     Partition,
     Team,
@@ -415,6 +416,42 @@ class TestScoreTeams:
         table = attribute_table(mixed_population)
         with pytest.raises(ValueError, match="team size"):
             score_teams(table, np.zeros((3, t), dtype=np.int64))
+
+
+class TestCodedPopulation:
+    def test_codes_once_and_is_returned_as_given(self, mixed_population):
+        coded = CodedPopulation(mixed_population)
+        assert CodedPopulation(coded) is coded
+        assert coded == tuple(mixed_population)
+        assert coded.ids == tuple(p.id for p in mixed_population)
+        assert coded.row == {p.id: i for i, p in enumerate(mixed_population)}
+        assert np.array_equal(coded.table, attribute_table(mixed_population))
+        with pytest.raises(ValueError, match="read-only"):
+            coded.table[0, 0] = 0
+
+    def test_profiles_score_members_in_id_order(self, mixed_population):
+        coded = CodedPopulation(mixed_population)
+        teams = [Team.of(p.id for p in mixed_population[k : k + size]) for k, size in ((0, 4), (4, 3), (9, 4))]
+        for team, profile in zip(teams, coded.profiles(teams)):
+            members = sorted((p for p in mixed_population if p.id in team.member_ids), key=lambda p: p.id)
+            assert profile == profile_for_members(members)
+            assert profile == team_diversity_profile(team, population_lookup(mixed_population))
+
+
+def test_populations_are_checked_and_coded_only_in_core():
+    """Only core calls attribute_table, and one refusal in the package names
+    a duplicate participant id: CodedPopulation's."""
+    callers, refusals = set(), 0
+    for path in sorted(Path(teamsim.core.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        refusals += source.count("duplicate participant id")
+        callers.update(
+            path.name
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "attribute_table"
+        )
+    assert callers == {"core.py"}
+    assert refusals == 1
 
 
 def test_profiles_are_built_only_from_the_kernel():

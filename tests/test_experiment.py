@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import teamsim.core
 import teamsim.stats
 from teamsim.agents import ChoiceModelParams, simulate_exposures
 from teamsim.core import TEAM_SIZE, Partition, read_json_lines, read_table
@@ -294,6 +295,72 @@ class TestRunExperiment:
         assert again.team_rows == tiny_report.team_rows
         assert again.pairwise_rows == tiny_report.pairwise_rows
         assert again.exposure_rows == tiny_report.exposure_rows
+
+
+    def test_process_pool_is_no_larger_than_the_work(self, monkeypatch):
+        # With the fork start method every worker starts at the first submit,
+        # so a pool of --workers processes forked them all for 4 work units.
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        config = _tiny_config(conditions=("random", "algorithmic_diverse"), workers=64)
+        # Two GA shares of one session each, and one unit per random session.
+        assert run_experiment(config).team_rows == run_experiment(dataclasses.replace(config, workers=1)).team_rows
+        assert sizes == [4]
+
+
+class TestCodingOnce:
+    """Each session checks and codes its population once: every reader takes
+    the session's CodedPopulation as given."""
+
+    @staticmethod
+    def _count_codings(monkeypatch) -> list:
+        calls = []
+        coded = teamsim.core.attribute_table
+
+        def counted(participants):
+            calls.append(len(participants))
+            return coded(participants)
+
+        for module in vars(teamsim).values():
+            if getattr(module, "attribute_table", None) is coded:
+                monkeypatch.setattr(module, "attribute_table", counted)
+        return calls
+
+    def test_run_experiment_and_regenerate_code_each_session_once(self, monkeypatch, tmp_path):
+        calls = self._count_codings(monkeypatch)
+        report = run_experiment(_tiny_config(conditions=CONDITIONS, output_dir=str(tmp_path)))
+        assert len(report.sessions) == 8
+        assert calls == [16] * 8
+        calls.clear()
+        assert regenerate_team_rows(tmp_path) == report.team_rows
+        assert calls == [16] * 8
+
+    @pytest.mark.parametrize("condition", CONDITIONS)
+    def test_run_session_codes_a_plain_list_once(self, monkeypatch, condition):
+        population = synth_population(16, rng=np.random.default_rng(41))
+        calls = self._count_codings(monkeypatch)
+        result = run_session(
+            condition, list(population), rng=np.random.default_rng(42), rounds=2,
+            ga=GaConfig(generations=1, population_size=2),
+        )
+        assert calls == [16]
+        assert result.population == population
 
 
 class TestReportFiles:

@@ -18,14 +18,12 @@ from teamsim.stats import (
     _permutation_hits_each,
     _square_sums,
     anova_f,
-    anova_f_by_metric,
     bh_adjust,
     chi2_independence,
     chi2_sf,
     expit,
     logistic_fit,
     pairwise_diffs,
-    pairwise_diffs_by_metric,
     permutation_tests,
 )
 
@@ -103,7 +101,7 @@ class TestGroupSamples:
         with pytest.raises(ValueError, match="within-group degrees of freedom"):
             anova_f(one_each, n_permutations=10)
         with pytest.raises(ValueError, match="within-group degrees of freedom"):
-            anova_f_by_metric({"ok": {"a": [1.0, 2.0], "b": [3.0]}, "bad": one_each}, n_permutations=10)
+            permutation_tests({"ok": {"a": [1.0, 2.0], "b": [3.0]}, "bad": one_each}, {}, n_permutations=10)
         # the pairwise test of the same layout has a permutation distribution
         assert [d.p_value for d in pairwise_diffs(one_each, n_permutations=10)] == [1.0] * 3
 
@@ -410,10 +408,10 @@ class TestSharedStream:
         one_each = [m for m, groups in tables.items() if all(len(v) == 1 for v in groups.values())]
         if one_each:
             with pytest.raises(ValueError, match="within-group degrees of freedom"):
-                anova_f_by_metric(tables, n_permutations=n_permutations, seed=seed)
+                permutation_tests(tables, {}, n_permutations=n_permutations, seed=seed)
             tables = {m: groups for m, groups in tables.items() if m not in one_each}
-        anovas = anova_f_by_metric(tables, n_permutations=n_permutations, seed=seed)
-        diffs = pairwise_diffs_by_metric(tables, n_permutations=n_permutations, seed=seed)
+        anovas = permutation_tests(tables, {}, n_permutations=n_permutations, seed=seed)[0]
+        diffs = permutation_tests({}, tables, n_permutations=n_permutations, seed=seed)[1]
         assert list(anovas) == list(diffs) == list(tables)
         for metric, groups in tables.items():
             # dataclass equality: f_stat, p_value, delta and p_adjusted compare with ==
@@ -421,15 +419,14 @@ class TestSharedStream:
             assert diffs[metric] == pairwise_diffs(groups, n_permutations=n_permutations, seed=seed)
 
     def test_empty_mapping(self):
-        assert anova_f_by_metric({}) == {}
-        assert pairwise_diffs_by_metric({}) == {}
+        assert permutation_tests({}, {}) == ({}, {})
 
     def test_bad_metric_refused(self):
         tables = {"ok": {"a": [1.0, 2.0], "b": [2.0, 3.0]}, "bad": {"a": [1.0, math.nan], "b": [2.0]}}
         with pytest.raises(ValueError, match="non-finite"):
-            anova_f_by_metric(tables, n_permutations=10)
+            permutation_tests(tables, {}, n_permutations=10)
         with pytest.raises(ValueError, match="non-finite"):
-            pairwise_diffs_by_metric(tables, n_permutations=10)
+            permutation_tests({}, tables, n_permutations=10)
 
 
 class TestNullCalibration:
