@@ -62,15 +62,17 @@ class AgentPolicy:
     accept_probability: float = 0.8
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.skill_criterion_prob <= 1.0:
-            raise ValueError("skill_criterion_prob must be in [0, 1]")
+        # A string fails the comparison first, with the TypeError that
+        # ExperimentConfig.from_dict reports as a malformed value.
+        for name in ("skill_criterion_prob", "accept_probability"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0 or not _is_real(value):
+                raise ValueError(f"{name} must be a finite real number in [0, 1], got {value!r}")
         # A query draws skills unless skill_criterion_prob is 0 and
         # demographic criteria unless it is 1: at most this many distinct ones.
         most = (self.skill_criterion_prob > 0) * NUM_SKILLS + (self.skill_criterion_prob < 1) * len(DEMOGRAPHIC_KINDS)
         if not self.criteria_counts or any(not _is_int(c) or not 2 <= c <= most for c in self.criteria_counts):
             raise ValueError(f"criteria_counts must contain integers in 2..{most}, got {self.criteria_counts!r}")
-        if not 0.0 <= self.accept_probability <= 1.0:
-            raise ValueError("accept_probability must be in [0, 1]")
         if not self.importance_choices or not all(_is_int(i) and 0 < abs(i) <= 3 for i in self.importance_choices):
             raise ValueError(
                 f"importance_choices must contain nonzero integers in [-3, 3], got {self.importance_choices!r}"
@@ -99,12 +101,13 @@ class StandardizationMoments:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class Exposure:
     """One displayed recommendation and whether the searcher picked it. Its
     fields, in order, are the exposures.csv columns after condition and session.
-    Not frozen: a run builds one per walked candidate, and a frozen dataclass
-    sets each field through object.__setattr__ (five times the cost)."""
+    A run builds one per walked candidate and keeps them all, so it is slotted:
+    no per-instance dict. Not frozen: a frozen dataclass sets each field
+    through object.__setattr__ (five times the cost)."""
 
     searcher: str
     candidate: str
@@ -171,8 +174,18 @@ def design_matrix(rank_z, same_gender, diversity_z, treatment) -> np.ndarray:
     return np.column_stack([np.ones(len(rank_z)), *columns])
 
 
+# Every criterion a query can hold, by (kind, skill, importance): queries
+# share these frozen instances rather than each building its own.
+_CRITERIA = {
+    (kind, skill, importance): Criterion(kind, importance, skill)
+    for kind, skill in (*(("skill", i) for i in range(NUM_SKILLS)), *((k, None) for k in DEMOGRAPHIC_KINDS))
+    for importance in (-3, -2, -1, 1, 2, 3)
+}
+
+
 def gen_query(searcher_id: str, policy: AgentPolicy, rng: np.random.Generator) -> Query:
-    """Sample one valid search query; duplicate criteria are redrawn."""
+    """Sample one valid search query; duplicate criteria are redrawn. The
+    criteria are the shared instances of _CRITERIA."""
     count = int(policy.criteria_counts[rng.integers(len(policy.criteria_counts))])
     criteria: dict[tuple, Criterion] = {}  # by key, in draw order
     while len(criteria) < count:
@@ -182,7 +195,7 @@ def gen_query(searcher_id: str, policy: AgentPolicy, rng: np.random.Generator) -
         else:
             key = (DEMOGRAPHIC_KINDS[rng.integers(len(DEMOGRAPHIC_KINDS))], None)
         if key not in criteria:
-            criteria[key] = Criterion(key[0], importance, key[1])
+            criteria[key] = _CRITERIA[(*key, importance)]
     return Query(searcher_id=searcher_id, criteria=tuple(criteria.values()))
 
 

@@ -11,13 +11,16 @@ demographic balance checks.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
+import itertools
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Mapping, Sequence
+from typing import ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -204,6 +207,52 @@ def _run_sessions(
     ]
 
 
+_EXPOSURE_FIELDS = operator.attrgetter(*TABLE_COLUMNS["exposures.csv"][2:])
+
+
+class ExposureRows(Sequence):
+    """The exposures.csv rows of sessions, in session order, as a read-only
+    view: each row is a dict of the session's condition and index and the
+    Exposure's fields, built anew whenever a consumer reads it, so a run
+    holds its exposures once. A change to a row is not kept. The view
+    compares equal to any sequence of equal rows."""
+
+    def __init__(self, sessions: Sequence[SessionResult]):
+        self._sessions = [s for s in sessions if s.exposures]
+        # The end of each session's rows in the view.
+        self._ends = list(itertools.accumulate(len(s.exposures) for s in self._sessions))
+
+    @staticmethod
+    def _rows(session: SessionResult, exposures: Sequence[Exposure]) -> Iterator[dict]:
+        """The rows of exposures of session, built by C iterators alone: a
+        Python call per row would cost as much as the row itself."""
+        head = (session.condition, session.session_index)
+        values = map(head.__add__, map(_EXPOSURE_FIELDS, exposures))
+        return map(dict, map(zip, itertools.repeat(TABLE_COLUMNS["exposures.csv"]), values))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self) -> Iterator[dict]:
+        return itertools.chain.from_iterable(self._rows(s, s.exposures) for s in self._sessions)
+
+    def __getitem__(self, index: int) -> dict:
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("exposure row index out of range")
+        k = bisect.bisect_right(self._ends, i)
+        session = self._sessions[k]
+        (row,) = self._rows(session, [session.exposures[i - (self._ends[k - 1] if k else 0)]])
+        return row
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass
 class ExperimentReport:
     config: ExperimentConfig
@@ -213,7 +262,7 @@ class ExperimentReport:
     anova_rows: list[dict]
     pairwise_rows: list[dict]
     balance_rows: list[dict]
-    exposure_rows: list[dict]
+    exposure_rows: Sequence[dict]  # an ExposureRows view in run_experiment's reports
     output_dir: Path | None = None
 
     def condition_metric(self, condition: str, metric: str) -> list[float]:
@@ -379,10 +428,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     anova_rows, pairwise_rows = stats_tables(groups_by_metric, config.seed)
     balance_rows = _balance_tables(sessions, config.conditions)
 
-    exposure_rows = [
-        {"condition": s.condition, "session": s.session_index, **vars(e)} for s in sessions for e in s.exposures
-    ]
-
     report = ExperimentReport(
         config=config,
         sessions=sessions,
@@ -391,7 +436,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         anova_rows=anova_rows,
         pairwise_rows=pairwise_rows,
         balance_rows=balance_rows,
-        exposure_rows=exposure_rows,
+        exposure_rows=ExposureRows(sessions),
     )
     out_dir = resolve_output_dir(config)
     if out_dir is not None:
@@ -501,7 +546,8 @@ def choice_audit(
     exposure_rows: Sequence[dict], params: ChoiceModelParams = ChoiceModelParams()
 ) -> AuditReport:
     """Fit the invitation model on pooled exposures and compare against the
-    generating coefficients.
+    generating coefficients. The rows are read in one pass, so a view such
+    as ExposureRows builds each row once.
 
     Constant predictor columns (for example treatment when only
     self_assembled sessions ran) are dropped with a warning rather than
@@ -514,7 +560,9 @@ def choice_audit(
             f"need at least {needed} exposures ({MIN_EXPOSURES_PER_COEFFICIENT} per coefficient), "
             f"got {n}; run more or longer agency sessions"
         )
-    *predictors, y = (np.asarray([float(r[c]) for r in exposure_rows]) for c in AUDIT_INPUTS)
+    inputs = map(operator.itemgetter(*AUDIT_INPUTS), exposure_rows)
+    values = np.fromiter(itertools.chain.from_iterable(inputs), float, count=n * len(AUDIT_INPUTS))
+    *predictors, y = values.reshape(n, len(AUDIT_INPUTS)).T
     columns = dict(zip(FIXED_EFFECTS, design_matrix(*predictors).T))
     warnings = []
     kept = ["intercept"]

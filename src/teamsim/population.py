@@ -24,6 +24,7 @@ from .core import (
     SKILL_NAMES,
     Participant,
     _is_int,
+    _is_real,
     read_json_lines,
     read_table,
     write_csv,
@@ -50,12 +51,18 @@ class DemographicSpec:
             raise ValueError(f"need {len(GENDERS)} gender weights")
         if len(self.race_weights) != len(RACES):
             raise ValueError(f"need {len(RACES)} race weights")
-        for weights in (self.gender_weights, self.race_weights):
-            if any(w < 0 for w in weights) or sum(weights) <= 0:
-                raise ValueError("category weights must be non-negative with positive sum")
-        for rate in (self.hispanic_rate, self.international_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("rates must be in [0, 1]")
+        # A string fails a comparison first, with the TypeError that
+        # ExperimentConfig.from_dict reports as a malformed value.
+        for name in ("gender_weights", "race_weights"):
+            weights = getattr(self, name)
+            if any(w < 0 or not _is_real(w) for w in weights) or sum(weights) <= 0:
+                raise ValueError(
+                    f"{name} must be finite non-negative real numbers with a positive sum, got {weights!r}"
+                )
+        for name in ("hispanic_rate", "international_rate"):
+            rate = getattr(self, name)
+            if not 0.0 <= rate <= 1.0 or not _is_real(rate):
+                raise ValueError(f"{name} must be a finite real number in [0, 1], got {rate!r}")
         if not (_is_int(self.age_min) and _is_int(self.age_max) and AGE_MIN <= self.age_min <= self.age_max <= AGE_MAX):
             raise ValueError(f"invalid age range: need integers {AGE_MIN} <= age_min <= age_max <= {AGE_MAX}")
         if not (_is_int(self.skill_min) and _is_int(self.skill_max) and 1 <= self.skill_min <= self.skill_max <= 5):

@@ -61,11 +61,12 @@ def join_refusal(group: tuple[str, ...], other: tuple[str, ...]) -> str | None:
 PAYLOAD_TYPES = {"query_issued": Query, "recommendations_shown": ShownPage}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One logged step of a session. A query_issued event holds the Query,
     a recommendations_shown event the ShownPage; to_dict and from_dict are
-    their one serializer and their one parser."""
+    their one serializer and their one parser. Slotted: a session keeps
+    every event it logs."""
 
     round: int
     kind: str

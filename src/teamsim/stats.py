@@ -12,11 +12,17 @@ Each test ranks permutations by a statistic that is exactly monotone in
 the reported one. The pooled total sum of squares does not change under
 permutation, so F is increasing in T = sum_g S_g^2 / n_g (S_g the group
 sums); a pair's |mean(B) - mean(A)| is increasing in |S_B - S n_B / n|.
-Permutations are drawn in blocks of at most PERMUTATION_BLOCK rows with
-``rng.permuted`` on a broadcast ``arange``; its rows equal successive
-``rng.permutation(n)`` draws and leave the generator in the same state,
-so the blocks do not move the random stream. One array reduction per
-block gives the statistic of every row.
+Permutations are drawn in blocks with ``rng.permuted`` on a broadcast
+``arange``; its rows equal successive ``rng.permutation(n)`` draws and
+leave the generator in the same state, so the blocks do not move the
+random stream. One array reduction per block gives the statistic of every
+row. A block holds at most PERMUTATION_BLOCK rows and at most
+PERMUTATION_INDICES indices: 1,000 rows at n = 32 or 64, 682 at n = 192,
+102 at n = 1,280. So the index block, and the values a statistic gathers
+from it, take at most 1 MiB each, whatever n is, and fit a typical L2
+cache, as in the blocking of Lam, Rothberg & Wolf (ASPLOS 1991). Blocks
+of 1,000 rows at every n held 10 MiB each at n = 1,280, and blocks of
+more than 1,000 rows made the paper's 2x2 statistics slower.
 
 permutation_tests runs the ANOVAs and pairwise tests of several metrics;
 anova_f and pairwise_diffs are its one-metric cases. One rule fixes the
@@ -89,6 +95,7 @@ def _f_statistic(pooled: np.ndarray, sizes: Sequence[int]) -> float:
 
 
 PERMUTATION_BLOCK = 1000
+PERMUTATION_INDICES = 2**17
 TIE_ULPS = 64
 
 
@@ -125,8 +132,9 @@ def _permutation_hits_each(
     identity = np.arange(n)
     thresholds = [statistic(identity) - tol for statistic, tol in zip(statistics, tols)]
     misses = [0] * len(thresholds)
-    for done in range(0, n_permutations, PERMUTATION_BLOCK):
-        m = min(PERMUTATION_BLOCK, n_permutations - done)
+    rows = max(1, min(PERMUTATION_BLOCK, PERMUTATION_INDICES // n))
+    for done in range(0, n_permutations, rows):
+        m = min(rows, n_permutations - done)
         block = rng.permuted(np.broadcast_to(identity, (m, n)), axis=1)
         for j, (statistic, threshold) in enumerate(zip(statistics, thresholds)):
             misses[j] += int(np.count_nonzero(statistic(block) < threshold))

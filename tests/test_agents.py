@@ -125,6 +125,14 @@ class TestGenQuery:
         q2 = gen_query("s", AgentPolicy(), np.random.default_rng(9))
         assert q1 == q2
 
+    def test_queries_share_one_criterion_per_value(self):
+        rng = np.random.default_rng(4)
+        shared = {}
+        for _ in range(300):
+            for c in gen_query("s", AgentPolicy(importance_choices=(-3, -1, 2, 3)), rng).criteria:
+                assert shared.setdefault((c.kind, c.skill, c.importance), c) is c
+        assert len(shared) > 20
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             AgentPolicy(criteria_counts=(1,))

@@ -294,6 +294,8 @@ def test_run_config_with_unknown_key_is_input_error(tmp_path, capsys):
         '{"demographics": {"skill_min": 2.5}}',
         '{"choice_params": {"intercept": "x"}}',
         '{"choice_params": {"random_intercept_variance": NaN}}',
+        '{"policy": {"accept_probability": false}}',
+        '{"demographics": {"gender_weights": [1, Infinity, 2]}}',
     ],
 )
 def test_run_config_with_malformed_value_is_input_error(tmp_path, capsys, text):

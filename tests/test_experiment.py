@@ -3,7 +3,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import json
-import tracemalloc
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from teamsim.experiment import (
     TABLE_COLUMNS,
     AuditError,
     ExperimentConfig,
+    ExposureRows,
     choice_audit,
     read_manifest,
     regenerate_team_rows,
@@ -30,7 +31,9 @@ from teamsim.optimizer import GaConfig
 from teamsim.population import load_population, synth_population
 from teamsim.protocol import read_log
 from teamsim.session import CONDITIONS, run_session
-from teamsim.stats import PERMUTATION_BLOCK, anova_f, pairwise_diffs
+from teamsim.stats import PERMUTATION_INDICES, anova_f, pairwise_diffs
+
+from conftest import traced_memory
 
 
 def _tiny_config(**overrides) -> ExperimentConfig:
@@ -130,6 +133,13 @@ class TestConfig:
             ({"choice_params": {"rank": True}}, "rank must be a finite real"),
             ({"choice_params": {"random_intercept_variance": float("nan")}}, "random_intercept_variance"),
             ({"choice_params": {"interaction": float("inf")}}, "interaction must be a finite real"),
+            # booleans and infinities are refused by name, as choice_params values are
+            ({"policy": {"accept_probability": False}}, "accept_probability must be a finite real"),
+            ({"policy": {"skill_criterion_prob": True}}, "skill_criterion_prob must be a finite real"),
+            ({"demographics": {"gender_weights": [1, float("inf"), 2]}}, "gender_weights must be finite"),
+            ({"demographics": {"race_weights": [1, 1, True, 1, 1, 1]}}, "race_weights must be finite"),
+            ({"demographics": {"hispanic_rate": True}}, "hispanic_rate must be a finite real"),
+            ({"demographics": {"international_rate": float("nan")}}, "international_rate must be a finite real"),
         ],
     )
     def test_malformed_values_rejected(self, data, message):
@@ -218,13 +228,10 @@ class TestStatsTables:
         tables = {
             metric: {f"c{g}": rng.random(320) for g in range(4)} for metric in REPORT_METRICS
         }
-        one_block = PERMUTATION_BLOCK * 1280 * 8  # indices and values are 8 bytes each
-        tracemalloc.start()
-        try:
-            stats_tables(tables, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # at N = 1,280 a block holds 102 permutations, 2**17 // 1280: about
+        # 1 MiB of indices, and as much again of the values gathered from them
+        one_block = (PERMUTATION_INDICES // 1280) * 1280 * 8  # indices and values are 8 bytes each
+        _, peak, _ = traced_memory(lambda: stats_tables(tables, seed=1))
         assert peak < 3 * (one_block + one_block)
 
 
@@ -508,6 +515,113 @@ def four_condition_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("tables")
     report = run_experiment(_tiny_config(conditions=CONDITIONS, sessions_per_condition=2, output_dir=str(out)))
     return report, out
+
+
+def _stored_exposure_rows(report) -> list[dict]:
+    """The exposures.csv rows as a stored list, one dict per exposure: the
+    oracle of the report's ExposureRows view."""
+    return [
+        {"condition": s.condition, "session": s.session_index, **dataclasses.asdict(e)}
+        for s in report.sessions
+        for e in s.exposures
+    ]
+
+
+def _agency_config(**overrides) -> ExperimentConfig:
+    base = dict(conditions=("self_assembled", "fairness_aware"), sessions_per_condition=1, agents_per_session=64, seed=3)
+    return ExperimentConfig(**{**base, **overrides})
+
+
+class TestExposureRows:
+    def test_view_equals_the_stored_rows(self, four_condition_run):
+        report, _ = four_condition_run
+        view, stored = report.exposure_rows, _stored_exposure_rows(report)
+        assert isinstance(view, ExposureRows)
+        assert len(view) == len(stored) > 0
+        assert view == stored and stored == view and not view != stored
+        assert view != stored[:-1] and view != [*stored[1:], stored[0]]
+        # every pass builds the same rows again
+        assert list(view) == stored
+        assert list(view) == stored
+
+    def test_indexing(self, four_condition_run):
+        report, _ = four_condition_run
+        view, stored = report.exposure_rows, _stored_exposure_rows(report)
+        n = len(stored)
+        # every row, from either end: the sessions' boundaries included
+        assert [view[i] for i in range(n)] == stored
+        assert [view[i] for i in range(-n, 0)] == stored
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[i]
+
+    def test_rows_are_fresh_and_read_only(self, four_condition_run):
+        report, _ = four_condition_run
+        view = report.exposure_rows
+        row = view[-1]
+        row["selected"] = 7
+        assert view[-1]["selected"] in (0, 1)
+        assert all(r["selected"] in (0, 1) for r in view)
+        with pytest.raises(TypeError):
+            view[0] = row
+
+    def test_run_without_agency_sessions(self, tmp_path):
+        out = tmp_path / "run"
+        report = run_experiment(
+            _tiny_config(conditions=("random", "algorithmic_diverse"), sessions_per_condition=1, output_dir=str(out))
+        )
+        view = report.exposure_rows
+        assert isinstance(view, ExposureRows)
+        assert len(view) == 0 and not view
+        assert list(view) == [] and view == [] and view == _stored_exposure_rows(report)
+        for i in (0, -1):
+            with pytest.raises(IndexError):
+                view[i]
+        assert (out / "team_metrics.csv").is_file()
+        assert not (out / "exposures.csv").exists()
+
+    def test_audit_is_bit_identical_on_view_list_and_file(self, four_condition_run):
+        report, out = four_condition_run
+        from_file = read_table(out / "exposures.csv", AUDIT_INPUTS, dict.fromkeys(AUDIT_INPUTS, float))
+        view, *others = (
+            choice_audit(rows) for rows in (report.exposure_rows, _stored_exposure_rows(report), from_file)
+        )
+        for audit in others:
+            assert audit.rows == view.rows
+            assert audit.fit.coefficients.tobytes() == view.fit.coefficients.tobytes()
+            assert audit.fit.standard_errors.tobytes() == view.fit.standard_errors.tobytes()
+
+    def test_report_holds_each_exposure_once(self):
+        # What an agency report retains for its exposures, per exposure: the
+        # Exposure objects alone, less than one stored 12-key row dict.
+        def without_exposures():
+            report = run_experiment(_agency_config())
+            report.exposure_rows = ()
+            for s in report.sessions:
+                s.exposures = []
+            return report
+
+        without_exposures()  # the first run in a process also imports and caches
+        report, _, with_them = traced_memory(lambda: run_experiment(_agency_config()))
+        _, _, without_them = traced_memory(without_exposures)
+        row = _stored_exposure_rows(report)[0]
+        assert len(row) == 12
+        assert (with_them - without_them) / len(report.exposure_rows) < sys.getsizeof(row)
+
+    def test_audit_walks_the_view_once_without_holding_its_rows(self, monkeypatch):
+        report = run_experiment(_agency_config())
+        view = report.exposure_rows
+        passes = []
+        walk = ExposureRows.__iter__
+
+        def counted(self):
+            passes.append(1)
+            return walk(self)
+
+        monkeypatch.setattr(ExposureRows, "__iter__", counted)
+        _, peak, _ = traced_memory(lambda: choice_audit(view))
+        assert passes == [1]
+        assert peak < len(view) * sys.getsizeof(view[0])
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_COLUMNS))

@@ -243,11 +243,23 @@ def test_hits_equal_exact_arithmetic():
     assert [_hits(d.p_value, n_permutations) for d in diffs] == expected_pairs
 
 
-@pytest.mark.parametrize("n", [1, 2, 8, 64, 192])
+# The rows of each block of 2,001 permutations of range(n): at most
+# PERMUTATION_BLOCK (1,000) rows and at most 2**17 indices in a block.
+BLOCK_ROWS = {
+    1: [1000, 1000, 1],
+    2: [1000, 1000, 1],
+    8: [1000, 1000, 1],
+    64: [1000, 1000, 1],
+    192: [682, 682, 637],
+    1280: [102] * 19 + [63],
+}
+
+
+@pytest.mark.parametrize("n", list(BLOCK_ROWS))
 def test_permutation_blocks_follow_sequential_stream(n):
     # the blocked draws must give the rows, and leave the generator in the
-    # state, of one rng.permutation(n) call per permutation; a numpy release
-    # that changes rng.permuted's stream fails here
+    # state, of one rng.permutation(n) call per permutation, whatever the
+    # block size; a numpy release that changes rng.permuted's stream fails here
     n_permutations = 2 * PERMUTATION_BLOCK + 1
     blocks = []
 
@@ -259,7 +271,7 @@ def test_permutation_blocks_follow_sequential_stream(n):
     _permutation_hits_each(n, [recording], [0.0], n_permutations, blocked)
     sequential = np.random.default_rng(9)
     expected = np.array([sequential.permutation(n) for _ in range(n_permutations)])
-    assert [b.shape[0] for b in blocks[1:]] == [PERMUTATION_BLOCK, PERMUTATION_BLOCK, 1]
+    assert [b.shape[0] for b in blocks[1:]] == BLOCK_ROWS[n]
     np.testing.assert_array_equal(np.concatenate(blocks[1:]), expected)
     assert blocked.integers(2**62) == sequential.integers(2**62)
 
